@@ -14,7 +14,13 @@ import json
 import sys
 from pathlib import Path
 
-from .bm25 import Bm25Params, bm25_search, build_bm25_index, sample_bm25_negatives
+from .bm25 import (
+    Bm25Index,
+    Bm25Params,
+    bm25_search,
+    build_bm25_index,
+    sample_bm25_negatives,
+)
 from .core import (
     MODES,
     CoilConfig,
@@ -25,6 +31,7 @@ from .core import (
     validate_config,
 )
 from .encoding import (
+    EncoderSpec,
     StubContextualizerConfig,
     TokenizerConfig,
     build_vocab,
@@ -32,24 +39,13 @@ from .encoding import (
     encode_query,
     ingest_encoded,
     read_encoded_header,
-    seeded_projection,
     tokenize,
     write_encoded,
 )
 from .evaluation import evaluate, read_qrels, read_run, write_run
-from .index import build_index, index_stats, load_index, save_index
+from .index import META_FILE, build_index, index_stats, load_index, save_index
 from .loss import TrainingExample, write_training_examples
 from .retrieval import search_many
-
-
-def _derive_mode(n_t: int, n_c: int) -> str:
-    if n_t >= 1 and n_c >= 1:
-        return "full"
-    if n_t >= 1:
-        return "tok"
-    if n_c >= 1:
-        return "cls_only"
-    raise ValidationError("n_t and n_c cannot both be 0")
 
 
 def _sidecar_path(encoded_path: str) -> Path:
@@ -65,34 +61,23 @@ def cmd_encode(args: argparse.Namespace) -> int:
             n_c=args.n_c,
             max_doc_tokens=args.max_doc_tokens,
             cls_layer_norm=args.layer_norm,
-            mode=_derive_mode(args.n_t, args.n_c),
         )
     )
-    tokenizer = build_vocab((d.text for d in docs))
-    stub = StubContextualizerConfig(seed=args.stub_seed)
-    params = seeded_projection(config, args.stub_seed)
+    spec = EncoderSpec(
+        tokenizer=build_vocab(d.text for d in docs),
+        stub=StubContextualizerConfig(seed=args.stub_seed),
+        config=config,
+        projection_seed=args.stub_seed,
+    )
+    params = spec.projection()
     count = write_encoded(
-        (encode_document(d, tokenizer, stub, params, config) for d in docs),
+        (encode_document(d, spec.tokenizer, spec.stub, params, config) for d in docs),
         args.out,
         config.n_t,
         config.n_c,
     )
-    meta = {
-        "vocab": tokenizer.vocab,
-        "lowercase": tokenizer.lowercase,
-        "config": {
-            "n_lm": config.n_lm,
-            "n_t": config.n_t,
-            "n_c": config.n_c,
-            "max_doc_tokens": config.max_doc_tokens,
-            "cls_layer_norm": config.cls_layer_norm,
-            "mode": config.mode,
-        },
-        "stub": {"seed": stub.seed, "window": stub.window, "mix_weight": stub.mix_weight},
-        "projection_seed": args.stub_seed,
-    }
     with open(_sidecar_path(args.out), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True)
+        json.dump(spec.to_meta(), fh, sort_keys=True)
         fh.write("\n")
     print(f"encoded {count} documents -> {args.out}")
     return 0
@@ -101,24 +86,26 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     header = read_encoded_header(args.encoded)
     n_t, n_c = header["n_t"], header["n_c"]
-    encoder_meta = None
+    spec = None
     sidecar = _sidecar_path(args.encoded)
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8") as fh:
-            encoder_meta = json.load(fh)
-        cfg_meta = encoder_meta.get("config", {})
-        if cfg_meta.get("n_t") != n_t or cfg_meta.get("n_c") != n_c:
+            try:
+                spec = EncoderSpec.from_meta(json.load(fh), str(sidecar))
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{sidecar}: invalid JSON: {exc}") from exc
+        if (spec.config.n_t, spec.config.n_c) != (n_t, n_c):
             raise FormatError(
                 f"{sidecar}: encoder settings disagree with {args.encoded} header"
             )
-        config = CoilConfig(**cfg_meta)
+        config = spec.config
     else:
-        config = CoilConfig(
-            n_lm=max(n_t, n_c, 1), n_t=n_t, n_c=n_c, mode=_derive_mode(n_t, n_c)
-        )
-    vocab = encoder_meta.get("vocab") if encoder_meta else None
+        config = CoilConfig(n_lm=max(n_t, n_c, 1), n_t=n_t, n_c=n_c)
     index = build_index(
-        ingest_encoded(args.encoded), config, vocab=vocab, encoder_meta=encoder_meta
+        ingest_encoded(args.encoded),
+        config,
+        vocab=spec.tokenizer.vocab if spec else None,
+        encoder_meta=spec.to_meta() if spec else None,
     )
     save_index(index, args.index_dir)
     stats = index_stats(index)
@@ -132,20 +119,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     index = load_index(args.index_dir)
     queries = load_queries(args.queries)
-    meta = index.encoder_meta
-    if not meta:
+    if not index.encoder_meta:
         raise ValidationError(
             f"{args.index_dir}: index stores no encoder settings; rebuild it from "
             "an `encode` output with its .meta.json sidecar in place"
         )
-    tokenizer = TokenizerConfig(
-        lowercase=bool(meta["lowercase"]),
-        vocab={str(t): int(i) for t, i in meta["vocab"].items()},
+    spec = EncoderSpec.from_meta(
+        index.encoder_meta, f"{Path(args.index_dir) / META_FILE}: encoder_meta"
     )
-    config = validate_config(CoilConfig(**meta["config"]))
-    stub = StubContextualizerConfig(**meta["stub"])
-    params = seeded_projection(config, int(meta["projection_seed"]))
-    encoded = [encode_query(q, tokenizer, stub, params, config) for q in queries]
+    params = spec.projection()
+    encoded = [
+        encode_query(q, spec.tokenizer, spec.stub, params, spec.config) for q in queries
+    ]
     results = search_many(index, encoded, k=args.k, mode=args.mode, threads=args.threads)
     if args.instrument:
         for ranked, instr in results:
@@ -165,12 +150,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bm25(args: argparse.Namespace) -> int:
+def _load_bm25_corpus(args: argparse.Namespace) -> tuple[TokenizerConfig, Bm25Index]:
     docs = load_documents(args.corpus)
+    tokenizer = build_vocab(d.text for d in docs)
+    return tokenizer, build_bm25_index(docs, tokenizer, max_doc_tokens=args.max_doc_tokens)
+
+
+def cmd_bm25(args: argparse.Namespace) -> int:
+    tokenizer, index = _load_bm25_corpus(args)
     queries = load_queries(args.queries)
     params = Bm25Params(k1=args.k1, b=args.b, k2=args.k2)
-    tokenizer = build_vocab((d.text for d in docs))
-    index = build_bm25_index(docs, tokenizer, max_doc_tokens=args.max_doc_tokens)
     run = {
         q.id: bm25_search(index, tokenize(q.text, tokenizer), args.k, params, query_id=q.id)
         for q in queries
@@ -191,11 +180,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_negs(args: argparse.Namespace) -> int:
-    docs = load_documents(args.corpus)
+    tokenizer, index = _load_bm25_corpus(args)
     queries = load_queries(args.queries)
     qrels = read_qrels(args.qrels)
-    tokenizer = build_vocab((d.text for d in docs))
-    index = build_bm25_index(docs, tokenizer, max_doc_tokens=args.max_doc_tokens)
     examples = []
     for qi, query in enumerate(queries):
         positives = sorted(qrels.relevant(query.id, min_rel=1))

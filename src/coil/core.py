@@ -79,7 +79,8 @@ class CoilConfig:
 
     n_t = 0 disables token vectors (dense/CLS-only variant) and n_c = 0
     disables the CLS vector (token-only variant); n_t = 1 gives the
-    term-importance degenerate variant.
+    term-importance degenerate variant.  ``mode`` defaults to the richest
+    scoring mode the dims support (see :func:`derive_mode`).
     """
 
     n_lm: int
@@ -87,7 +88,22 @@ class CoilConfig:
     n_c: int = 768
     max_doc_tokens: int = 512
     cls_layer_norm: bool = False
-    mode: str = "full"
+    mode: str | None = None  # None: derive_mode(n_t, n_c)
+
+    def __post_init__(self) -> None:
+        if self.mode is None:
+            object.__setattr__(self, "mode", derive_mode(self.n_t, self.n_c))
+
+
+def derive_mode(n_t: int, n_c: int) -> str:
+    """full when both vector kinds exist, else tok or cls_only."""
+    if n_t >= 1 and n_c >= 1:
+        return "full"
+    if n_t >= 1:
+        return "tok"
+    if n_c >= 1:
+        return "cls_only"
+    raise ValidationError("n_t and n_c cannot both be 0")
 
 
 def validate_config(config: CoilConfig) -> CoilConfig:
@@ -102,19 +118,51 @@ def validate_config(config: CoilConfig) -> CoilConfig:
         raise ValidationError("max_doc_tokens must be >= 1")
     if config.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if config.mode == "tok" and config.n_t < 1:
-        raise ValidationError("mode=tok requires n_t >= 1")
-    if config.mode == "cls_only" and config.n_c < 1:
-        raise ValidationError("mode=cls_only requires n_c >= 1")
-    if config.mode == "full" and config.n_t < 1:
-        raise ValidationError("mode=full requires n_t >= 1")
-    if config.mode == "full" and config.n_c < 1:
-        raise ValidationError("mode=full requires n_c >= 1")
+    if config.mode in ("tok", "full") and config.n_t < 1:
+        raise ValidationError(f"mode={config.mode} requires n_t >= 1")
+    if config.mode in ("cls_only", "full") and config.n_c < 1:
+        raise ValidationError(f"mode={config.mode} requires n_c >= 1")
     if config.n_t > config.n_lm:
         raise ValidationError("n_t must be <= n_lm")
     if config.n_c > config.n_lm:
         raise ValidationError("n_c must be <= n_lm")
     return config
+
+
+def check_fields(obj: object, types: dict[str, type | tuple], source: str) -> dict:
+    """Return ``obj`` if it is a JSON object holding exactly the keys of
+    ``types``, each value of the named type; raise FormatError otherwise.
+
+    ``int`` excludes bools; ``float`` also accepts ints.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError(f"{source}: expected a JSON object")
+    unknown = sorted(obj.keys() - types.keys())
+    if unknown:
+        raise FormatError(f"{source}: unknown key {unknown[0]!r}")
+    for key, typ in types.items():
+        if key not in obj:
+            raise FormatError(f"{source}: missing key {key!r}")
+        value = obj[key]
+        accepted = (int, float) if typ is float else typ
+        if isinstance(value, bool) != (typ is bool) or not isinstance(value, accepted):
+            raise FormatError(f"{source}: {key!r} has the wrong type ({type(value).__name__})")
+    return obj
+
+
+_CONFIG_TYPES = {
+    "n_lm": int,
+    "n_t": int,
+    "n_c": int,
+    "max_doc_tokens": int,
+    "cls_layer_norm": bool,
+    "mode": str,
+}
+
+
+def config_from_meta(obj: object, source: str) -> CoilConfig:
+    """Parse and validate the JSON form of a CoilConfig (``dataclasses.asdict``)."""
+    return validate_config(CoilConfig(**check_fields(obj, _CONFIG_TYPES, source)))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -33,7 +33,10 @@ from .core import (
     Query,
     TokenSeq,
     ValidationError,
+    _check_id,
     check_dims,
+    check_fields,
+    config_from_meta,
     validate_config,
 )
 
@@ -262,6 +265,70 @@ def project_cls(
 
 
 # ---------------------------------------------------------------------------
+# Encoder settings
+# ---------------------------------------------------------------------------
+
+_META_TYPES = {
+    "vocab": dict,
+    "lowercase": bool,
+    "config": dict,
+    "stub": dict,
+    "projection_seed": int,
+}
+_STUB_TYPES = {"seed": int, "window": int, "mix_weight": float}
+
+
+def vocab_from_meta(vocab: dict, source: str) -> dict[str, int]:
+    """Check that a JSON vocabulary maps every token to an integer id."""
+    if not all(type(i) is int for i in vocab.values()):
+        raise FormatError(f"{source}: token ids must be integers")
+    return vocab
+
+
+@dataclass(frozen=True)
+class EncoderSpec:
+    """Every setting that must match between corpus and query encoding.
+
+    Its JSON form is the ``coil encode`` sidecar and the ``encoder_meta``
+    stored in an index; :meth:`to_meta` and :meth:`from_meta` are the only
+    writer and reader of that layout.
+    """
+
+    tokenizer: TokenizerConfig
+    stub: StubContextualizerConfig
+    config: CoilConfig
+    projection_seed: int
+
+    def projection(self) -> ProjectionParams:
+        """The seeded projection parameters these settings determine."""
+        return seeded_projection(self.config, self.projection_seed)
+
+    def to_meta(self) -> dict:
+        """The JSON form written as the sidecar and stored as ``encoder_meta``."""
+        return {
+            "vocab": self.tokenizer.vocab,
+            "lowercase": self.tokenizer.lowercase,
+            "config": asdict(self.config),
+            "stub": asdict(self.stub),
+            "projection_seed": self.projection_seed,
+        }
+
+    @classmethod
+    def from_meta(cls, meta: object, source: str) -> EncoderSpec:
+        """Inverse of :meth:`to_meta`; a missing, unknown or ill-typed key
+        raises FormatError naming ``source``."""
+        check_fields(meta, _META_TYPES, source)
+        stub = check_fields(meta["stub"], _STUB_TYPES, f"{source}: stub")
+        vocab = vocab_from_meta(meta["vocab"], f"{source}: vocab")
+        return cls(
+            tokenizer=TokenizerConfig(meta["lowercase"], vocab),
+            stub=StubContextualizerConfig(**stub),
+            config=config_from_meta(meta["config"], f"{source}: config"),
+            projection_seed=meta["projection_seed"],
+        )
+
+
+# ---------------------------------------------------------------------------
 # Document / query encoding
 # ---------------------------------------------------------------------------
 
@@ -386,42 +453,50 @@ def ingest_encoded(path: str | Path) -> Iterator[EncodedDocument]:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
             try:
                 doc_id = obj["id"]
                 token_ids = np.asarray(obj["token_ids"], dtype=np.int32)
-                vec_rows = obj["token_vecs"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-            if len(vec_rows) != len(token_ids):
+                token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
+                cls_vec = None
+                if "cls_vec" in obj:
+                    cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise FormatError(f"{where}: malformed record: {exc}") from exc
+            if not isinstance(doc_id, str):
+                raise FormatError(f"{where}: id must be a string")
+            try:
+                _check_id("document", doc_id)
+            except ValidationError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
+            if token_vecs.shape == (0,):  # "token_vecs": [] parses without a row width
+                token_vecs = token_vecs.reshape(0, n_t)
+            if token_ids.ndim != 1 or token_vecs.shape[:1] != token_ids.shape:
                 raise FormatError(
-                    f"{path}: line {lineno}: token_vecs count {len(vec_rows)} "
-                    f"!= token_ids count {len(token_ids)}"
+                    f"{where}: token_vecs shape {token_vecs.shape} does not fit "
+                    f"token_ids shape {token_ids.shape}"
                 )
-            for vec in vec_rows:
-                if len(vec) != n_t:
-                    raise FormatError(
-                        f"{path}: line {lineno}: token vector dimension {len(vec)} "
-                        f"does not match header n_t={n_t}"
-                    )
-            token_vecs = np.asarray(vec_rows, dtype=np.float32).reshape(len(token_ids), n_t)
-            cls_vec = None
+            if token_vecs.shape[1:] != (n_t,):
+                raise FormatError(
+                    f"{where}: token vector shape {token_vecs.shape} "
+                    f"does not match header n_t={n_t}"
+                )
+            if not np.isfinite(token_vecs).all():
+                raise FormatError(f"{where}: non-finite token vector entry")
             if n_c > 0:
-                if "cls_vec" not in obj:
+                if cls_vec is None:
+                    raise FormatError(f"{where}: cls_vec required by header n_c={n_c}")
+                if cls_vec.shape != (n_c,):
                     raise FormatError(
-                        f"{path}: line {lineno}: cls_vec required by header n_c={n_c}"
-                    )
-                if len(obj["cls_vec"]) != n_c:
-                    raise FormatError(
-                        f"{path}: line {lineno}: cls_vec dimension {len(obj['cls_vec'])} "
+                        f"{where}: cls_vec shape {cls_vec.shape} "
                         f"does not match header n_c={n_c}"
                     )
-                cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
-            elif "cls_vec" in obj:
-                raise FormatError(
-                    f"{path}: line {lineno}: cls_vec present but header has n_c=0"
-                )
+                if not np.isfinite(cls_vec).all():
+                    raise FormatError(f"{where}: non-finite cls_vec entry")
+            elif cls_vec is not None:
+                raise FormatError(f"{where}: cls_vec present but header has n_c=0")
             yield EncodedDocument(doc_id, token_ids, token_vecs, cls_vec)

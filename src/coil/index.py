@@ -19,14 +19,22 @@ description):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .core import CoilConfig, EncodedDocument, FormatError, ValidationError, validate_config
-from .encoding import fnv1a64
+from .core import (
+    CoilConfig,
+    EncodedDocument,
+    FormatError,
+    ValidationError,
+    check_fields,
+    config_from_meta,
+    validate_config,
+)
+from .encoding import fnv1a64, vocab_from_meta
 
 INDEX_FORMAT = "coil-index"
 INDEX_VERSION = 1
@@ -209,18 +217,10 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         (out / CLS_FILE).write_bytes(cls_blob)
         checksums[CLS_FILE] = f"{fnv1a64(cls_blob):016x}"
 
-    cfg = index.config
     meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "config": {
-            "n_lm": cfg.n_lm,
-            "n_t": cfg.n_t,
-            "n_c": cfg.n_c,
-            "max_doc_tokens": cfg.max_doc_tokens,
-            "cls_layer_norm": cfg.cls_layer_norm,
-            "mode": cfg.mode,
-        },
+        "config": asdict(index.config),
         "num_docs": index.num_docs,
         "doc_table": index.doc_table,
         "vocab": index.vocab,
@@ -234,54 +234,83 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         fh.write("\n")
 
 
-def _read_checked(path: Path, expected_hex: str) -> bytes:
+def _read_checked(path: Path, checksums: dict, expected_size: int, layout: str) -> bytes:
+    """Read a binary index file, checking its size first, then its checksum."""
     blob = path.read_bytes()
-    actual = f"{fnv1a64(blob):016x}"
-    if actual != expected_hex:
-        raise ChecksumError(
-            f"{path}: checksum mismatch (stored {expected_hex}, computed {actual})"
+    if len(blob) != expected_size:
+        raise FormatError(
+            f"{path}: size {len(blob)} does not match meta (expected {expected_size} {layout})"
         )
+    stored = checksums.get(path.name)
+    actual = f"{fnv1a64(blob):016x}"
+    if actual != stored:
+        raise ChecksumError(f"{path}: checksum mismatch (stored {stored}, computed {actual})")
     return blob
+
+
+_META_TYPES = {
+    "format": str,
+    "version": int,
+    "config": dict,
+    "num_docs": int,
+    "doc_table": list,
+    "vocab": dict,
+    "lists": list,
+    "corpus_checksum": str,
+    "checksums": dict,
+    "encoder_meta": (dict, type(None)),
+}
+
+
+def _is_list_entry(entry: object) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and type(entry[0]) is int
+        and type(entry[1]) is int
+        and entry[1] >= 0
+    )
 
 
 def load_index(dir_path: str | Path) -> CoilIndex:
     """Load a saved index; matrices compare bitwise-equal to the saved ones."""
     root = Path(dir_path)
+    meta_path = root / META_FILE
     try:
-        with open(root / META_FILE, "r", encoding="utf-8") as fh:
+        with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{root / META_FILE}: invalid JSON: {exc}") from exc
-    if meta.get("format") != INDEX_FORMAT:
-        raise FormatError(f"{root / META_FILE}: not a {INDEX_FORMAT} directory")
+        raise FormatError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
+        raise FormatError(f"{meta_path}: not a {INDEX_FORMAT} directory")
     if meta.get("version") != INDEX_VERSION:
-        raise FormatError(
-            f"{root / META_FILE}: unsupported version {meta.get('version')!r}"
-        )
-    cfg = CoilConfig(**meta["config"])
-    validate_config(cfg)
+        raise FormatError(f"{meta_path}: unsupported version {meta.get('version')!r}")
+    check_fields(meta, _META_TYPES, str(meta_path))
+    cfg = config_from_meta(meta["config"], f"{meta_path}: config")
     n_t, n_c = cfg.n_t, cfg.n_c
-    doc_table = list(meta["doc_table"])
-    if meta.get("num_docs") != len(doc_table):
-        raise FormatError(f"{root / META_FILE}: num_docs disagrees with doc_table")
+    doc_table = meta["doc_table"]
+    num_docs = len(doc_table)
+    if not all(type(doc_id) is str for doc_id in doc_table):
+        raise FormatError(f"{meta_path}: doc_table entries must be strings")
+    if meta["num_docs"] != num_docs:
+        raise FormatError(f"{meta_path}: num_docs disagrees with doc_table")
+    vocab = vocab_from_meta(meta["vocab"], f"{meta_path}: vocab")
+    try:
+        corpus_checksum = int(meta["corpus_checksum"], 16)
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: corpus_checksum is not hexadecimal") from exc
+    directory = meta["lists"]
+    if not all(_is_list_entry(entry) for entry in directory):
+        raise FormatError(f"{meta_path}: lists must hold [token_id, n_occurrences] pairs")
 
     row_bytes = 4 + 4 * n_t  # int32 ref + float32 vector per occurrence
-    directory = [(int(t), int(n)) for t, n in meta["lists"]]
-    expected_size = sum(n * row_bytes for _, n in directory)
     postings_path = root / POSTINGS_FILE
-    blob = postings_path.read_bytes()
-    if len(blob) != expected_size:
-        raise FormatError(
-            f"{postings_path}: size {len(blob)} does not match meta "
-            f"(expected {expected_size} for n_t={n_t}; truncated file or wrong n_t)"
-        )
-    stored = meta["checksums"].get(POSTINGS_FILE)
-    actual = f"{fnv1a64(blob):016x}"
-    if stored != actual:
-        raise ChecksumError(
-            f"{postings_path}: checksum mismatch (stored {stored}, computed {actual})"
-        )
-
+    blob = _read_checked(
+        postings_path,
+        meta["checksums"],
+        sum(n * row_bytes for _, n in directory),
+        f"for n_t={n_t}; truncated file or wrong n_t",
+    )
     lists: dict[int, InvertedList] = {}
     offset = 0
     for tid, n_occ in directory:
@@ -289,29 +318,31 @@ def load_index(dir_path: str | Path) -> CoilIndex:
         offset += 4 * n_occ
         vecs = np.frombuffer(blob, dtype="<f4", count=n_occ * n_t, offset=offset)
         offset += 4 * n_occ * n_t
-        if np.any(refs < 0) or np.any(refs >= len(doc_table)):
+        # search's segmented max (np.maximum.reduceat) relies on this order
+        if np.any(refs[1:] < refs[:-1]):
+            raise FormatError(f"{postings_path}: doc ordinals decrease in list {tid}")
+        if n_occ and (refs[0] < 0 or refs[-1] >= num_docs):
             raise FormatError(f"{postings_path}: doc ordinal out of range in list {tid}")
         lists[tid] = InvertedList(tid, vecs.reshape(n_occ, n_t), refs)
 
     cls_matrix = None
     if n_c >= 1:
-        cls_path = root / CLS_FILE
-        cls_blob = _read_checked(cls_path, meta["checksums"].get(CLS_FILE, ""))
-        if len(cls_blob) != 4 * n_c * len(doc_table):
-            raise FormatError(
-                f"{cls_path}: size {len(cls_blob)} does not match "
-                f"{len(doc_table)} docs x n_c={n_c}"
-            )
-        cls_matrix = np.frombuffer(cls_blob, dtype="<f4").reshape(len(doc_table), n_c)
+        cls_blob = _read_checked(
+            root / CLS_FILE,
+            meta["checksums"],
+            4 * n_c * num_docs,
+            f"for {num_docs} docs x n_c={n_c}",
+        )
+        cls_matrix = np.frombuffer(cls_blob, dtype="<f4").reshape(num_docs, n_c)
 
     return CoilIndex(
         config=cfg,
         lists=lists,
         cls_matrix=cls_matrix,
         doc_table=doc_table,
-        vocab={str(k): int(v) for k, v in meta["vocab"].items()},
-        corpus_checksum=int(meta["corpus_checksum"], 16),
-        encoder_meta=meta.get("encoder_meta"),
+        vocab=vocab,
+        corpus_checksum=corpus_checksum,
+        encoder_meta=meta["encoder_meta"],
     )
 
 

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from coil import brute_force_search, ingest_encoded, read_run
+from coil import (
+    EncoderSpec,
+    Query,
+    brute_force_search,
+    encode_query,
+    ingest_encoded,
+    read_run,
+)
 from coil.cli import main
 from coil.core import EncodedQuery
 import numpy as np
@@ -61,22 +68,13 @@ class TestPipeline:
         run = read_run(run_path)
         docs = list(ingest_encoded(enc))
         # encode queries exactly as the CLI does, via the sidecar settings
-        meta = json.loads((workdir / "enc.jsonl.meta.json").read_text())
-        from coil import (
-            CoilConfig,
-            Query,
-            StubContextualizerConfig,
-            TokenizerConfig,
-            encode_query,
-            seeded_projection,
-        )
-
-        cfg = CoilConfig(**meta["config"])
-        tok = TokenizerConfig(meta["lowercase"], {k: int(v) for k, v in meta["vocab"].items()})
-        stub = StubContextualizerConfig(**meta["stub"])
-        params = seeded_projection(cfg, meta["projection_seed"])
+        sidecar = workdir / "enc.jsonl.meta.json"
+        spec = EncoderSpec.from_meta(json.loads(sidecar.read_text()), str(sidecar))
+        params = spec.projection()
         for q in QUERIES:
-            enc_q = encode_query(Query(q["id"], q["text"]), tok, stub, params, cfg)
+            enc_q = encode_query(
+                Query(q["id"], q["text"]), spec.tokenizer, spec.stub, params, spec.config
+            )
             want = brute_force_search(docs, enc_q, k=5, mode=mode)
             got = run.get(q["id"])
             if want.entries == []:
@@ -85,6 +83,17 @@ class TestPipeline:
                 assert got.doc_ids() == want.doc_ids()
                 for (_, gs), (_, ws) in zip(got.entries, want.entries):
                     assert gs == pytest.approx(ws, rel=1e-5)
+
+    def test_sidecar_roundtrips_through_encoder_spec(self, workdir):
+        enc = workdir / "enc.jsonl"
+        flags = [*ENCODE_FLAGS, "--layer-norm", "--max-doc-tokens", "4"]
+        assert main(["encode", str(workdir / "corpus.jsonl"), str(enc), *flags]) == 0
+        sidecar = workdir / "enc.jsonl.meta.json"
+        meta = json.loads(sidecar.read_text())
+        spec = EncoderSpec.from_meta(meta, str(sidecar))
+        assert spec.config.mode == "full" and spec.config.cls_layer_norm
+        assert spec.to_meta() == meta
+        assert json.dumps(spec.to_meta(), sort_keys=True) + "\n" == sidecar.read_text()
 
     def test_encode_deterministic_and_idempotent(self, workdir):
         enc_a = workdir / "a.jsonl"
@@ -278,6 +287,41 @@ class TestExitCodes:
             ["search", str(idx), str(workdir / "queries.jsonl"), str(workdir / "r.txt")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, name, edit",
+        [
+            ("build", "enc.jsonl.meta.json", lambda m: m.pop("stub")),
+            ("build", "enc.jsonl.meta.json", lambda m: m["config"].update(n_x=1)),
+            ("search", "idx/meta.json", lambda m: m.pop("lists")),
+            ("build", "enc.jsonl", lambda r: r.update(id="d 0")),
+            ("build", "enc.jsonl", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
+        ],
+        ids=[
+            "sidecar-missing-stub",
+            "sidecar-unknown-config-key",
+            "meta-missing-lists",
+            "whitespace-id",
+            "nan-vector",
+        ],
+    )
+    def test_malformed_input_exits_2(self, workdir, capsys, command, name, edit):
+        enc, idx = _encode_and_build(workdir)
+        path = workdir / name
+        lines = path.read_text().splitlines()
+        row = 1 if name == "enc.jsonl" else 0  # the first coil-enc record
+        obj = json.loads(lines[row])
+        edit(obj)
+        lines[row] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if command == "build":
+            argv = ["build", str(enc), str(workdir / "idx2")]
+        else:
+            argv = ["search", str(idx), str(workdir / "queries.jsonl"), str(workdir / "r.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_k_exits_1(self, workdir):
         _, idx = _encode_and_build(workdir)

@@ -55,6 +55,16 @@ class TestConfigValidation:
     def test_tok_allows_zero_cls_dim(self):
         validate_config(CoilConfig(n_lm=8, n_t=8, n_c=0, mode="tok"))
 
+    @pytest.mark.parametrize(
+        "n_t, n_c, mode", [(8, 8, "full"), (8, 0, "tok"), (0, 8, "cls_only"), (1, 0, "tok")]
+    )
+    def test_default_mode_derived_from_dims(self, n_t, n_c, mode):
+        assert CoilConfig(n_lm=8, n_t=n_t, n_c=n_c).mode == mode
+
+    def test_no_mode_for_zero_dims(self):
+        with pytest.raises(ValidationError, match="cannot both be 0"):
+            CoilConfig(n_lm=8, n_t=0, n_c=0)
+
     def test_single_dim_token_vectors_allowed(self):
         # n_t = 1 is the term-importance degenerate variant, not an error
         validate_config(CoilConfig(n_lm=8, n_t=1, n_c=0, mode="tok"))

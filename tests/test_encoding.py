@@ -8,6 +8,7 @@ import pytest
 from coil import (
     CoilConfig,
     Document,
+    EncoderSpec,
     FormatError,
     ProjectionParams,
     Query,
@@ -470,6 +471,31 @@ class TestEncodedRecordIo:
         with pytest.raises(FormatError, match="line 2"):
             list(ingest_encoded(path))
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id":5,"token_ids":[1],"token_vecs":[[0.5,0.5]]}', "id must be a string"),
+            ('{"id":"","token_ids":[1],"token_vecs":[[0.5,0.5]]}', "non-empty"),
+            ('{"id":"d 0","token_ids":[1],"token_vecs":[[0.5,0.5]]}', "whitespace"),
+            ('{"id":"d0","token_ids":[1],"token_vecs":[[NaN,0.5]]}', "non-finite"),
+            ('{"id":"d0","token_ids":[1],"token_vecs":[["x",0.5]]}', "malformed"),
+        ],
+    )
+    def test_bad_record_rejected_with_line(self, tmp_path, record, message):
+        path = tmp_path / "enc.jsonl"
+        path.write_text('{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n' + record + "\n")
+        with pytest.raises(FormatError, match=f"line 2: .*{message}"):
+            list(ingest_encoded(path))
+
+    def test_non_finite_cls_rejected(self, tmp_path):
+        path = tmp_path / "enc.jsonl"
+        path.write_text(
+            '{"format":"coil-enc","version":1,"n_t":2,"n_c":2}\n'
+            '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]],"cls_vec":[Infinity,0]}\n'
+        )
+        with pytest.raises(FormatError, match="line 2: non-finite cls_vec"):
+            list(ingest_encoded(path))
+
     def test_invalid_json_record_names_line(self, tmp_path):
         path = tmp_path / "enc.jsonl"
         path.write_text(
@@ -477,3 +503,43 @@ class TestEncodedRecordIo:
         )
         with pytest.raises(FormatError, match="line 2.*invalid JSON"):
             list(ingest_encoded(path))
+
+
+class TestEncoderSpec:
+    def _spec(self):
+        return EncoderSpec(
+            tokenizer=build_vocab(["apple pie"]),
+            stub=StubContextualizerConfig(seed=4, window=1),
+            config=CoilConfig(n_lm=8, n_t=4, n_c=0),
+            projection_seed=9,
+        )
+
+    def test_meta_roundtrip(self):
+        spec = self._spec()
+        meta = json.loads(json.dumps(spec.to_meta()))
+        assert meta["config"]["mode"] == "tok"
+        assert EncoderSpec.from_meta(meta, "meta") == spec
+        assert EncoderSpec.from_meta(meta, "meta").to_meta() == meta
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("stub"), "missing key 'stub'"),
+            (lambda m: m.update(extra=1), "unknown key 'extra'"),
+            (lambda m: m["config"].pop("n_lm"), "config: missing key 'n_lm'"),
+            (lambda m: m["config"].update(n_t=True), "config: 'n_t' has the wrong type"),
+            (lambda m: m["stub"].update(window="2"), "stub: 'window' has the wrong type"),
+            (lambda m: m.update(projection_seed=1.0), "'projection_seed' has the wrong type"),
+            (lambda m: m["vocab"].update(pie="2"), "vocab: token ids must be integers"),
+            (lambda m: m.update(lowercase=1), "'lowercase' has the wrong type"),
+        ],
+    )
+    def test_from_meta_rejects_malformed(self, edit, message):
+        meta = json.loads(json.dumps(self._spec().to_meta()))
+        edit(meta)
+        with pytest.raises(FormatError, match=f"^sidecar: {message}"):
+            EncoderSpec.from_meta(meta, "sidecar")
+
+    def test_from_meta_rejects_non_object(self):
+        with pytest.raises(FormatError, match="expected a JSON object"):
+            EncoderSpec.from_meta([], "sidecar")

@@ -208,6 +208,49 @@ class TestPersistence:
         with pytest.raises(FormatError, match="version"):
             load_index(tmp_path / "idx")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("lists"), "missing key 'lists'"),
+            (lambda m: m.pop("doc_table"), "missing key 'doc_table'"),
+            (lambda m: m.pop("checksums"), "missing key 'checksums'"),
+            (lambda m: m.update(config=[]), "'config' has the wrong type"),
+            (lambda m: m["config"].update(n_x=1), "config: unknown key 'n_x'"),
+            (lambda m: m.update(vocab={"a": "1"}), "token ids must be integers"),
+            (lambda m: m.update(corpus_checksum=7), "'corpus_checksum' has the wrong type"),
+            (lambda m: m.update(corpus_checksum="xyz"), "not hexadecimal"),
+            (lambda m: m["lists"].__setitem__(0, [1, "2"]), "pairs"),
+            (lambda m: m["doc_table"].__setitem__(0, 3), "doc_table entries"),
+        ],
+    )
+    def test_malformed_meta_rejected(self, tmp_path, edit, message):
+        inst = make_instance(seed=16, num_docs=5)
+        save_index(inst.index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=message):
+            load_index(tmp_path / "idx")
+
+    def test_decreasing_doc_refs_rejected(self, tmp_path):
+        inst = make_instance(seed=17, num_docs=20)
+        tid, lst = next(
+            (t, l) for t, l in inst.index.lists.items() if l.doc_refs[0] < l.doc_refs[-1]
+        )
+        lst.doc_refs = lst.doc_refs[::-1].copy()
+        save_index(inst.index, tmp_path / "idx")
+        with pytest.raises(FormatError, match=f"decrease in list {tid}"):
+            load_index(tmp_path / "idx")
+
+    def test_truncated_cls_rejected_by_size(self, tmp_path):
+        inst = make_instance(seed=18, num_docs=10)
+        save_index(inst.index, tmp_path / "idx")
+        blob = (tmp_path / "idx" / "cls.bin").read_bytes()
+        (tmp_path / "idx" / "cls.bin").write_bytes(blob[:-4])
+        with pytest.raises(FormatError, match="size .* n_c=4"):
+            load_index(tmp_path / "idx")
+
     def test_missing_meta_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_index(tmp_path / "nowhere")
