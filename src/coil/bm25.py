@@ -45,9 +45,15 @@ class Bm25Index:
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (ordinals, tfs)
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
     avgdl: float
-    df: dict[int, int]
-    num_docs: int
     doc_table: list[str]
+
+    @property
+    def num_docs(self) -> int:
+        return len(self.doc_table)
+
+    def df(self, tid: int) -> int:
+        """Number of documents that contain token id ``tid``."""
+        return len(self.postings[tid][0])
 
     def ordinal_of(self, doc_id: str) -> int:
         try:
@@ -97,14 +103,12 @@ def build_bm25_index(
         postings=postings,
         doc_len=doc_len,
         avgdl=float(doc_len.mean()) if len(doc_len) else 0.0,
-        df={tid: len(rows) for tid, rows in per_token.items()},
-        num_docs=len(doc_table),
         doc_table=doc_table,
     )
 
 
 def _idf(index: Bm25Index, tid: int) -> float:
-    df = index.df[tid]
+    df = index.df(tid)
     return math.log((index.num_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bm25 import (
@@ -131,22 +132,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     encoded = [
         encode_query(q, spec.tokenizer, spec.stub, params, spec.config) for q in queries
     ]
-    results = search_many(index, encoded, k=args.k, mode=args.mode, threads=args.threads)
+    mode = args.mode or index.config.mode
+    results = search_many(index, encoded, k=args.k, mode=mode, threads=args.threads)
     if args.instrument:
         for ranked, instr in results:
-            print(
-                json.dumps(
-                    {
-                        "qid": ranked.query_id,
-                        "lists_touched": instr.lists_touched,
-                        "postings_scanned": instr.postings_scanned,
-                        "candidates": instr.candidates,
-                    }
-                )
-            )
+            print(json.dumps({"qid": ranked.query_id, **asdict(instr)}))
     run = {ranked.query_id: ranked for ranked, _ in results}
-    write_run(run, args.out, tag=args.tag or args.mode)
-    print(f"searched {len(queries)} queries (mode={args.mode}) -> {args.out}")
+    write_run(run, args.out, tag=args.tag or mode)
+    print(f"searched {len(queries)} queries (mode={mode}) -> {args.out}")
     return 0
 
 
@@ -204,21 +197,7 @@ def cmd_sample_negs(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = index_stats(load_index(args.index_dir))
-    print(
-        json.dumps(
-            {
-                "num_docs": stats.num_docs,
-                "num_lists": stats.num_lists,
-                "total_postings": stats.total_postings,
-                "bytes_on_disk": stats.bytes_on_disk,
-                "list_size_histogram": {
-                    str(size): stats.list_size_histogram[size]
-                    for size in sorted(stats.list_size_histogram)
-                },
-            }
-        )
-    )
+    print(json.dumps(asdict(index_stats(load_index(args.index_dir)))))
     return 0
 
 
@@ -252,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("queries", help="JSONL file of {id, text} queries")
     p.add_argument("out", help="output run file")
     p.add_argument("--k", type=int, default=1000, help="results per query (default 1000)")
-    p.add_argument("--mode", choices=MODES, default="full")
+    p.add_argument("--mode", choices=MODES, help="scoring mode (default: the index's mode)")
     p.add_argument("--tag", default=None, help="run tag (default: the mode name)")
     p.add_argument(
         "--instrument",

@@ -79,8 +79,9 @@ class CoilConfig:
 
     n_t = 0 disables token vectors (dense/CLS-only variant) and n_c = 0
     disables the CLS vector (token-only variant); n_t = 1 gives the
-    term-importance degenerate variant.  ``mode`` defaults to the richest
-    scoring mode the dims support (see :func:`derive_mode`).
+    term-importance degenerate variant.  ``mode`` is the richest scoring
+    mode the dims support (see :func:`derive_mode`); it is derived when
+    omitted, and an explicit value must equal it.
     """
 
     n_lm: int
@@ -116,12 +117,12 @@ def validate_config(config: CoilConfig) -> CoilConfig:
         raise ValidationError("n_c must be >= 0")
     if config.max_doc_tokens < 1:
         raise ValidationError("max_doc_tokens must be >= 1")
-    if config.mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if config.mode in ("tok", "full") and config.n_t < 1:
-        raise ValidationError(f"mode={config.mode} requires n_t >= 1")
-    if config.mode in ("cls_only", "full") and config.n_c < 1:
-        raise ValidationError(f"mode={config.mode} requires n_c >= 1")
+    derived = derive_mode(config.n_t, config.n_c)
+    if config.mode != derived:
+        raise ValidationError(
+            f"mode={config.mode!r} disagrees with n_t={config.n_t}, n_c={config.n_c}, "
+            f"which give mode {derived!r}"
+        )
     if config.n_t > config.n_lm:
         raise ValidationError("n_t must be <= n_lm")
     if config.n_c > config.n_lm:
@@ -175,19 +176,17 @@ class ProjectionParams:
     b_cls: np.ndarray  # (n_c,) float32
 
     def validate(self, config: CoilConfig) -> ProjectionParams:
-        if self.w_tok.shape != (config.n_t, config.n_lm):
-            raise ValidationError(
-                f"w_tok shape {self.w_tok.shape} != ({config.n_t}, {config.n_lm})"
-            )
-        if self.b_tok.shape != (config.n_t,):
-            raise ValidationError(f"b_tok shape {self.b_tok.shape} != ({config.n_t},)")
-        if self.w_cls.shape != (config.n_c, config.n_lm):
-            raise ValidationError(
-                f"w_cls shape {self.w_cls.shape} != ({config.n_c}, {config.n_lm})"
-            )
-        if self.b_cls.shape != (config.n_c,):
-            raise ValidationError(f"b_cls shape {self.b_cls.shape} != ({config.n_c},)")
-        for name in ("w_tok", "b_tok", "w_cls", "b_cls"):
+        shapes = {
+            "w_tok": (config.n_t, config.n_lm),
+            "b_tok": (config.n_t,),
+            "w_cls": (config.n_c, config.n_lm),
+            "b_cls": (config.n_c,),
+        }
+        for name, shape in shapes.items():
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise ValidationError(f"{name} shape {actual} != {shape}")
+        for name in shapes:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"{name} contains non-finite entries")
         return self

@@ -333,6 +333,31 @@ class EncoderSpec:
 # ---------------------------------------------------------------------------
 
 
+def _encode(
+    text: str,
+    tokenizer: TokenizerConfig,
+    contextualizer: StubContextualizerConfig,
+    params: ProjectionParams,
+    config: CoilConfig,
+    max_tokens: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """tokenize -> truncate to max_tokens -> contextualize -> project.
+
+    Returns the token ids, the token vectors and the CLS vector (None when
+    n_c = 0): the fields shared by EncodedDocument and EncodedQuery.
+    """
+    seq = tokenize(text, tokenizer)
+    if max_tokens is not None and len(seq) > max_tokens:
+        seq = TokenSeq(seq.tokens[:max_tokens], seq.token_ids[:max_tokens])
+    lm_vecs, cls_slot = contextualize(seq, contextualizer, config.n_lm)
+    token_vecs = project_tokens(lm_vecs.reshape(len(seq), config.n_lm), params)
+    cls_vec = (
+        project_cls(cls_slot, params, config.cls_layer_norm) if config.n_c >= 1 else None
+    )
+    token_ids = np.asarray(seq.token_ids, dtype=np.int32)
+    return token_ids, token_vecs.reshape(len(seq), config.n_t), cls_vec
+
+
 def encode_document(
     doc: Document,
     tokenizer: TokenizerConfig,
@@ -340,22 +365,10 @@ def encode_document(
     params: ProjectionParams,
     config: CoilConfig,
 ) -> EncodedDocument:
-    """tokenize -> truncate to max_doc_tokens -> contextualize -> project."""
-    seq = tokenize(doc.text, tokenizer)
-    if len(seq) > config.max_doc_tokens:
-        seq = TokenSeq(
-            seq.tokens[: config.max_doc_tokens], seq.token_ids[: config.max_doc_tokens]
-        )
-    lm_vecs, cls_slot = contextualize(seq, contextualizer, config.n_lm)
-    token_vecs = project_tokens(lm_vecs.reshape(len(seq), config.n_lm), params)
-    cls_vec = (
-        project_cls(cls_slot, params, config.cls_layer_norm) if config.n_c >= 1 else None
-    )
+    """Encode a document, truncated to config.max_doc_tokens."""
+    limit = config.max_doc_tokens
     return EncodedDocument(
-        doc_id=doc.id,
-        token_ids=np.asarray(seq.token_ids, dtype=np.int32),
-        token_vecs=token_vecs.reshape(len(seq), config.n_t),
-        cls_vec=cls_vec,
+        doc.id, *_encode(doc.text, tokenizer, contextualizer, params, config, limit)
     )
 
 
@@ -367,17 +380,8 @@ def encode_query(
     config: CoilConfig,
 ) -> EncodedQuery:
     """As encode_document but without truncation; queries are short."""
-    seq = tokenize(query.text, tokenizer)
-    lm_vecs, cls_slot = contextualize(seq, contextualizer, config.n_lm)
-    token_vecs = project_tokens(lm_vecs.reshape(len(seq), config.n_lm), params)
-    cls_vec = (
-        project_cls(cls_slot, params, config.cls_layer_norm) if config.n_c >= 1 else None
-    )
     return EncodedQuery(
-        query_id=query.id,
-        token_ids=np.asarray(seq.token_ids, dtype=np.int32),
-        token_vecs=token_vecs.reshape(len(seq), config.n_t),
-        cls_vec=cls_vec,
+        query.id, *_encode(query.text, tokenizer, contextualizer, params, config, None)
     )
 
 
@@ -460,7 +464,11 @@ def ingest_encoded(path: str | Path) -> Iterator[EncodedDocument]:
                 raise FormatError(f"{where}: invalid JSON: {exc}") from exc
             try:
                 doc_id = obj["id"]
-                token_ids = np.asarray(obj["token_ids"], dtype=np.int32)
+                raw_ids = obj["token_ids"]
+                # bools are ints to Python; a fractional id would be truncated
+                if not all(type(t) is int and t >= 0 for t in raw_ids):
+                    raise ValueError("token_ids must be non-negative integers")
+                token_ids = np.asarray(raw_ids, dtype=np.int32)
                 token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
                 cls_vec = None
                 if "cls_vec" in obj:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import FormatError, RankedList, ValidationError
 
@@ -115,76 +115,79 @@ def _check_k(k: int) -> None:
         raise ValidationError(f"k must be >= 1, got {k}")
 
 
-def mrr_at_k(run: Mapping[str, RankedList], qrels: Qrels, k: int, min_rel: int = 1) -> float:
-    """Mean over judged queries of 1/rank of the first relevant in top k."""
+def _mean_over_judged(
+    run: Mapping[str, RankedList],
+    qrels: Qrels,
+    k: int,
+    per_query: Callable[..., float],
+    min_rel: int = 1,
+) -> float:
+    """Mean of ``per_query(top_k_entries, judgments, relevant_ids)`` over the
+    judged queries with a document at or above ``min_rel``; a judged query
+    missing from the run gets an empty top k."""
     _check_k(k)
     if len(qrels) == 0:
         raise ValidationError("empty qrels")
     totals = []
-    for qid in qrels.judgments:
+    for qid, judged in qrels.judgments.items():
         relevant = qrels.relevant(qid, min_rel)
         if not relevant:
             continue
-        rr = 0.0
         ranked = run.get(qid)
-        if ranked is not None:
-            for rank, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
-                if doc_id in relevant:
-                    rr = 1.0 / rank
-                    break
-        totals.append(rr)
+        top = ranked.entries[:k] if ranked is not None else []
+        totals.append(per_query(top, judged, relevant))
     return float(sum(totals) / len(totals)) if totals else 0.0
+
+
+def mrr_at_k(run: Mapping[str, RankedList], qrels: Qrels, k: int, min_rel: int = 1) -> float:
+    """Mean over judged queries of 1/rank of the first relevant in top k."""
+
+    def reciprocal_rank(top, judged, relevant):
+        for rank, (doc_id, _) in enumerate(top, start=1):
+            if doc_id in relevant:
+                return 1.0 / rank
+        return 0.0
+
+    return _mean_over_judged(run, qrels, k, reciprocal_rank, min_rel)
 
 
 def recall_at_k(
     run: Mapping[str, RankedList], qrels: Qrels, k: int, min_rel: int = 1
 ) -> float:
     """Mean over judged queries of the fraction of relevant in the top k."""
-    _check_k(k)
-    if len(qrels) == 0:
-        raise ValidationError("empty qrels")
-    totals = []
-    for qid in qrels.judgments:
-        relevant = qrels.relevant(qid, min_rel)
-        if not relevant:
-            continue
-        ranked = run.get(qid)
-        hit = 0
-        if ranked is not None:
-            hit = sum(1 for doc_id, _ in ranked.entries[:k] if doc_id in relevant)
-        totals.append(hit / len(relevant))
-    return float(sum(totals) / len(totals)) if totals else 0.0
+
+    def recall(top, judged, relevant):
+        return sum(1 for doc_id, _ in top if doc_id in relevant) / len(relevant)
+
+    return _mean_over_judged(run, qrels, k, recall, min_rel)
 
 
 def ndcg_at_k(run: Mapping[str, RankedList], qrels: Qrels, k: int) -> float:
     """Mean NDCG with gain 2^rel - 1; zero-relevant queries are excluded."""
-    _check_k(k)
-    if len(qrels) == 0:
-        raise ValidationError("empty qrels")
-    totals = []
-    for qid, judged in qrels.judgments.items():
+
+    def ndcg(top, judged, relevant):
         ideal_gains = sorted((rel for rel in judged.values() if rel > 0), reverse=True)
-        if not ideal_gains:
-            continue
         idcg = sum(
             (2.0**rel - 1.0) / math.log2(rank + 1)
             for rank, rel in enumerate(ideal_gains[:k], start=1)
         )
         dcg = 0.0
-        ranked = run.get(qid)
-        if ranked is not None:
-            for rank, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
-                rel = judged.get(doc_id, 0)
-                if rel > 0:
-                    dcg += (2.0**rel - 1.0) / math.log2(rank + 1)
-        totals.append(dcg / idcg)
-    return float(sum(totals) / len(totals)) if totals else 0.0
+        for rank, (doc_id, _) in enumerate(top, start=1):
+            rel = judged.get(doc_id, 0)
+            if rel > 0:
+                dcg += (2.0**rel - 1.0) / math.log2(rank + 1)
+        return dcg / idcg
+
+    return _mean_over_judged(run, qrels, k, ndcg)
+
+
+METRICS = {"mrr": mrr_at_k, "recall": recall_at_k, "ndcg": ndcg_at_k}
 
 
 def parse_metric_spec(spec: str) -> tuple[str, int]:
     name, sep, k_str = spec.partition("@")
     name = name.strip().lower()
-    if not sep or name not in ("mrr", "recall", "ndcg"):
+    if not sep or name not in METRICS:
         raise ValidationError(
             f"bad metric spec {spec!r}; expected mrr@k, recall@k or ndcg@k"
         )
@@ -203,11 +206,5 @@ def evaluate(
     report: dict[str, float] = {}
     for spec in metric_specs:
         name, k = parse_metric_spec(spec)
-        if name == "mrr":
-            value = mrr_at_k(run, qrels, k)
-        elif name == "recall":
-            value = recall_at_k(run, qrels, k)
-        else:
-            value = ndcg_at_k(run, qrels, k)
-        report[f"{name}@{k}"] = value
+        report[f"{name}@{k}"] = METRICS[name](run, qrels, k)
     return report

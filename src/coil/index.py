@@ -60,23 +60,23 @@ class InvertedList:
     token_id: int
     vectors: np.ndarray  # (n_occurrences, n_t) float32
     doc_refs: np.ndarray  # (n_occurrences,) int32, nondecreasing
-    _seg_starts: np.ndarray | None = field(default=None, repr=False)
-    _seg_ordinals: np.ndarray | None = field(default=None, repr=False)
+    # (starts, ordinals), set by one assignment so threads never see half of it
+    _segments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.doc_refs)
 
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Start offsets and document ordinals of the per-document row runs."""
-        if self._seg_starts is None:
+        segments = self._segments
+        if segments is None:
             refs = self.doc_refs
             if len(refs) == 0:
                 starts = np.empty(0, dtype=np.int64)
             else:
                 starts = np.flatnonzero(np.diff(refs, prepend=refs[0] - 1))
-            self._seg_starts = starts
-            self._seg_ordinals = refs[starts]
-        return self._seg_starts, self._seg_ordinals
+            segments = self._segments = (starts, refs[starts])
+        return segments
 
 
 @dataclass
@@ -106,7 +106,7 @@ class IndexStats:
     num_lists: int
     total_postings: int
     bytes_on_disk: int
-    list_size_histogram: dict[int, int]  # occurrences-per-list -> number of lists
+    list_size_histogram: dict[int, int]  # occurrences-per-list -> lists, ascending
 
 
 def _doc_checksum(state: int, doc: EncodedDocument) -> int:
@@ -361,5 +361,5 @@ def index_stats(index: CoilIndex) -> IndexStats:
         num_lists=len(index.lists),
         total_postings=total,
         bytes_on_disk=disk,
-        list_size_histogram=histogram,
+        list_size_histogram=dict(sorted(histogram.items())),
     )

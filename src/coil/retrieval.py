@@ -80,14 +80,18 @@ def _tok_score_f64(q: EncodedQuery, d: EncodedDocument) -> tuple[float, bool]:
     return total, matched
 
 
-def _cls_dot_f64(q: EncodedQuery, d: EncodedDocument) -> float:
-    if q.cls_vec is None or d.cls_vec is None:
-        raise ValidationError("cls scoring requires cls vectors on both sides")
+def _check_cls_dims(q: EncodedQuery, d: EncodedDocument) -> None:
     if q.cls_vec.shape != d.cls_vec.shape:
         raise ValidationError(
             f"cls dimension mismatch: query {q.cls_vec.shape[0]}, "
             f"document {d.cls_vec.shape[0]}"
         )
+
+
+def _cls_dot_f64(q: EncodedQuery, d: EncodedDocument) -> float:
+    if q.cls_vec is None or d.cls_vec is None:
+        raise ValidationError("cls scoring requires cls vectors on both sides")
+    _check_cls_dims(q, d)
     return float(_row_dots(d.cls_vec[None, :], q.cls_vec.astype(np.float64))[0])
 
 
@@ -126,11 +130,7 @@ def score_all_to_all_pair(q: EncodedQuery, d: EncodedDocument) -> float:
             raise ValidationError(
                 "all-to-all scoring needs cls vectors on both sides or neither"
             )
-        if q.cls_vec.shape != d.cls_vec.shape:
-            raise ValidationError(
-                f"cls dimension mismatch: query {q.cls_vec.shape[0]}, "
-                f"document {d.cls_vec.shape[0]}"
-            )
+        _check_cls_dims(q, d)
         n_t = q.token_vecs.shape[1]
         n_c = q.cls_vec.shape[0]
         if n_t != n_c:
@@ -149,27 +149,27 @@ def score_all_to_all_pair(q: EncodedQuery, d: EncodedDocument) -> float:
 
 
 def _validate_mode_for_index(index: CoilIndex, q: EncodedQuery, mode: str) -> None:
+    """A full index serves every mode; a tok or cls_only index only its own."""
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
     cfg = index.config
-    if mode in ("tok", "full"):
-        if cfg.n_t < 1:
-            raise ValidationError(f"mode={mode} requires an index with n_t >= 1")
-        if q.token_vecs.shape[1] != cfg.n_t:
-            raise ValidationError(
-                f"query token dimension {q.token_vecs.shape[1]} != index n_t {cfg.n_t}"
-            )
-    if mode in ("full", "cls_only"):
-        if cfg.n_c < 1:
-            raise ValidationError(f"mode={mode} requires an index with n_c >= 1")
-        if q.cls_vec is None or q.cls_vec.shape[0] != cfg.n_c:
-            raise ValidationError(
-                f"mode={mode} requires a {cfg.n_c}-dimensional query cls vector"
-            )
+    if cfg.mode not in ("full", mode):
+        missing = "n_c" if cfg.mode == "tok" else "n_t"
+        raise ValidationError(f"mode={mode} requires an index with {missing} >= 1")
+    if mode in ("tok", "full") and q.token_vecs.shape[1] != cfg.n_t:
+        raise ValidationError(
+            f"query token dimension {q.token_vecs.shape[1]} != index n_t {cfg.n_t}"
+        )
+    if mode in ("full", "cls_only") and (
+        q.cls_vec is None or q.cls_vec.shape[0] != cfg.n_c
+    ):
+        raise ValidationError(
+            f"mode={mode} requires a {cfg.n_c}-dimensional query cls vector"
+        )
 
 
 def search(
-    index: CoilIndex, q: EncodedQuery, k: int, mode: str = "full"
+    index: CoilIndex, q: EncodedQuery, k: int, mode: str | None = None
 ) -> tuple[RankedList, SearchInstrumentation]:
     """Top-k retrieval over the inverted lists.
 
@@ -177,8 +177,10 @@ def search(
     row-dot, reduce to per-document maxima with a segmented max, and add
     into float64 accumulators; full and cls_only modes add one batched
     CLS row-dot over all documents.  tok mode ranks only documents that
-    share at least one token with the query.
+    share at least one token with the query.  ``mode`` defaults to the
+    index's own mode.
     """
+    mode = index.config.mode if mode is None else mode
     _validate_mode_for_index(index, q, mode)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -251,7 +253,7 @@ def search_many(
     index: CoilIndex,
     queries: Sequence[EncodedQuery],
     k: int,
-    mode: str = "full",
+    mode: str | None = None,
     threads: int = 1,
 ) -> list[tuple[RankedList, SearchInstrumentation]]:
     """Run `search` over many queries, optionally in a thread pool.

@@ -30,7 +30,8 @@ class TestBuild:
     def test_statistics_on_tiny_corpus(self):
         index, tok = _index(["a b a", "b c"])
         a, b, c = tok.vocab["a"], tok.vocab["b"], tok.vocab["c"]
-        assert index.df == {a: 1, b: 2, c: 1}
+        assert [index.df(a), index.df(b), index.df(c)] == [1, 2, 1]
+        assert index.num_docs == 2
         assert index.avgdl == 2.5
         np.testing.assert_array_equal(index.doc_len, [3, 2])
         ordinals, tfs = index.postings[a]
@@ -48,7 +49,7 @@ class TestBuild:
         texts = random_texts(rng, 30, 12, 20)
         index, _ = _index(texts)
         for tid, (ordinals, _) in index.postings.items():
-            assert index.df[tid] == len(ordinals)
+            assert index.df(tid) == len(ordinals)
 
     def test_tf_sum_equals_token_count(self):
         rng = np.random.default_rng(43)
@@ -112,7 +113,7 @@ class TestScorePair:
             for o in range(index.num_docs)
         ]
         assert all(b > a for a, b in zip(scores, scores[1:]))
-        idf_f = math.log((7 - index.df[f] + 0.5) / (index.df[f] + 0.5) + 1)
+        idf_f = math.log((7 - index.df(f) + 0.5) / (index.df(f) + 0.5) + 1)
         assert all(s < idf_f * (1 + params.k1) for s in scores)
 
     def test_b_zero_removes_length_dependence(self):

@@ -169,6 +169,22 @@ class TestPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dims, mode", [(["--n-t", "8", "--n-c", "0"], "tok"), (["--n-t", "0", "--n-c", "6"], "cls_only")]
+    )
+    def test_search_mode_defaults_to_index_mode(self, workdir, capsys, dims, mode):
+        enc, idx = workdir / "enc.jsonl", workdir / "idx"
+        assert main(["encode", str(workdir / "corpus.jsonl"), str(enc), "--n-lm", "24", *dims]) == 0
+        assert main(["build", str(enc), str(idx)]) == 0
+        queries = str(workdir / "queries.jsonl")
+        default, explicit = workdir / "default.txt", workdir / "explicit.txt"
+        assert main(["search", str(idx), queries, str(default)]) == 0
+        assert f"(mode={mode})" in capsys.readouterr().out
+        assert main(["search", str(idx), queries, str(explicit), "--mode", mode]) == 0
+        lines = default.read_text().splitlines()
+        assert lines and all(line.endswith(f" {mode}") for line in lines)
+        assert default.read_bytes() == explicit.read_bytes()
+
     def test_empty_corpus_gives_header_only_file(self, workdir):
         empty = workdir / "empty.jsonl"
         empty.write_text("")

@@ -33,14 +33,14 @@ class TestConfigValidation:
             (dict(n_lm=8, n_t=-1), "n_t must be >= 0"),
             (dict(n_lm=8, n_c=-2), "n_c must be >= 0"),
             (dict(n_lm=8, max_doc_tokens=0), "max_doc_tokens must be >= 1"),
-            (dict(n_lm=8, mode="dense"), "mode must be one of"),
-            (dict(n_lm=8, n_t=0, n_c=8, mode="tok"), "mode=tok requires n_t >= 1"),
+            (dict(n_lm=8, mode="dense"), "mode='dense' disagrees with n_t=32, n_c=768"),
+            (dict(n_lm=8, n_t=0, n_c=8, mode="tok"), "mode='tok' disagrees with n_t=0, n_c=8"),
             (
                 dict(n_lm=8, n_t=8, n_c=0, mode="cls_only"),
-                "mode=cls_only requires n_c >= 1",
+                "mode='cls_only' disagrees with n_t=8, n_c=0",
             ),
-            (dict(n_lm=8, n_t=0, n_c=8, mode="full"), "mode=full requires n_t >= 1"),
-            (dict(n_lm=8, n_t=8, n_c=0, mode="full"), "mode=full requires n_c >= 1"),
+            (dict(n_lm=8, n_t=0, n_c=8, mode="full"), "mode='full' disagrees with n_t=0, n_c=8"),
+            (dict(n_lm=8, n_t=8, n_c=0, mode="full"), "mode='full' disagrees with n_t=8, n_c=0"),
             (dict(n_lm=8, n_t=9, n_c=8), "n_t must be <= n_lm"),
             (dict(n_lm=8, n_t=8, n_c=9), "n_c must be <= n_lm"),
         ],
@@ -48,6 +48,12 @@ class TestConfigValidation:
     def test_rejects_each_invariant(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
             validate_config(CoilConfig(**kwargs))
+
+    @pytest.mark.parametrize("mode", ["tok", "cls_only"])
+    def test_explicit_mode_must_equal_derived_mode(self, mode):
+        # both dims present give full; a narrower explicit mode is refused
+        with pytest.raises(ValidationError, match="give mode 'full'"):
+            validate_config(CoilConfig(n_lm=8, n_t=8, n_c=8, mode=mode))
 
     def test_cls_only_allows_zero_token_dim(self):
         validate_config(CoilConfig(n_lm=8, n_t=0, n_c=8, mode="cls_only"))

@@ -479,6 +479,10 @@ class TestEncodedRecordIo:
             ('{"id":"d 0","token_ids":[1],"token_vecs":[[0.5,0.5]]}', "whitespace"),
             ('{"id":"d0","token_ids":[1],"token_vecs":[[NaN,0.5]]}', "non-finite"),
             ('{"id":"d0","token_ids":[1],"token_vecs":[["x",0.5]]}', "malformed"),
+            ('{"id":"d0","token_ids":[-3],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
+            ('{"id":"d0","token_ids":[1.7],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
+            ('{"id":"d0","token_ids":[true],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
+            ('{"id":"d0","token_ids":1,"token_vecs":[[0.5,0.5]]}', "malformed"),
         ],
     )
     def test_bad_record_rejected_with_line(self, tmp_path, record, message):

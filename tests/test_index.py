@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from coil import (
     load_index,
     save_index,
 )
+from coil.index import InvertedList
 from synth import make_instance
 
 
@@ -308,3 +311,29 @@ class TestSegments:
                     prev = ref
             np.testing.assert_array_equal(starts, naive_starts)
             np.testing.assert_array_equal(ordinals, naive_ords)
+
+    def test_concurrent_first_calls_get_the_whole_pair(self):
+        # search_many's threads may all reach a list's first segments() call;
+        # a thread switch inside the lazy fill must not expose half a cache
+        rng = np.random.default_rng(19)
+        refs = np.sort(rng.integers(0, 1000, 5000)).astype(np.int32)
+        vecs = np.zeros((len(refs), 2), dtype=np.float32)
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2000):
+                lst = InvertedList(1, vecs, refs)
+                results = []
+                workers = [
+                    threading.Thread(target=lambda: results.append(lst.segments()))
+                    for _ in range(4)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=10)
+                    assert not worker.is_alive()
+                assert len(results) == 4
+                assert all(ordinals is not None for _, ordinals in results)
+        finally:
+            sys.setswitchinterval(saved)

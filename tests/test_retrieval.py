@@ -292,6 +292,17 @@ class TestSearchValidation:
         with pytest.raises(ValidationError, match="n_t >= 1"):
             search(inst.index, inst.enc_queries[0], k=5, mode="tok")
 
+    @pytest.mark.parametrize(
+        "n_t, n_c, mode", [(6, 4, "full"), (6, 0, "tok"), (0, 4, "cls_only")]
+    )
+    def test_mode_defaults_to_the_index_mode(self, n_t, n_c, mode):
+        inst = make_instance(seed=41, num_docs=20, n_t=n_t, n_c=n_c)
+        q = inst.enc_queries[0]
+        assert search(inst.index, q, k=5) == search(inst.index, q, k=5, mode=mode)
+        assert search_many(inst.index, inst.enc_queries, k=5, threads=2) == search_many(
+            inst.index, inst.enc_queries, k=5, mode=mode
+        )
+
     def test_query_dim_must_match_index(self):
         inst = make_instance(seed=34, num_docs=5)
         other = make_instance(seed=34, num_docs=5, n_t=inst.config.n_t + 1)
