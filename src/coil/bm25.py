@@ -5,6 +5,11 @@ shares the tokenizer and document truncation with the contextualized
 pipeline so comparisons isolate the scoring model, and it uses the
 Robertson and Sparck Jones smoothed idf ln((N - df + 0.5)/(df + 0.5) + 1),
 which is nonnegative.
+
+It also shares the inverted-list machinery: postings are grouped with
+``index.group_by_key``, and `bm25_search` accumulates per-ordinal float64
+sums and ranks them with ``ranked_list_from_arrays``, the path and tie rule
+(score descending, then doc id ascending) of tok-mode ``retrieval.search``.
 """
 from __future__ import annotations
 
@@ -17,7 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Document, RankedList, TokenSeq, ValidationError, as_score
+from .core import ranked_list_from_arrays
 from .encoding import TokenizerConfig, UNKNOWN_TOKEN_ID, tokenize
+from .index import group_by_key, run_bounds
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,10 @@ class Bm25Index:
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
     avgdl: float
     doc_table: list[str]
+    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
+
+    def __post_init__(self) -> None:
+        self.doc_ids = np.asarray(self.doc_table, dtype=str)
 
     @property
     def num_docs(self) -> int:
@@ -77,28 +88,24 @@ def build_bm25_index(
         raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
     doc_table: list[str] = []
     seen: set[str] = set()
-    lengths: list[int] = []
-    per_token: dict[int, list[tuple[int, int]]] = {}
+    tid_parts = [np.empty(0, dtype=np.int64)]
+    ord_parts = [np.empty(0, dtype=np.int32)]
     for ordinal, doc in enumerate(docs):
         if doc.id in seen:
             raise ValidationError(f"duplicate doc id {doc.id!r}")
         seen.add(doc.id)
         doc_table.append(doc.id)
         ids = tokenize(doc.text, tokenizer).token_ids[:max_doc_tokens]
-        lengths.append(len(ids))
-        for tid, tf in sorted(Counter(ids).items()):
-            if tid == UNKNOWN_TOKEN_ID:
-                continue
-            per_token.setdefault(tid, []).append((ordinal, tf))
+        tid_parts.append(np.asarray(ids, dtype=np.int64))
+        ord_parts.append(np.full(len(ids), ordinal, dtype=np.int32))
 
-    postings = {
-        tid: (
-            np.asarray([o for o, _ in rows], dtype=np.int32),
-            np.asarray([tf for _, tf in rows], dtype=np.int64),
-        )
-        for tid, rows in per_token.items()
-    }
-    doc_len = np.asarray(lengths, dtype=np.int64)
+    tids, ords = np.concatenate(tid_parts), np.concatenate(ord_parts)
+    known = tids != UNKNOWN_TOKEN_ID
+    postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for tid, ordinals in group_by_key(tids[known], ords[known]):
+        starts, ends = run_bounds(ordinals)  # one run per document; its length is the tf
+        postings[tid] = (ordinals[starts], ends - starts)
+    doc_len = np.bincount(ords, minlength=len(doc_table))
     return Bm25Index(
         postings=postings,
         doc_len=doc_len,
@@ -151,23 +158,24 @@ def bm25_search(
     """Rank exactly the documents sharing at least one known query term."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    acc: dict[int, float] = {}
+    acc = np.zeros(index.num_docs, dtype=np.float64)
+    touched = np.zeros(index.num_docs, dtype=bool)
     for tid, tf_q in sorted(Counter(query.token_ids).items()):
         if tid == UNKNOWN_TOKEN_ID or tid not in index.postings:
             continue
         idf = _idf(index, tid)
         h_q = _h_q(tf_q, params)
-        ordinals, tfs = index.postings[tid]
-        for ordinal, tf_d in zip(ordinals.tolist(), tfs.tolist()):
-            dl = float(index.doc_len[ordinal])
-            h_d = (
-                tf_d
-                * (1.0 + params.k1)
-                / (tf_d + params.k1 * (1.0 - params.b + params.b * dl / index.avgdl))
-            )
-            acc[ordinal] = acc.get(ordinal, 0.0) + idf * h_q * h_d
-    pairs = [(index.doc_table[o], as_score(s)) for o, s in acc.items()]
-    return RankedList.from_scores(query_id, pairs, k)
+        ordinals, tf_d = index.postings[tid]
+        dl = index.doc_len[ordinals]
+        h_d = (
+            tf_d
+            * (1.0 + params.k1)
+            / (tf_d + params.k1 * (1.0 - params.b + params.b * dl / index.avgdl))
+        )
+        acc[ordinals] += idf * h_q * h_d
+        touched[ordinals] = True
+    keep = np.flatnonzero(touched)
+    return ranked_list_from_arrays(query_id, index.doc_ids[keep], acc[keep], k)
 
 
 def sample_bm25_negatives(

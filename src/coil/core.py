@@ -8,6 +8,7 @@ score descending with ties broken by doc id ascending.
 from __future__ import annotations
 
 import json
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -33,8 +34,21 @@ def as_score(value: float) -> float:
 def _check_id(kind: str, value: str) -> None:
     if not value:
         raise ValidationError(f"{kind} id must be non-empty")
+    if value.isprintable() and " " not in value:
+        return  # neither whitespace nor control characters
     if any(ch.isspace() for ch in value):
         raise ValidationError(f"{kind} id {value!r} must not contain whitespace")
+    # numpy string arrays drop trailing NULs, so such ids would collide in rankings
+    if any(unicodedata.category(ch) == "Cc" for ch in value):
+        raise ValidationError(f"{kind} id {value!r} must not contain control characters")
+
+
+def check_input_id(kind: str, value: str, where: str) -> None:
+    """The id rule for ids read from a file: a FormatError naming ``where``."""
+    try:
+        _check_id(kind, value)
+    except ValidationError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -202,6 +216,7 @@ class EncodedDocument:
     cls_vec: np.ndarray | None  # (n_c,) float32, None when n_c = 0
 
     def __post_init__(self) -> None:
+        _check_id("document", self.doc_id)
         if len(self.token_ids) != len(self.token_vecs):
             raise ValidationError(
                 f"document {self.doc_id!r}: token_ids and token_vecs lengths differ"
@@ -216,6 +231,7 @@ class EncodedQuery:
     cls_vec: np.ndarray | None
 
     def __post_init__(self) -> None:
+        _check_id("query", self.query_id)
         if len(self.token_ids) != len(self.token_vecs):
             raise ValidationError(
                 f"query {self.query_id!r}: token_ids and token_vecs lengths differ"
@@ -274,8 +290,8 @@ def ranked_list_from_arrays(
     return RankedList(query_id, entries)
 
 
-def _load_id_text_records(path: str | Path, kind: str) -> list[tuple[str, str]]:
-    records: list[tuple[str, str]] = []
+def _load_id_text_records(path: str | Path, kind: str, record: type) -> list:
+    records = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -295,18 +311,21 @@ def _load_id_text_records(path: str | Path, kind: str) -> list[tuple[str, str]]:
             if doc_id in seen:
                 raise FormatError(f"{path}: line {lineno}: duplicate {kind} id {doc_id!r}")
             seen.add(doc_id)
-            records.append((doc_id, text))
+            try:
+                records.append(record(doc_id, text))
+            except ValidationError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 
 def load_documents(path: str | Path) -> list[Document]:
     """Read a line-delimited corpus file of ``{"id": ..., "text": ...}`` records."""
-    return [Document(i, t) for i, t in _load_id_text_records(path, "document")]
+    return _load_id_text_records(path, "document", Document)
 
 
 def load_queries(path: str | Path) -> list[Query]:
     """Read a query file; same line format as the corpus file."""
-    return [Query(i, t) for i, t in _load_id_text_records(path, "query")]
+    return _load_id_text_records(path, "query", Query)
 
 
 def check_dims(name: str, vecs: np.ndarray, expected: int) -> None:

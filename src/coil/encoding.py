@@ -33,9 +33,9 @@ from .core import (
     Query,
     TokenSeq,
     ValidationError,
-    _check_id,
     check_dims,
     check_fields,
+    check_input_id,
     config_from_meta,
     validate_config,
 )
@@ -477,10 +477,7 @@ def ingest_encoded(path: str | Path) -> Iterator[EncodedDocument]:
                 raise FormatError(f"{where}: malformed record: {exc}") from exc
             if not isinstance(doc_id, str):
                 raise FormatError(f"{where}: id must be a string")
-            try:
-                _check_id("document", doc_id)
-            except ValidationError as exc:
-                raise FormatError(f"{where}: {exc}") from exc
+            check_input_id("document", doc_id, where)
             if token_vecs.shape == (0,):  # "token_vecs": [] parses without a row width
                 token_vecs = token_vecs.reshape(0, n_t)
             if token_ids.ndim != 1 or token_vecs.shape[:1] != token_ids.shape:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .core import (
     FormatError,
     ValidationError,
     check_fields,
+    check_input_id,
     config_from_meta,
     validate_config,
 )
@@ -46,6 +47,11 @@ CLS_FILE = "cls.bin"
 
 class ChecksumError(FormatError):
     """Stored checksum does not match the file contents."""
+
+
+def _posting_row_bytes(n_t: int) -> int:
+    """Bytes one occurrence takes in postings.bin: an int32 ref and an n_t float32 vector."""
+    return 4 + 4 * n_t
 
 
 @dataclass
@@ -70,12 +76,8 @@ class InvertedList:
         """Start offsets and document ordinals of the per-document row runs."""
         segments = self._segments
         if segments is None:
-            refs = self.doc_refs
-            if len(refs) == 0:
-                starts = np.empty(0, dtype=np.int64)
-            else:
-                starts = np.flatnonzero(np.diff(refs, prepend=refs[0] - 1))
-            segments = self._segments = (starts, refs[starts])
+            starts, _ = run_bounds(self.doc_refs)
+            segments = self._segments = (starts, self.doc_refs[starts])
         return segments
 
 
@@ -88,16 +90,14 @@ class CoilIndex:
     vocab: dict[str, int]
     corpus_checksum: int
     encoder_meta: dict | None = None  # provenance needed to encode text queries
-    _doc_id_array: np.ndarray | None = field(default=None, repr=False)
+    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
+
+    def __post_init__(self) -> None:
+        self.doc_ids = np.asarray(self.doc_table, dtype=str)
 
     @property
     def num_docs(self) -> int:
         return len(self.doc_table)
-
-    def doc_id_array(self) -> np.ndarray:
-        if self._doc_id_array is None:
-            self._doc_id_array = np.asarray(self.doc_table, dtype=str)
-        return self._doc_id_array
 
 
 @dataclass
@@ -107,6 +107,23 @@ class IndexStats:
     total_postings: int
     bytes_on_disk: int
     list_size_histogram: dict[int, int]  # occurrences-per-list -> lists, ascending
+
+
+def run_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the runs of equal values in a sorted array."""
+    if len(sorted_keys) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    changes = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.concatenate(([0], changes)), np.concatenate((changes, [len(sorted_keys)]))
+
+
+def group_by_key(keys: np.ndarray, *columns: np.ndarray) -> Iterator[tuple]:
+    """Yield ``(key, *column slices)`` per distinct key, ascending; rows keep input order."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    columns = tuple(column[order] for column in columns)
+    for start, end in zip(*run_bounds(keys)):
+        yield (int(keys[start]), *(column[start:end] for column in columns))
 
 
 def _doc_checksum(state: int, doc: EncodedDocument) -> int:
@@ -133,8 +150,9 @@ def build_index(
     n_t, n_c = config.n_t, config.n_c
     doc_table: list[str] = []
     seen_ids: set[str] = set()
-    per_token_vecs: dict[int, list[np.ndarray]] = {}
-    per_token_refs: dict[int, list[int]] = {}
+    tid_parts = [np.empty(0, dtype=np.int64)]
+    ref_parts = [np.empty(0, dtype=np.int32)]
+    vec_parts = [np.empty((0, n_t), dtype=np.float32)]
     cls_rows: list[np.ndarray] = []
     checksum = fnv1a64(b"coil-corpus")
 
@@ -155,22 +173,15 @@ def build_index(
             cls_rows.append(np.ascontiguousarray(doc.cls_vec, dtype=np.float32))
         doc_table.append(doc.doc_id)
         checksum = _doc_checksum(checksum, doc)
-        vecs = np.ascontiguousarray(doc.token_vecs, dtype=np.float32)
-        for pos, tid in enumerate(doc.token_ids):
-            tid = int(tid)
-            per_token_vecs.setdefault(tid, []).append(vecs[pos])
-            per_token_refs.setdefault(tid, []).append(ordinal)
+        tid_parts.append(np.asarray(doc.token_ids, dtype=np.int64))
+        ref_parts.append(np.full(len(doc.token_ids), ordinal, dtype=np.int32))
+        vec_parts.append(np.asarray(doc.token_vecs, dtype=np.float32))
 
-    lists: dict[int, InvertedList] = {}
-    for tid in sorted(per_token_vecs):
-        stacked = np.vstack(per_token_vecs[tid]) if n_t else np.empty(
-            (len(per_token_refs[tid]), 0), dtype=np.float32
-        )
-        lists[tid] = InvertedList(
-            token_id=tid,
-            vectors=stacked,
-            doc_refs=np.asarray(per_token_refs[tid], dtype=np.int32),
-        )
+    # rows enter in (ordinal, position) order, the order each list keeps
+    groups = group_by_key(
+        np.concatenate(tid_parts), np.concatenate(ref_parts), np.concatenate(vec_parts)
+    )
+    lists = {tid: InvertedList(tid, vecs, refs) for tid, refs, vecs in groups}
 
     cls_matrix = None
     if n_c >= 1:
@@ -290,8 +301,12 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     n_t, n_c = cfg.n_t, cfg.n_c
     doc_table = meta["doc_table"]
     num_docs = len(doc_table)
-    if not all(type(doc_id) is str for doc_id in doc_table):
-        raise FormatError(f"{meta_path}: doc_table entries must be strings")
+    for doc_id in doc_table:
+        if type(doc_id) is not str:
+            raise FormatError(f"{meta_path}: doc_table entries must be strings")
+        check_input_id("document", doc_id, f"{meta_path}: doc_table")
+    if len(set(doc_table)) != num_docs:
+        raise FormatError(f"{meta_path}: doc_table holds a duplicate doc id")
     if meta["num_docs"] != num_docs:
         raise FormatError(f"{meta_path}: num_docs disagrees with doc_table")
     vocab = vocab_from_meta(meta["vocab"], f"{meta_path}: vocab")
@@ -303,12 +318,11 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     if not all(_is_list_entry(entry) for entry in directory):
         raise FormatError(f"{meta_path}: lists must hold [token_id, n_occurrences] pairs")
 
-    row_bytes = 4 + 4 * n_t  # int32 ref + float32 vector per occurrence
     postings_path = root / POSTINGS_FILE
     blob = _read_checked(
         postings_path,
         meta["checksums"],
-        sum(n * row_bytes for _, n in directory),
+        _posting_row_bytes(n_t) * sum(n for _, n in directory),
         f"for n_t={n_t}; truncated file or wrong n_t",
     )
     lists: dict[int, InvertedList] = {}
@@ -352,8 +366,7 @@ def index_stats(index: CoilIndex) -> IndexStats:
     histogram: dict[int, int] = {}
     for lst in index.lists.values():
         histogram[len(lst)] = histogram.get(len(lst), 0) + 1
-    row_bytes = 4 + 4 * index.config.n_t
-    disk = total * row_bytes
+    disk = total * _posting_row_bytes(index.config.n_t)
     if index.cls_matrix is not None:
         disk += 4 * index.config.n_c * index.num_docs
     return IndexStats(

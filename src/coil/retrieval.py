@@ -212,15 +212,11 @@ def search(
 
     if mode == "tok":
         keep = np.flatnonzero(touched)
-        if len(keep) == 0:
-            return RankedList(q.query_id, []), instr
-        doc_ids = index.doc_id_array()[keep]
+        doc_ids = index.doc_ids[keep]
         scores = acc[keep]
     else:
-        if num_docs == 0:
-            return RankedList(q.query_id, []), instr
         cls_scores = _row_dots(index.cls_matrix, q.cls_vec.astype(np.float64))
-        doc_ids = index.doc_id_array()
+        doc_ids = index.doc_ids
         scores = cls_scores if mode == "cls_only" else acc + cls_scores
 
     return ranked_list_from_arrays(q.query_id, doc_ids, scores, k), instr

@@ -312,6 +312,13 @@ class TestExitCodes:
             ("search", "idx/meta.json", lambda m: m.pop("lists")),
             ("build", "enc.jsonl", lambda r: r.update(id="d 0")),
             ("build", "enc.jsonl", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
+            ("build", "enc.jsonl", lambda r: r.update(id="d0\x00")),
+            ("encode", "corpus.jsonl", lambda r: r.update(id="d 0")),
+            ("bm25", "corpus.jsonl", lambda r: r.update(id="d\x00")),
+            ("search", "queries.jsonl", lambda r: r.update(id="q\x00")),
+            ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "")),
+            ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, " ")),
+            ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "d1")),
         ],
         ids=[
             "sidecar-missing-stub",
@@ -319,6 +326,13 @@ class TestExitCodes:
             "meta-missing-lists",
             "whitespace-id",
             "nan-vector",
+            "nul-id",
+            "corpus-whitespace-id",
+            "corpus-nul-id",
+            "query-nul-id",
+            "meta-empty-doc-id",
+            "meta-whitespace-doc-id",
+            "meta-duplicate-doc-id",
         ],
     )
     def test_malformed_input_exits_2(self, workdir, capsys, command, name, edit):
@@ -333,6 +347,10 @@ class TestExitCodes:
         capsys.readouterr()
         if command == "build":
             argv = ["build", str(enc), str(workdir / "idx2")]
+        elif command == "encode":
+            argv = ["encode", str(path), str(workdir / "enc2.jsonl"), *ENCODE_FLAGS]
+        elif command == "bm25":
+            argv = ["bm25", str(path), str(workdir / "queries.jsonl"), str(workdir / "r.txt")]
         else:
             argv = ["search", str(idx), str(workdir / "queries.jsonl"), str(workdir / "r.txt")]
         assert main(argv) == 2

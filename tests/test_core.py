@@ -8,6 +8,8 @@ import pytest
 from coil import (
     CoilConfig,
     Document,
+    EncodedDocument,
+    EncodedQuery,
     Query,
     RankedList,
     TokenSeq,
@@ -96,9 +98,34 @@ class TestIds:
         with pytest.raises(ValidationError, match="whitespace"):
             Query(bad, "text")
 
+    @pytest.mark.parametrize("bad", ["d\x00", "\x00", "a\x7fb", "x\x1b"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda i: Document(i, "text"),
+            lambda i: Query(i, "text"),
+            lambda i: EncodedDocument(i, np.zeros(0, np.int32), np.zeros((0, 2), np.float32), None),
+            lambda i: EncodedQuery(i, np.zeros(0, np.int32), np.zeros((0, 2), np.float32), None),
+        ],
+        ids=["document", "query", "encoded-document", "encoded-query"],
+    )
+    def test_rejects_control_characters(self, make, bad):
+        with pytest.raises(ValidationError, match="control characters"):
+            make(bad)
+
     def test_plain_ids_accepted(self):
         Document("doc-1_x.2", "text")
+        Document("d\u00e9\u200b", "text")  # non-ASCII, format character
         Query("q1", "")
+
+    @pytest.mark.parametrize("load", [load_documents, load_queries])
+    @pytest.mark.parametrize("bad", ["", "a b", "d\x00"])
+    def test_file_boundary_names_line(self, tmp_path, load, bad):
+        path = tmp_path / "records.jsonl"
+        records = [{"id": "ok", "text": "a"}, {"id": bad, "text": "b"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(FormatError, match="line 2"):
+            load(path)
 
 
 class TestTokenSeq:
