@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     load_documents,
     load_queries,
+    read_json,
     validate_config,
 )
 from .encoding import (
@@ -77,9 +78,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
         config.n_t,
         config.n_c,
     )
-    with open(_sidecar_path(args.out), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(spec.to_meta(), fh, sort_keys=True)
-        fh.write("\n")
+    _sidecar_path(args.out).write_text(
+        json.dumps(spec.to_meta(), sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+    )
     print(f"encoded {count} documents -> {args.out}")
     return 0
 
@@ -90,11 +91,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     spec = None
     sidecar = _sidecar_path(args.encoded)
     if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                spec = EncoderSpec.from_meta(json.load(fh), str(sidecar))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{sidecar}: invalid JSON: {exc}") from exc
+        spec = EncoderSpec.from_meta(read_json(sidecar), str(sidecar))
         if (spec.config.n_t, spec.config.n_c) != (n_t, n_c):
             raise FormatError(
                 f"{sidecar}: encoder settings disagree with {args.encoded} header"

@@ -11,7 +11,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,7 +31,10 @@ def as_score(value: float) -> float:
     return float(np.float32(value))
 
 
-def _check_id(kind: str, value: str) -> None:
+def check_id(kind: str, value: str) -> None:
+    """The id rule: a non-empty string without whitespace or control characters."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{kind} id must be a string")
     if not value:
         raise ValidationError(f"{kind} id must be non-empty")
     if value.isprintable() and " " not in value:
@@ -43,21 +46,13 @@ def _check_id(kind: str, value: str) -> None:
         raise ValidationError(f"{kind} id {value!r} must not contain control characters")
 
 
-def check_input_id(kind: str, value: str, where: str) -> None:
-    """The id rule for ids read from a file: a FormatError naming ``where``."""
-    try:
-        _check_id(kind, value)
-    except ValidationError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Document:
     id: str
     text: str
 
     def __post_init__(self) -> None:
-        _check_id("document", self.id)
+        check_id("document", self.id)
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ class Query:
     text: str
 
     def __post_init__(self) -> None:
-        _check_id("query", self.id)
+        check_id("query", self.id)
 
 
 @dataclass(frozen=True)
@@ -206,6 +201,33 @@ class ProjectionParams:
         return self
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    return values.dtype.kind in "fiu" and bool(np.isfinite(values).all())
+
+
+def _check_encoded(rec: EncodedDocument | EncodedQuery, kind: str, rec_id: str) -> None:
+    """The rule every encoded document and query obeys; stores its fields as arrays."""
+    check_id(kind, rec_id)
+    name = f"{kind} {rec_id!r}"
+    rec.token_ids = token_ids = np.asarray(rec.token_ids)
+    rec.token_vecs = token_vecs = np.asarray(rec.token_vecs)
+    if token_ids.ndim != 1 or token_ids.dtype.kind not in "iu" or (token_ids < 0).any():
+        raise ValidationError(f"{name}: token_ids must be a 1-D array of non-negative integers")
+    if token_vecs.ndim != 2 or len(token_vecs) != len(token_ids):
+        raise ValidationError(
+            f"{name}: token_vecs shape {token_vecs.shape} does not fit "
+            f"token_ids shape {token_ids.shape}"
+        )
+    if not _all_finite(token_vecs):
+        raise ValidationError(f"{name}: non-finite token vector entry")
+    if rec.cls_vec is not None:
+        rec.cls_vec = cls_vec = np.asarray(rec.cls_vec)
+        if cls_vec.ndim != 1:
+            raise ValidationError(f"{name}: cls_vec shape {cls_vec.shape} is not 1-D")
+        if not _all_finite(cls_vec):
+            raise ValidationError(f"{name}: non-finite cls_vec entry")
+
+
 @dataclass
 class EncodedDocument:
     """A document as per-token vectors plus an optional whole-document vector."""
@@ -216,11 +238,7 @@ class EncodedDocument:
     cls_vec: np.ndarray | None  # (n_c,) float32, None when n_c = 0
 
     def __post_init__(self) -> None:
-        _check_id("document", self.doc_id)
-        if len(self.token_ids) != len(self.token_vecs):
-            raise ValidationError(
-                f"document {self.doc_id!r}: token_ids and token_vecs lengths differ"
-            )
+        _check_encoded(self, "document", self.doc_id)
 
 
 @dataclass
@@ -231,11 +249,22 @@ class EncodedQuery:
     cls_vec: np.ndarray | None
 
     def __post_init__(self) -> None:
-        _check_id("query", self.query_id)
-        if len(self.token_ids) != len(self.token_vecs):
-            raise ValidationError(
-                f"query {self.query_id!r}: token_ids and token_vecs lengths differ"
-            )
+        _check_encoded(self, "query", self.query_id)
+
+
+def check_encoded_dims(
+    name: str, rec: EncodedDocument | EncodedQuery, n_t: int, n_c: int
+) -> None:
+    """Raise unless ``rec`` has n_t-wide token vectors and a cls_vec of shape
+    (n_c,), or no cls_vec when n_c = 0."""
+    if rec.token_vecs.shape[1] != n_t:
+        raise ValidationError(
+            f"{name}: token vectors have dimension {rec.token_vecs.shape[1]}, expected n_t={n_t}"
+        )
+    cls_shape = None if rec.cls_vec is None else rec.cls_vec.shape
+    if cls_shape != ((n_c,) if n_c else None):
+        expected = f"shape ({n_c},)" if n_c else "no cls_vec"
+        raise ValidationError(f"{name}: cls_vec shape {cls_shape}, n_c={n_c} requires {expected}")
 
 
 @dataclass
@@ -290,31 +319,59 @@ def ranked_list_from_arrays(
     return RankedList(query_id, entries)
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text file.
+
+    Line numbers count from 1 and include blank lines.  A line that is not
+    UTF-8 raises FormatError naming the file and the line.
+    """
+    with open(path, "rb") as raw_lines:
+        for lineno, raw in enumerate(raw_lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{path}: line {lineno}: not UTF-8 (byte {exc.start + 1}: {exc.reason})"
+                ) from None
+            if not line.isspace():
+                yield lineno, line
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, value)`` for each non-blank line of a JSON-lines file."""
+    for lineno, line in read_lines(path):
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+        yield lineno, value
+
+
+def read_json(path: str | Path) -> object:
+    """Parse a whole UTF-8 file as one JSON value."""
+    text = "".join(line for _, line in read_lines(path))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_id_text_records(path: str | Path, kind: str, record: type) -> list:
     records = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected object with 'id' and 'text'"
-                )
-            doc_id, text = obj["id"], obj["text"]
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise FormatError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
-            if doc_id in seen:
-                raise FormatError(f"{path}: line {lineno}: duplicate {kind} id {doc_id!r}")
-            seen.add(doc_id)
-            try:
-                records.append(record(doc_id, text))
-            except ValidationError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, obj in read_json_lines(path):
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise FormatError(f"{path}: line {lineno}: expected object with 'id' and 'text'")
+        doc_id, text = obj["id"], obj["text"]
+        if not isinstance(doc_id, str) or not isinstance(text, str):
+            raise FormatError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
+        if doc_id in seen:
+            raise FormatError(f"{path}: line {lineno}: duplicate {kind} id {doc_id!r}")
+        seen.add(doc_id)
+        try:
+            records.append(record(doc_id, text))
+        except ValidationError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 
@@ -326,11 +383,3 @@ def load_documents(path: str | Path) -> list[Document]:
 def load_queries(path: str | Path) -> list[Query]:
     """Read a query file; same line format as the corpus file."""
     return _load_id_text_records(path, "query", Query)
-
-
-def check_dims(name: str, vecs: np.ndarray, expected: int) -> None:
-    """Raise unless a (m, dim) vector block matches the expected dimension."""
-    if vecs.ndim != 2 or vecs.shape[1] != expected:
-        raise ValidationError(
-            f"{name}: expected vectors of dimension {expected}, got shape {vecs.shape}"
-        )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import string
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -33,10 +34,11 @@ from .core import (
     Query,
     TokenSeq,
     ValidationError,
-    check_dims,
+    check_encoded_dims,
     check_fields,
-    check_input_id,
     config_from_meta,
+    read_json_lines,
+    read_lines,
     validate_config,
 )
 
@@ -407,34 +409,27 @@ def write_encoded(
         }
         fh.write(json.dumps(header) + "\n")
         for doc in docs:
-            check_dims(f"document {doc.doc_id!r}", doc.token_vecs, n_t)
+            check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
             record: dict = {
                 "id": doc.doc_id,
                 # float32 -> Python float keeps the exact value; json prints
                 # the shortest repr, which round-trips back to the same f32
-                "token_ids": [int(t) for t in doc.token_ids],
-                "token_vecs": [[float(x) for x in vec] for vec in doc.token_vecs],
+                "token_ids": doc.token_ids.tolist(),
+                "token_vecs": doc.token_vecs.tolist(),
             }
             if n_c > 0:
-                if doc.cls_vec is None or doc.cls_vec.shape != (n_c,):
-                    raise ValidationError(
-                        f"document {doc.doc_id!r}: cls_vec missing or wrong dimension"
-                    )
-                record["cls_vec"] = [float(x) for x in doc.cls_vec]
+                record["cls_vec"] = doc.cls_vec.tolist()
             fh.write(json.dumps(record) + "\n")
             count += 1
     return count
 
 
 def read_encoded_header(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    return _parse_header(first, path)
-
-
-def _parse_header(line: str, path: str | Path) -> dict:
+    """Parse and check line 1 of a coil-enc file."""
+    with closing(read_lines(path)) as lines:
+        lineno, line = next(lines, (1, ""))
     try:
-        header = json.loads(line)
+        header = json.loads(line if lineno == 1 else "")  # a blank line 1 is no header
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line 1: invalid header JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != ENCODED_FORMAT:
@@ -451,57 +446,29 @@ def _parse_header(line: str, path: str | Path) -> dict:
 
 def ingest_encoded(path: str | Path) -> Iterator[EncodedDocument]:
     """Stream EncodedDocuments from a coil-enc file, validating against its header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline(), path)
-        n_t, n_c = header["n_t"], header["n_c"]
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-            try:
-                doc_id = obj["id"]
-                raw_ids = obj["token_ids"]
-                # bools are ints to Python; a fractional id would be truncated
-                if not all(type(t) is int and t >= 0 for t in raw_ids):
-                    raise ValueError("token_ids must be non-negative integers")
-                token_ids = np.asarray(raw_ids, dtype=np.int32)
-                token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
-                cls_vec = None
-                if "cls_vec" in obj:
-                    cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"{where}: malformed record: {exc}") from exc
-            if not isinstance(doc_id, str):
-                raise FormatError(f"{where}: id must be a string")
-            check_input_id("document", doc_id, where)
+    header = read_encoded_header(path)
+    n_t, n_c = header["n_t"], header["n_c"]
+    records = read_json_lines(path)
+    next(records)  # line 1, the header
+    for lineno, obj in records:
+        where = f"{path}: line {lineno}"
+        try:
+            doc_id, raw_ids = obj["id"], obj["token_ids"]
+            # bools are ints to Python; a fractional id would be truncated
+            if not all(type(t) is int and t >= 0 for t in raw_ids):
+                raise ValueError("token_ids must be non-negative integers")
+            token_ids = np.asarray(raw_ids, dtype=np.int32)
+            token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
             if token_vecs.shape == (0,):  # "token_vecs": [] parses without a row width
                 token_vecs = token_vecs.reshape(0, n_t)
-            if token_ids.ndim != 1 or token_vecs.shape[:1] != token_ids.shape:
-                raise FormatError(
-                    f"{where}: token_vecs shape {token_vecs.shape} does not fit "
-                    f"token_ids shape {token_ids.shape}"
-                )
-            if token_vecs.shape[1:] != (n_t,):
-                raise FormatError(
-                    f"{where}: token vector shape {token_vecs.shape} "
-                    f"does not match header n_t={n_t}"
-                )
-            if not np.isfinite(token_vecs).all():
-                raise FormatError(f"{where}: non-finite token vector entry")
-            if n_c > 0:
-                if cls_vec is None:
-                    raise FormatError(f"{where}: cls_vec required by header n_c={n_c}")
-                if cls_vec.shape != (n_c,):
-                    raise FormatError(
-                        f"{where}: cls_vec shape {cls_vec.shape} "
-                        f"does not match header n_c={n_c}"
-                    )
-                if not np.isfinite(cls_vec).all():
-                    raise FormatError(f"{where}: non-finite cls_vec entry")
-            elif cls_vec is not None:
-                raise FormatError(f"{where}: cls_vec present but header has n_c=0")
-            yield EncodedDocument(doc_id, token_ids, token_vecs, cls_vec)
+            cls_vec = None
+            if "cls_vec" in obj:
+                cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{where}: malformed record: {exc}") from exc
+        try:
+            doc = EncodedDocument(doc_id, token_ids, token_vecs, cls_vec)
+            check_encoded_dims(f"document {doc_id!r}", doc, n_t, n_c)
+        except ValidationError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+        yield doc

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .core import FormatError, RankedList, ValidationError
+from .core import FormatError, RankedList, ValidationError, check_id, read_lines
 
 Run = dict[str, RankedList]
 
@@ -46,30 +46,30 @@ class Qrels:
 
 def read_qrels(path: str | Path) -> Qrels:
     judgments: dict[str, dict[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 4 fields, got {len(fields)}"
-                )
-            qid, _, doc_id, rel_str = fields
-            try:
-                rel = int(rel_str)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: relevance {rel_str!r} is not an integer"
-                ) from None
-            if rel < 0:
-                raise FormatError(f"{path}:{lineno}: negative relevance {rel}")
-            per_query = judgments.setdefault(qid, {})
-            if doc_id in per_query:
-                raise FormatError(
-                    f"{path}:{lineno}: duplicate judgment for ({qid!r}, {doc_id!r})"
-                )
-            per_query[doc_id] = rel
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise FormatError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
+        qid, _, doc_id, rel_str = fields
+        try:
+            check_id("query", qid)
+            check_id("document", doc_id)
+        except ValidationError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            rel = int(rel_str)
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: relevance {rel_str!r} is not an integer"
+            ) from None
+        if rel < 0:
+            raise FormatError(f"{path}: line {lineno}: negative relevance {rel}")
+        per_query = judgments.setdefault(qid, {})
+        if doc_id in per_query:
+            raise FormatError(
+                f"{path}: line {lineno}: duplicate judgment for ({qid!r}, {doc_id!r})"
+            )
+        per_query[doc_id] = rel
     return Qrels(judgments)
 
 
@@ -82,24 +82,19 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil"
 
 def read_run(path: str | Path) -> Run:
     per_query: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 6 fields, got {len(fields)}"
-                )
-            qid, _, doc_id, rank_str, score_str, _ = fields
-            try:
-                rank = int(rank_str)
-                score = float(score_str)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: bad rank or score ({rank_str!r}, {score_str!r})"
-                ) from None
-            per_query.setdefault(qid, []).append((rank, doc_id, score))
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise FormatError(f"{path}: line {lineno}: expected 6 fields, got {len(fields)}")
+        qid, _, doc_id, rank_str, score_str, _ = fields
+        try:
+            rank = int(rank_str)
+            score = float(score_str)
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: bad rank or score ({rank_str!r}, {score_str!r})"
+            ) from None
+        per_query.setdefault(qid, []).append((rank, doc_id, score))
 
     run: Run = {}
     for qid, rows in per_query.items():

@@ -30,9 +30,11 @@ from .core import (
     EncodedDocument,
     FormatError,
     ValidationError,
+    check_encoded_dims,
     check_fields,
-    check_input_id,
+    check_id,
     config_from_meta,
+    read_json,
     validate_config,
 )
 from .encoding import fnv1a64, vocab_from_meta
@@ -160,16 +162,8 @@ def build_index(
         if doc.doc_id in seen_ids:
             raise ValidationError(f"duplicate doc id {doc.doc_id!r}")
         seen_ids.add(doc.doc_id)
-        if doc.token_vecs.shape[1:] != (n_t,):
-            raise ValidationError(
-                f"document {doc.doc_id!r}: token vectors have dimension "
-                f"{doc.token_vecs.shape[1:]}, index expects {n_t}"
-            )
+        check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
         if n_c >= 1:
-            if doc.cls_vec is None or doc.cls_vec.shape != (n_c,):
-                raise ValidationError(
-                    f"document {doc.doc_id!r}: cls vector missing or not {n_c}-dimensional"
-                )
             cls_rows.append(np.ascontiguousarray(doc.cls_vec, dtype=np.float32))
         doc_table.append(doc.doc_id)
         checksum = _doc_checksum(checksum, doc)
@@ -240,9 +234,9 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "checksums": checksums,
         "encoder_meta": index.encoder_meta,
     }
-    with open(out / META_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    (out / META_FILE).write_text(
+        json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+    )
 
 
 def _read_checked(path: Path, checksums: dict, expected_size: int, layout: str) -> bytes:
@@ -287,11 +281,7 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     """Load a saved index; matrices compare bitwise-equal to the saved ones."""
     root = Path(dir_path)
     meta_path = root / META_FILE
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta_path}: invalid JSON: {exc}") from exc
+    meta = read_json(meta_path)
     if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
         raise FormatError(f"{meta_path}: not a {INDEX_FORMAT} directory")
     if meta.get("version") != INDEX_VERSION:
@@ -301,10 +291,11 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     n_t, n_c = cfg.n_t, cfg.n_c
     doc_table = meta["doc_table"]
     num_docs = len(doc_table)
-    for doc_id in doc_table:
-        if type(doc_id) is not str:
-            raise FormatError(f"{meta_path}: doc_table entries must be strings")
-        check_input_id("document", doc_id, f"{meta_path}: doc_table")
+    try:
+        for doc_id in doc_table:
+            check_id("document", doc_id)
+    except ValidationError as exc:
+        raise FormatError(f"{meta_path}: doc_table entries: {exc}") from exc
     if len(set(doc_table)) != num_docs:
         raise FormatError(f"{meta_path}: doc_table holds a duplicate doc id")
     if meta["num_docs"] != num_docs:

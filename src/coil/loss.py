@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FormatError, ValidationError
+from .core import FormatError, ValidationError, check_fields, check_id, read_json_lines
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,9 @@ class TrainingExample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "negative_doc_ids", tuple(self.negative_doc_ids))
+        check_id("query", self.query_id)
+        for doc_id in (self.positive_doc_id, *self.negative_doc_ids):
+            check_id("document", doc_id)
         if self.positive_doc_id in self.negative_doc_ids:
             raise ValidationError(
                 f"query {self.query_id!r}: positive {self.positive_doc_id!r} "
@@ -97,24 +100,16 @@ def write_training_examples(
     return count
 
 
+_EXAMPLE_TYPES = {"qid": str, "pos": str, "negs": list}
+
+
 def read_training_examples(path: str | Path) -> list[TrainingExample]:
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                examples.append(
-                    TrainingExample(
-                        query_id=str(record["qid"]),
-                        positive_doc_id=str(record["pos"]),
-                        negative_doc_ids=tuple(str(n) for n in record["negs"]),
-                    )
-                )
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
+    for lineno, obj in read_json_lines(path):
+        where = f"{path}: line {lineno}"
+        record = check_fields(obj, _EXAMPLE_TYPES, where)
+        try:
+            examples.append(TrainingExample(record["qid"], record["pos"], tuple(record["negs"])))
+        except ValidationError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return examples

@@ -372,3 +372,71 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+
+def _damaged_variants(data: bytes) -> dict[str, bytes]:
+    """Empty, cut in half, a non-UTF-8 byte pair inserted, and single-bit flips
+    (XOR 0x01 and 0x20) at 8 evenly spaced offsets."""
+    half = len(data) // 2
+    variants = {
+        "empty": b"",
+        "half": data[:half],
+        "ff-fe": data[:half] + b"\xff\xfe" + data[half:],
+    }
+    for i in range(1, 9):
+        offset = len(data) * i // 9
+        for mask in (0x01, 0x20):
+            flipped = bytearray(data)
+            flipped[offset] ^= mask
+            variants[f"xor-{mask:#04x}-at-{offset}"] = bytes(flipped)
+    return variants
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+class TestCorruptedInputs:
+    """The exit-code contract under byte-level damage to every file the CLI reads."""
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("corpus.jsonl", "encode"),
+            ("queries.jsonl", "search"),
+            ("enc.jsonl", "build"),
+            ("enc.jsonl.meta.json", "build"),
+            ("idx/meta.json", "search"),
+            ("idx/postings.bin", "search"),
+            ("idx/cls.bin", "search"),
+            ("run.txt", "eval"),
+            ("qrels.txt", "eval"),
+        ],
+    )
+    def test_exit_0_1_or_2_and_non_utf8_exits_2(self, workdir, capsys, name, command):
+        enc, idx = _encode_and_build(workdir)
+        run = workdir / "run.txt"
+        queries = str(workdir / "queries.jsonl")
+        argvs = {
+            "encode": ["encode", str(workdir / "corpus.jsonl"), str(workdir / "e2"), *ENCODE_FLAGS],
+            "build": ["build", str(enc), str(workdir / "idx2")],
+            "search": ["search", str(idx), queries, str(workdir / "r2")],
+            "eval": ["eval", str(run), str(workdir / "qrels.txt")],
+        }
+        assert main(["search", str(idx), queries, str(run)]) == 0
+        path = workdir / name
+        original = path.read_bytes()
+        for variant, data in _damaged_variants(original).items():
+            path.write_bytes(data)
+            capsys.readouterr()
+            code = main(argvs[command])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), variant
+            if code:
+                assert err.startswith("error:") and "Traceback" not in err, variant
+            if not name.endswith(".bin") and not _is_utf8(data):
+                assert code == 2 and str(path) in err, variant

@@ -20,7 +20,7 @@ from coil import (
     load_queries,
     validate_config,
 )
-from coil.core import ranked_list_from_arrays
+from coil.core import ranked_list_from_arrays, read_json, read_json_lines, read_lines
 
 
 class TestConfigValidation:
@@ -126,6 +126,90 @@ class TestIds:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(FormatError, match="line 2"):
             load(path)
+
+
+BAD_IDS = "token_ids must be a 1-D array of non-negative integers"
+BAD_ROWS = "token_vecs shape .* does not fit token_ids"
+
+
+class TestEncodedRecordRule:
+    RECORDS = [EncodedDocument, EncodedQuery]
+
+    @staticmethod
+    def _fields(**edit):
+        fields = {
+            "token_ids": np.array([1, 2], np.int32),
+            "token_vecs": np.zeros((2, 3), np.float32),
+            "cls_vec": np.zeros(4, np.float32),
+        }
+        fields.update(edit)
+        return fields
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_fields_stored_as_arrays_with_their_dtype(self, record):
+        rec = record("r", [1, 2], [[0.5, 1.0], [2.0, 3.0]], [1.0])
+        assert isinstance(rec.token_ids, np.ndarray) and rec.token_ids.dtype.kind == "i"
+        assert rec.token_vecs.shape == (2, 2) and rec.cls_vec.shape == (1,)
+        vecs = np.ones((2, 3), np.float32)
+        assert record("r", np.array([1, 2], np.int32), vecs, None).token_vecs is vecs
+
+    @pytest.mark.parametrize("record", RECORDS)
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"token_ids": np.array([[1, 2]], np.int32)}, BAD_IDS),
+            ({"token_ids": np.array([1.0, 2.0])}, BAD_IDS),
+            ({"token_ids": np.array([1, -3], np.int32)}, BAD_IDS),
+            ({"token_vecs": np.zeros(2, np.float32)}, BAD_ROWS),
+            ({"token_vecs": np.zeros((3, 3), np.float32)}, BAD_ROWS),
+            ({"token_vecs": np.full((2, 3), np.nan, np.float32)}, "non-finite token vector"),
+            ({"token_vecs": np.full((2, 3), "x")}, "non-finite token vector"),
+            ({"cls_vec": np.zeros((1, 4), np.float32)}, "cls_vec shape \\(1, 4\\) is not 1-D"),
+            ({"cls_vec": np.array([0.0, np.inf, 0.0, 0.0], np.float32)}, "non-finite cls_vec"),
+        ],
+    )
+    def test_rejects_each_violation(self, record, edit, message):
+        with pytest.raises(ValidationError, match=f"'r': {message}"):
+            record("r", **self._fields(**edit))
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_id_must_be_a_string(self, record):
+        with pytest.raises(ValidationError, match="id must be a string"):
+            record(5, **self._fields())
+
+
+class TestLineReader:
+    def test_numbers_lines_and_skips_blank_ones(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a b\n\n \t\nc\r\nd")
+        assert list(read_lines(path)) == [(1, "a b\n"), (4, "c\r\n"), (5, "d")]
+
+    @pytest.mark.parametrize(
+        "read",
+        [lambda p: list(read_lines(p)), lambda p: list(read_json_lines(p)), read_json],
+        ids=["read_lines", "read_json_lines", "read_json"],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, read):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n{"b": "\xff\xfe"}\n')
+        with pytest.raises(FormatError, match=r"f.jsonl: line 3: not UTF-8 \(byte 8: invalid"):
+            read(path)
+
+    def test_json_lines_name_the_bad_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"a": 1}\n\n[2]\n{oops\n')
+        records = read_json_lines(path)
+        assert [next(records), next(records)] == [(1, {"a": 1}), (3, [2])]
+        with pytest.raises(FormatError, match="f.jsonl: line 4: invalid JSON"):
+            next(records)
+
+    def test_whole_file_json(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"a":\n\n [1, 2]}\n')
+        assert read_json(path) == {"a": [1, 2]}
+        path.write_text("")
+        with pytest.raises(FormatError, match="f.json: invalid JSON"):
+            read_json(path)
 
 
 class TestTokenSeq:

@@ -8,6 +8,7 @@ import pytest
 from coil import (
     CoilConfig,
     Document,
+    EncodedDocument,
     EncoderSpec,
     FormatError,
     ProjectionParams,
@@ -16,6 +17,7 @@ from coil import (
     TokenizerConfig,
     UNKNOWN_TOKEN_ID,
     ValidationError,
+    build_index,
     build_vocab,
     contextualize,
     encode_document,
@@ -497,7 +499,51 @@ class TestEncodedRecordIo:
             '{"format":"coil-enc","version":1,"n_t":2,"n_c":2}\n'
             '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]],"cls_vec":[Infinity,0]}\n'
         )
-        with pytest.raises(FormatError, match="line 2: non-finite cls_vec"):
+        with pytest.raises(FormatError, match="line 2: document 'd0': non-finite cls_vec"):
+            list(ingest_encoded(path))
+
+    @pytest.mark.parametrize(
+        "text", ["", '\n{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n', "not json\n"]
+    )
+    def test_header_must_be_line_1(self, tmp_path, text):
+        path = tmp_path / "enc.jsonl"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="line 1: invalid header JSON"):
+            list(ingest_encoded(path))
+
+    @pytest.mark.parametrize(
+        "edit, n_c",
+        [
+            ({"token_vecs": [[float("nan"), 0.5]]}, 0),
+            ({"cls_vec": [float("inf"), 0.0]}, 2),
+            ({"token_ids": [-3]}, 0),
+            ({"cls_vec": [1.0, 0.0]}, 0),
+        ],
+        ids=["nan-token-vector", "inf-cls-entry", "negative-token-id", "cls-vec-with-n_c-0"],
+    )
+    def test_library_and_file_routes_agree(self, tmp_path, edit, n_c):
+        fields = {"token_ids": [1], "token_vecs": [[0.5, 0.5]]}
+        if n_c:
+            fields["cls_vec"] = [0.5, 0.5]
+        fields.update(edit)
+
+        def record():
+            return EncodedDocument(
+                "d0",
+                np.asarray(fields["token_ids"], np.int32),
+                np.asarray(fields["token_vecs"], np.float32),
+                np.asarray(fields["cls_vec"], np.float32) if "cls_vec" in fields else None,
+            )
+
+        config = CoilConfig(n_lm=4, n_t=2, n_c=n_c)
+        with pytest.raises(ValidationError, match="document 'd0'"):
+            build_index([record()], config)
+        with pytest.raises(ValidationError, match="document 'd0'"):
+            write_encoded([record()], tmp_path / "out.jsonl", 2, n_c)
+        path = tmp_path / "enc.jsonl"
+        header = {"format": "coil-enc", "version": 1, "n_t": 2, "n_c": n_c}
+        path.write_text(json.dumps(header) + "\n" + json.dumps({"id": "d0", **fields}) + "\n")
+        with pytest.raises(FormatError, match="enc.jsonl: line 2: "):
             list(ingest_encoded(path))
 
     def test_invalid_json_record_names_line(self, tmp_path):

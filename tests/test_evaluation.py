@@ -41,6 +41,12 @@ class TestQrelsIo:
         with pytest.raises(FormatError, match="line 2|:2"):
             read_qrels(path)
 
+    def test_control_character_id_names_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq1 0 d\x002 1\n")
+        with pytest.raises(FormatError, match="qrels.txt: line 2: document id .* control"):
+            read_qrels(path)
+
     def test_non_integer_relevance(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 high\n")

@@ -138,5 +138,26 @@ class TestTrainingExamples:
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "examples.jsonl"
         path.write_text('{"qid": "q", "negs": []}\n')
-        with pytest.raises(FormatError, match="1.*missing field"):
+        with pytest.raises(FormatError, match="line 1: missing key 'pos'"):
+            read_training_examples(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"qid": 5, "pos": "d1", "negs": ["d2"]}', "'qid' has the wrong type"),
+            ('{"qid": "q", "pos": "d1", "negs": "abc"}', "'negs' has the wrong type"),
+            ('["q", "d1", []]', "expected a JSON object"),
+            ('{"qid": "q", "pos": "d1", "negs": [2]}', "document id must be a string"),
+            ('{"qid": "q 1", "pos": "d1", "negs": []}', "query id 'q 1' must not contain"),
+            ('{"qid": "q", "pos": "d\\u0000", "negs": []}', "must not contain control"),
+            ('{"qid": "q", "pos": "d1", "negs": ["d1"]}', "among the negatives"),
+        ],
+        ids=[
+            "int-qid", "string-negs", "json-list", "int-neg", "space-qid", "nul-pos", "pos-in-negs"
+        ],
+    )
+    def test_bad_record_names_line(self, tmp_path, line, message):
+        path = tmp_path / "examples.jsonl"
+        path.write_text('{"qid": "q", "pos": "p", "negs": []}\n' + line + "\n")
+        with pytest.raises(FormatError, match=f"examples.jsonl: line 2: .*{message}"):
             read_training_examples(path)
