@@ -8,8 +8,10 @@ score descending with ties broken by doc id ascending.
 from __future__ import annotations
 
 import json
+import math
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -177,12 +179,26 @@ def config_from_meta(obj: object, source: str) -> CoilConfig:
 
 @dataclass
 class ProjectionParams:
-    """Affine maps that project contextualizer outputs down to n_t / n_c dims."""
+    """Affine maps that project contextualizer outputs down to n_t / n_c dims.
+
+    The float64 forms the projections multiply by are converted once, on
+    first use, so the arrays must not be changed in place after that.
+    """
 
     w_tok: np.ndarray  # (n_t, n_lm) float32
     b_tok: np.ndarray  # (n_t,) float32
     w_cls: np.ndarray  # (n_c, n_lm) float32
     b_cls: np.ndarray  # (n_c,) float32
+
+    @cached_property
+    def tok_f64(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w_tok.T, b_tok)`` as float64; ``w_tok.T`` keeps its Fortran order."""
+        return self.w_tok.T.astype(np.float64), self.b_tok.astype(np.float64)
+
+    @cached_property
+    def cls_f64(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w_cls, b_cls)`` as float64."""
+        return self.w_cls.astype(np.float64), self.b_cls.astype(np.float64)
 
     def validate(self, config: CoilConfig) -> ProjectionParams:
         shapes = {
@@ -285,7 +301,7 @@ class RankedList:
         seen: set[str] = set()
         prev = None
         for doc_id, score in self.entries:
-            if not np.isfinite(score):
+            if not math.isfinite(score):
                 raise ValidationError(f"non-finite score for doc {doc_id!r}")
             if doc_id in seen:
                 raise ValidationError(f"duplicate doc id {doc_id!r} in ranked list")
@@ -310,13 +326,26 @@ class RankedList:
 def ranked_list_from_arrays(
     query_id: str, doc_ids: np.ndarray, scores: np.ndarray, k: int | None = None
 ) -> RankedList:
-    """Rank parallel arrays of doc ids and 64-bit scores with the global tie rule."""
+    """Rank parallel arrays of doc ids and 64-bit scores with the global tie rule.
+
+    Any non-finite score raises, whether or not it would reach the top k.
+    Only the scores at or above the k-th best (every tie at the cut
+    included) are sorted, so the result equals a sort of all of them.
+    """
     reported = scores.astype(np.float32)
+    finite = np.isfinite(reported)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValidationError(f"non-finite score for doc {str(doc_ids[bad])!r}")
+    n = len(reported)
+    if k is not None and 0 < k < n:
+        kth = np.partition(reported, n - k)[n - k]
+        keep = np.flatnonzero(reported >= kth)
+        doc_ids, reported = doc_ids[keep], reported[keep]
     order = np.lexsort((doc_ids, -reported))
     if k is not None:
         order = order[:k]
-    entries = [(str(doc_ids[i]), float(reported[i])) for i in order]
-    return RankedList(query_id, entries)
+    return RankedList(query_id, list(zip(doc_ids[order].tolist(), reported[order].tolist())))
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:

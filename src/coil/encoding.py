@@ -238,10 +238,8 @@ def project_tokens(lm_vectors: np.ndarray, params: ProjectionParams) -> np.ndarr
         raise ValidationError(
             f"input dimension {lm_vectors.shape[1]} != n_lm {params.w_tok.shape[1]}"
         )
-    projected = lm_vectors @ params.w_tok.T.astype(np.float64) + params.b_tok.astype(
-        np.float64
-    )
-    return projected.astype(np.float32)
+    w_tok_t, b_tok = params.tok_f64
+    return (lm_vectors @ w_tok_t + b_tok).astype(np.float32)
 
 
 def project_cls(
@@ -260,7 +258,8 @@ def project_cls(
         raise ValidationError(
             f"input dimension {lm_cls_vector.shape} != n_lm ({params.w_cls.shape[1]},)"
         )
-    v = params.w_cls.astype(np.float64) @ lm_cls_vector + params.b_cls.astype(np.float64)
+    w_cls, b_cls = params.cls_f64
+    v = w_cls @ lm_cls_vector + b_cls
     if cls_layer_norm:
         v = (v - v.mean()) / np.sqrt(v.var() + 1e-5)
     return v.astype(np.float32)

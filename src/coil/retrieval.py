@@ -7,6 +7,14 @@ ascending query-position order.  That keeps the arithmetic bitwise
 identical between the two routes; the reported float32 cast then cannot
 disagree either.
 
+Both hot steps are exact.  `_row_dots` works through a long matrix (the
+CLS matrix of every document, a long inverted list) in blocks of about
+256 KB of float64 products rather than one matrix-sized temporary; each
+row is still reduced on its own, so the dots do not depend on where the
+blocks fall.  `ranked_list_from_arrays` finds the k-th best float32 score
+with a partition and sorts only the scores at or above it, every tie at
+the cut included, so its entries equal those of sorting every score.
+
 Query positions with the unknown token id (0) are skipped by the lexical
 scorers: an out-of-vocabulary token matches nothing, not other unknowns.
 """
@@ -45,14 +53,29 @@ class SearchInstrumentation:
     candidates: int
 
 
-def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Per-row dot products, float64.
+_BLOCK_VALUES = 32768  # products per block: 256 KB of float64, well inside L2
 
-    Both the indexed path and the oracles use this one implementation so
-    the summation tree per row is identical regardless of how many rows
-    are scored at once.
+
+def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Per-row dot products, float64 for the float64 vectors every caller passes.
+
+    A matrix longer than one block (``_BLOCK_VALUES // width`` rows) is
+    multiplied a block at a time into one reused buffer, and each block is
+    summed into the result, so no matrix-sized temporary is built.  Every
+    row is reduced on its own, so the result is bitwise that of
+    ``np.multiply(matrix, vector).sum(axis=1)`` whatever the row count or
+    the block boundaries; the indexed path and the oracles share this helper.
     """
-    return np.multiply(matrix, vector).sum(axis=1)
+    n, width = matrix.shape
+    rows = max(1, _BLOCK_VALUES // max(width, 1))
+    if n <= rows:
+        return np.multiply(matrix, vector).sum(axis=1)
+    result = np.empty(n, dtype=np.result_type(matrix, vector))
+    buffer = np.empty((rows, width), dtype=result.dtype)
+    for start in range(0, n, rows):
+        block = np.multiply(matrix[start : start + rows], vector, out=buffer[: n - start])
+        block.sum(axis=1, out=result[start : start + rows])
+    return result
 
 
 def _check_token_dims(q: EncodedQuery, d: EncodedDocument) -> None:
@@ -175,7 +198,7 @@ def search(
 
     Per query position, score its token's whole list with one batched
     row-dot, reduce to per-document maxima with a segmented max, and add
-    into float64 accumulators; full and cls_only modes add one batched
+    into float64 accumulators; full and cls_only modes add one blocked
     CLS row-dot over all documents.  tok mode ranks only documents that
     share at least one token with the query.  ``mode`` defaults to the
     index's own mode.

@@ -263,6 +263,68 @@ class TestRankedList:
             assert fast.entries == slow.entries
 
 
+def _exact(entries):
+    """Entries with each score as its bit pattern, so -0.0 and 0.0 differ."""
+    return [(doc_id, score.hex()) for doc_id, score in entries]
+
+
+def _pairwise(doc_ids, scores, k):
+    pairs = [(str(d), as_score(s)) for d, s in zip(doc_ids, scores)]
+    return RankedList.from_scores("q", pairs, k).entries
+
+
+class TestRankedListFromArrays:
+    """The partition-then-sort ranker equals sorting every (doc id, score) pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, 57, 1000, 2999])
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_top_k_equals_pairwise_sort(self, n, grid):
+        rng = np.random.default_rng(n)
+        doc_ids = np.array([f"d{i}" for i in rng.permutation(n)])
+        # a coarse grid puts many ties on both sides of the k-th score
+        scores = rng.integers(-3, 4, n) / 3.0 if grid else rng.standard_normal(n)
+        for k in sorted({1, max(1, n // 3), max(1, n - 1)}):
+            got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
+            assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
+
+    def test_ties_at_the_cut_are_broken_by_doc_id(self):
+        doc_ids = np.array(["e", "d", "c", "b", "a"])
+        scores = np.array([0.0, 1.0, 1.0, 2.0, 1.0])
+        got = ranked_list_from_arrays("q", doc_ids, scores, 3)
+        assert got.entries == [("b", 2.0), ("a", 1.0), ("c", 1.0)]
+
+    def test_signed_zeros_keep_their_sign_and_tie(self):
+        rng = np.random.default_rng(7)
+        n = 40
+        doc_ids = np.array([f"d{i:02d}" for i in rng.permutation(n)])
+        scores = rng.choice([0.0, -0.0, 0.5, -0.5], n)
+        for k in range(1, n + 1):
+            got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
+            assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
+
+    @pytest.mark.parametrize("k", [None, 5, 6, 100])
+    def test_k_at_or_above_n_ranks_everything(self, k):
+        doc_ids = np.array(["c", "a", "e", "b", "d"])
+        scores = np.array([1.0, 3.0, 1.0, -0.0, 0.0])
+        got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
+        assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
+        assert len(got) == 5
+
+    def test_empty_input(self):
+        doc_ids = np.array([], dtype="<U1")
+        assert ranked_list_from_arrays("q", doc_ids, np.array([]), 3).entries == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_non_finite_score_anywhere_raises(self, bad, at):
+        doc_ids = np.array(["a", "b", "c", "d", "e"])
+        scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        scores[at] = bad
+        for k in (1, 5, None):
+            with pytest.raises(ValidationError, match=f"non-finite score for doc '{doc_ids[at]}'"):
+                ranked_list_from_arrays("q", doc_ids, scores, k)
+
+
 class TestCorpusIo:
     def _write(self, path, records):
         path.write_text("".join(json.dumps(r) + "\n" for r in records))

@@ -383,6 +383,29 @@ class TestEncode:
         np.testing.assert_array_equal(a.token_vecs, b.token_vecs)
         np.testing.assert_array_equal(a.cls_vec, b.cls_vec)
 
+    def test_cached_float64_weights_give_the_uncached_bytes(self):
+        cfg = CoilConfig(n_lm=96, n_t=32, n_c=96)
+        tok = build_vocab(["apple pie with banana split", "pie"])
+        stub = StubContextualizerConfig(seed=3)
+        params = seeded_projection(cfg, 3)
+        w_tok_t, _ = params.tok_f64
+        assert w_tok_t.flags.f_contiguous and params.tok_f64[0] is w_tok_t
+        for text in ("apple pie with banana split", "pie pie unknown", ""):
+            lm_vecs, cls_slot = contextualize(tokenize(text, tok), stub, cfg.n_lm)
+            lm_vecs = lm_vecs.reshape(-1, cfg.n_lm).astype(np.float64)
+            token_vecs = (
+                lm_vecs @ params.w_tok.T.astype(np.float64) + params.b_tok.astype(np.float64)
+            ).astype(np.float32)
+            cls_vec = (
+                params.w_cls.astype(np.float64) @ cls_slot + params.b_cls.astype(np.float64)
+            ).astype(np.float32)
+            for enc in (
+                encode_document(Document("d", text), tok, stub, params, cfg),
+                encode_query(Query("q", text), tok, stub, params, cfg),
+            ):
+                assert enc.token_vecs.tobytes() == token_vecs.tobytes()
+                assert enc.cls_vec.tobytes() == cls_vec.tobytes()
+
 
 class TestEncodedRecordIo:
     def _encode_all(self, n_t=4, n_c=3):

@@ -1,5 +1,6 @@
 """Property tests: the grouped indexes and the production rankers against
-naive per-occurrence references and the pairwise oracles.
+naive per-occurrence references and the pairwise oracles, and the array
+ranker against sorting every (doc id, score) pair.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -14,6 +15,7 @@ import tempfile
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coil import (
@@ -24,6 +26,7 @@ from coil import (
     EncodedQuery,
     RankedList,
     UNKNOWN_TOKEN_ID,
+    ValidationError,
     bm25_score_pair,
     bm25_search,
     brute_force_search,
@@ -35,6 +38,7 @@ from coil import (
     search,
     tokenize,
 )
+from coil.core import as_score, ranked_list_from_arrays
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -118,6 +122,41 @@ def test_search_equals_brute_force_in_every_served_mode(case):
         for q in queries:
             ranked, _ = search(index, q, k, mode)
             assert ranked.entries == brute_force_search(docs, q, k, mode).entries
+
+
+@st.composite
+def score_arrays(draw):
+    """Up to ~3000 scores: on a coarse grid (ties across the k-th score), on
+    {-0.0, 0.0, 1.0}, or continuous; k from 1 past n, or None."""
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "zeros", "normal"]))
+    if kind == "grid":
+        scores = rng.integers(-3, 4, n) / 3.0
+    elif kind == "zeros":
+        scores = rng.choice([-0.0, 0.0, 1.0], n)
+    else:
+        scores = rng.standard_normal(n)
+    doc_ids = np.array([f"d{i}" for i in rng.permutation(n)], dtype=str)
+    k = draw(st.one_of(st.none(), st.integers(1, n + 3)))
+    poison = draw(st.sampled_from([None, float("nan"), float("inf"), float("-inf")]))
+    if poison is not None and n:
+        scores[rng.integers(n)] = poison
+    return doc_ids, scores, k
+
+
+@PROPERTY
+@given(score_arrays())
+def test_array_ranker_equals_sorting_every_pair(case):
+    doc_ids, scores, k = case
+    if not np.isfinite(scores).all():
+        with pytest.raises(ValidationError, match="non-finite score"):
+            ranked_list_from_arrays("q", doc_ids, scores, k)
+        return
+    got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
+    pairs = [(str(d), as_score(s)) for d, s in zip(doc_ids, scores)]
+    want = RankedList.from_scores("q", pairs, k).entries
+    assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
 
 
 WORDS = [f"w{i}" for i in range(VOCAB)]

@@ -16,6 +16,7 @@ from coil import (
     search,
     search_many,
 )
+from coil.retrieval import _BLOCK_VALUES, _row_dots
 from synth import make_instance
 
 
@@ -35,6 +36,21 @@ def _doc(token_ids, vecs, cls=None, n_t=2, doc_id="d"):
         token_vecs=np.asarray(vecs, dtype=np.float32).reshape(len(token_ids), n_t),
         cls_vec=None if cls is None else np.asarray(cls, dtype=np.float32),
     )
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("width", [1, 32, 768])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_equals_unblocked_bitwise(self, width, dtype):
+        block = _BLOCK_VALUES // width
+        rng = np.random.default_rng(width)
+        vector = rng.standard_normal(width)
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            matrix = rng.standard_normal((n, width)).astype(dtype)
+            got = _row_dots(matrix, vector)
+            want = np.multiply(matrix, vector).sum(axis=1)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestScoreTokPair:
