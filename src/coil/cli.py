@@ -69,7 +69,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
         tokenizer=build_vocab(d.text for d in docs),
         stub=StubContextualizerConfig(seed=args.stub_seed),
         config=config,
-        projection_seed=args.stub_seed,
     )
     params = spec.projection()
     count = write_encoded(

@@ -274,7 +274,6 @@ _META_TYPES = {
     "lowercase": bool,
     "config": dict,
     "stub": dict,
-    "projection_seed": int,
 }
 _STUB_TYPES = {"seed": int, "window": int, "mix_weight": float}
 
@@ -298,11 +297,10 @@ class EncoderSpec:
     tokenizer: TokenizerConfig
     stub: StubContextualizerConfig
     config: CoilConfig
-    projection_seed: int
 
     def projection(self) -> ProjectionParams:
-        """The seeded projection parameters these settings determine."""
-        return seeded_projection(self.config, self.projection_seed)
+        """The projection parameters these settings determine, seeded by the stub seed."""
+        return seeded_projection(self.config, self.stub.seed)
 
     def to_meta(self) -> dict:
         """The JSON form written as the sidecar and stored as ``encoder_meta``."""
@@ -311,7 +309,6 @@ class EncoderSpec:
             "lowercase": self.tokenizer.lowercase,
             "config": asdict(self.config),
             "stub": asdict(self.stub),
-            "projection_seed": self.projection_seed,
         }
 
     @classmethod
@@ -325,7 +322,6 @@ class EncoderSpec:
             tokenizer=TokenizerConfig(meta["lowercase"], vocab),
             stub=StubContextualizerConfig(**stub),
             config=config_from_meta(meta["config"], f"{source}: config"),
-            projection_seed=meta["projection_seed"],
         )
 
 

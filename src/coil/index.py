@@ -1,18 +1,20 @@
 """Contextualized inverted index: build, persist, load, summarize.
 
-Every stored token occurrence lands in exactly one row of exactly one
-per-token vector block, ordered by (document ordinal, position) so the
-scatter targets are nondecreasing and query-time scoring can reduce each
-block with a single segmented max.  Document-level vectors are stacked
-into one matrix addressed by ordinal.
+Every stored token occurrence is one row (token id, document ordinal,
+n_t-wide vector).  Rows are kept sorted by (token id, document ordinal,
+position), so each token's rows form one contiguous inverted list whose
+ordinals are nondecreasing, and query-time scoring can reduce each list
+with a single segmented max.  Document-level vectors are stacked into one
+matrix addressed by ordinal.
 
-On-disk layout (all integers little-endian; see README for the byte-level
-description):
+On-disk layout, version 2 (all integers little-endian; see README for the
+byte-level description):
 
-* ``meta.json``   config, vocabulary, doc table, per-list directory,
-                  corpus checksum, per-file FNV-1a checksums
-* ``postings.bin``  for each token id in ascending order: int32 doc
-                  ordinals then float32 occurrence vectors
+* ``meta.json``   config, vocabulary, doc table, corpus checksum,
+                  per-file FNV-1a checksums, encoder settings
+* ``postings.bin``  three columns over the N sorted rows: N int32 token ids,
+                  N int32 doc ordinals, then N x n_t float32 vectors
+                  (``8 + 4 * n_t`` bytes per row; N follows from the size)
 * ``cls.bin``     float32 matrix, one row per document ordinal
                   (absent when n_c = 0)
 """
@@ -40,7 +42,7 @@ from .core import (
 from .encoding import fnv1a64, vocab_from_meta
 
 INDEX_FORMAT = "coil-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 META_FILE = "meta.json"
 POSTINGS_FILE = "postings.bin"
@@ -52,8 +54,9 @@ class ChecksumError(FormatError):
 
 
 def _posting_row_bytes(n_t: int) -> int:
-    """Bytes one occurrence takes in postings.bin: an int32 ref and an n_t float32 vector."""
-    return 4 + 4 * n_t
+    """Bytes one occurrence takes in postings.bin: an int32 token id, an int32
+    doc ordinal and an n_t float32 vector."""
+    return 8 + 4 * n_t
 
 
 @dataclass
@@ -128,13 +131,15 @@ def group_by_key(keys: np.ndarray, *columns: np.ndarray) -> Iterator[tuple]:
         yield (int(keys[start]), *(column[start:end] for column in columns))
 
 
-def _doc_checksum(state: int, doc: EncodedDocument) -> int:
-    state = fnv1a64(doc.doc_id.encode("utf-8"), state)
-    state = fnv1a64(np.ascontiguousarray(doc.token_ids, dtype=np.int32).tobytes(), state)
-    state = fnv1a64(np.ascontiguousarray(doc.token_vecs, dtype=np.float32).tobytes(), state)
-    if doc.cls_vec is not None:
-        state = fnv1a64(np.ascontiguousarray(doc.cls_vec, dtype=np.float32).tobytes(), state)
-    return state
+def _lists_from_rows(
+    tids: np.ndarray, refs: np.ndarray, vecs: np.ndarray
+) -> dict[int, InvertedList]:
+    """One InvertedList per token id from rows sorted by (token id, ordinal, position)."""
+    starts, ends = run_bounds(tids)
+    return {
+        tid: InvertedList(tid, vecs[start:end], refs[start:end])
+        for tid, start, end in zip(tids[starts].tolist(), starts.tolist(), ends.tolist())
+    }
 
 
 def build_index(
@@ -152,39 +157,42 @@ def build_index(
     n_t, n_c = config.n_t, config.n_c
     doc_table: list[str] = []
     seen_ids: set[str] = set()
+    lengths: list[int] = []
     tid_parts = [np.empty(0, dtype=np.int64)]
-    ref_parts = [np.empty(0, dtype=np.int32)]
     vec_parts = [np.empty((0, n_t), dtype=np.float32)]
-    cls_rows: list[np.ndarray] = []
-    checksum = fnv1a64(b"coil-corpus")
+    cls_rows = [np.empty((0, n_c), dtype=np.float32)]
 
-    for ordinal, doc in enumerate(docs):
+    for doc in docs:
         if doc.doc_id in seen_ids:
             raise ValidationError(f"duplicate doc id {doc.doc_id!r}")
         seen_ids.add(doc.doc_id)
         check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
-        if n_c >= 1:
-            cls_rows.append(np.ascontiguousarray(doc.cls_vec, dtype=np.float32))
         doc_table.append(doc.doc_id)
-        checksum = _doc_checksum(checksum, doc)
+        lengths.append(len(doc.token_ids))
         tid_parts.append(np.asarray(doc.token_ids, dtype=np.int64))
-        ref_parts.append(np.full(len(doc.token_ids), ordinal, dtype=np.int32))
         vec_parts.append(np.asarray(doc.token_vecs, dtype=np.float32))
+        if n_c >= 1:
+            cls_rows.append(np.asarray(doc.cls_vec, dtype=np.float32).reshape(1, n_c))
 
-    # rows enter in (ordinal, position) order, the order each list keeps
-    groups = group_by_key(
-        np.concatenate(tid_parts), np.concatenate(ref_parts), np.concatenate(vec_parts)
-    )
-    lists = {tid: InvertedList(tid, vecs, refs) for tid, refs, vecs in groups}
+    tids = np.concatenate(tid_parts)
+    if len(tids) and (tids.min() < -(2**31) or tids.max() >= 2**31):
+        raise ValidationError("token ids must fit in int32")
+    tids = tids.astype(np.int32)
+    counts = np.asarray(lengths, dtype=np.int32)
+    refs = np.repeat(np.arange(len(doc_table), dtype=np.int32), counts)
+    vecs = np.concatenate(vec_parts)
+    cls_matrix = np.concatenate(cls_rows) if n_c >= 1 else None
 
-    cls_matrix = None
-    if n_c >= 1:
-        cls_matrix = (
-            np.vstack(cls_rows) if cls_rows else np.empty((0, n_c), dtype=np.float32)
-        )
+    checksum = fnv1a64("\n".join(doc_table).encode("utf-8"), fnv1a64(b"coil-corpus"))
+    for column in (counts, tids, vecs, cls_matrix):
+        if column is not None:
+            checksum = fnv1a64(column.tobytes(), checksum)
+
+    # a stable sort keeps each token's rows in (ordinal, position) order
+    order = np.argsort(tids, kind="stable")
     return CoilIndex(
         config=config,
-        lists=lists,
+        lists=_lists_from_rows(tids[order], refs[order], vecs[order]),
         cls_matrix=cls_matrix,
         doc_table=doc_table,
         vocab=dict(vocab) if vocab else {},
@@ -202,18 +210,16 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
     """Write meta.json, postings.bin and (when n_c >= 1) cls.bin."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    n_t = index.config.n_t
-
-    postings_chunks: list[bytes] = []
-    directory: list[list[int]] = []
-    for tid in sorted(index.lists):
-        lst = index.lists[tid]
-        directory.append([tid, len(lst)])
-        postings_chunks.append(np.ascontiguousarray(lst.doc_refs, dtype=np.int32).tobytes())
-        postings_chunks.append(
-            np.ascontiguousarray(lst.vectors, dtype=np.float32).tobytes()
-        )
-    postings_blob = b"".join(postings_chunks)
+    lists = [index.lists[tid] for tid in sorted(index.lists)]
+    tids = np.repeat([lst.token_id for lst in lists], [len(lst) for lst in lists])
+    refs = np.concatenate([np.empty(0, np.int32)] + [lst.doc_refs for lst in lists])
+    vecs = np.concatenate(
+        [np.empty((0, index.config.n_t), np.float32)] + [lst.vectors for lst in lists]
+    )
+    postings_blob = b"".join(
+        column.astype(dtype).tobytes()
+        for column, dtype in ((tids, "<i4"), (refs, "<i4"), (vecs, "<f4"))
+    )
     (out / POSTINGS_FILE).write_bytes(postings_blob)
     checksums = {POSTINGS_FILE: f"{fnv1a64(postings_blob):016x}"}
 
@@ -221,15 +227,15 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         cls_blob = np.ascontiguousarray(index.cls_matrix, dtype=np.float32).tobytes()
         (out / CLS_FILE).write_bytes(cls_blob)
         checksums[CLS_FILE] = f"{fnv1a64(cls_blob):016x}"
+    else:  # a full index saved here before must not leave its CLS rows behind
+        (out / CLS_FILE).unlink(missing_ok=True)
 
     meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "config": asdict(index.config),
-        "num_docs": index.num_docs,
         "doc_table": index.doc_table,
         "vocab": index.vocab,
-        "lists": directory,
         "corpus_checksum": f"{index.corpus_checksum:016x}",
         "checksums": checksums,
         "encoder_meta": index.encoder_meta,
@@ -239,42 +245,32 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
     )
 
 
-def _read_checked(path: Path, checksums: dict, expected_size: int, layout: str) -> bytes:
-    """Read a binary index file, checking its size first, then its checksum."""
+def _read_rows(
+    path: Path, checksums: dict, row_bytes: int, layout: str, expected_rows: int | None = None
+) -> tuple[bytes, int]:
+    """Read a binary index file of fixed-size rows and count them, checking
+    the size first (whole rows, as many as expected), then the checksum."""
     blob = path.read_bytes()
-    if len(blob) != expected_size:
-        raise FormatError(
-            f"{path}: size {len(blob)} does not match meta (expected {expected_size} {layout})"
-        )
+    rows, rest = divmod(len(blob), row_bytes)
+    if rest or expected_rows not in (None, rows):
+        raise FormatError(f"{path}: size {len(blob)} does not fit {layout}")
     stored = checksums.get(path.name)
     actual = f"{fnv1a64(blob):016x}"
     if actual != stored:
         raise ChecksumError(f"{path}: checksum mismatch (stored {stored}, computed {actual})")
-    return blob
+    return blob, rows
 
 
 _META_TYPES = {
     "format": str,
     "version": int,
     "config": dict,
-    "num_docs": int,
     "doc_table": list,
     "vocab": dict,
-    "lists": list,
     "corpus_checksum": str,
     "checksums": dict,
     "encoder_meta": (dict, type(None)),
 }
-
-
-def _is_list_entry(entry: object) -> bool:
-    return (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and type(entry[0]) is int
-        and type(entry[1]) is int
-        and entry[1] >= 0
-    )
 
 
 def load_index(dir_path: str | Path) -> CoilIndex:
@@ -298,51 +294,51 @@ def load_index(dir_path: str | Path) -> CoilIndex:
         raise FormatError(f"{meta_path}: doc_table entries: {exc}") from exc
     if len(set(doc_table)) != num_docs:
         raise FormatError(f"{meta_path}: doc_table holds a duplicate doc id")
-    if meta["num_docs"] != num_docs:
-        raise FormatError(f"{meta_path}: num_docs disagrees with doc_table")
     vocab = vocab_from_meta(meta["vocab"], f"{meta_path}: vocab")
     try:
         corpus_checksum = int(meta["corpus_checksum"], 16)
     except ValueError as exc:
         raise FormatError(f"{meta_path}: corpus_checksum is not hexadecimal") from exc
-    directory = meta["lists"]
-    if not all(_is_list_entry(entry) for entry in directory):
-        raise FormatError(f"{meta_path}: lists must hold [token_id, n_occurrences] pairs")
 
     postings_path = root / POSTINGS_FILE
-    blob = _read_checked(
+    row_bytes = _posting_row_bytes(n_t)
+    blob, n = _read_rows(
         postings_path,
         meta["checksums"],
-        _posting_row_bytes(n_t) * sum(n for _, n in directory),
-        f"for n_t={n_t}; truncated file or wrong n_t",
+        row_bytes,
+        f"whole {row_bytes}-byte rows for n_t={n_t}; truncated file or wrong n_t",
     )
-    lists: dict[int, InvertedList] = {}
-    offset = 0
-    for tid, n_occ in directory:
-        refs = np.frombuffer(blob, dtype="<i4", count=n_occ, offset=offset)
-        offset += 4 * n_occ
-        vecs = np.frombuffer(blob, dtype="<f4", count=n_occ * n_t, offset=offset)
-        offset += 4 * n_occ * n_t
-        # search's segmented max (np.maximum.reduceat) relies on this order
-        if np.any(refs[1:] < refs[:-1]):
-            raise FormatError(f"{postings_path}: doc ordinals decrease in list {tid}")
-        if n_occ and (refs[0] < 0 or refs[-1] >= num_docs):
-            raise FormatError(f"{postings_path}: doc ordinal out of range in list {tid}")
-        lists[tid] = InvertedList(tid, vecs.reshape(n_occ, n_t), refs)
+    tids = np.frombuffer(blob, dtype="<i4", count=n)
+    refs = np.frombuffer(blob, dtype="<i4", count=n, offset=4 * n)
+    vecs = np.frombuffer(blob, dtype="<f4", count=n * n_t, offset=8 * n).reshape(n, n_t)
+    if np.any(tids[1:] < tids[:-1]):
+        raise FormatError(f"{postings_path}: token ids decrease")
+    # search's segmented max (np.maximum.reduceat) relies on this order
+    decreasing = np.flatnonzero((refs[1:] < refs[:-1]) & (tids[1:] == tids[:-1]))
+    if len(decreasing):
+        raise FormatError(
+            f"{postings_path}: doc ordinals decrease in list {tids[decreasing[0]]}"
+        )
+    outside = np.flatnonzero((refs < 0) | (refs >= num_docs))
+    if len(outside):
+        raise FormatError(
+            f"{postings_path}: doc ordinal out of range in list {tids[outside[0]]}"
+        )
 
     cls_matrix = None
     if n_c >= 1:
-        cls_blob = _read_checked(
+        cls_blob, _ = _read_rows(
             root / CLS_FILE,
             meta["checksums"],
-            4 * n_c * num_docs,
-            f"for {num_docs} docs x n_c={n_c}",
+            4 * n_c,
+            f"{num_docs} docs x n_c={n_c}",
+            expected_rows=num_docs,
         )
         cls_matrix = np.frombuffer(cls_blob, dtype="<f4").reshape(num_docs, n_c)
 
     return CoilIndex(
         config=cfg,
-        lists=lists,
+        lists=_lists_from_rows(tids, refs, vecs),
         cls_matrix=cls_matrix,
         doc_table=doc_table,
         vocab=vocab,

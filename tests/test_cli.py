@@ -309,7 +309,9 @@ class TestExitCodes:
         [
             ("build", "enc.jsonl.meta.json", lambda m: m.pop("stub")),
             ("build", "enc.jsonl.meta.json", lambda m: m["config"].update(n_x=1)),
-            ("search", "idx/meta.json", lambda m: m.pop("lists")),
+            ("search", "idx/meta.json", lambda m: m.pop("checksums")),
+            ("search", "idx/meta.json", lambda m: m.update(version=1)),
+            ("build", "enc.jsonl.meta.json", lambda m: m.update(projection_seed=0)),
             ("build", "enc.jsonl", lambda r: r.update(id="d 0")),
             ("build", "enc.jsonl", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
             ("build", "enc.jsonl", lambda r: r.update(id="d0\x00")),
@@ -323,7 +325,9 @@ class TestExitCodes:
         ids=[
             "sidecar-missing-stub",
             "sidecar-unknown-config-key",
-            "meta-missing-lists",
+            "meta-missing-checksums",
+            "meta-version-1",
+            "sidecar-projection-seed",
             "whitespace-id",
             "nan-vector",
             "nul-id",

@@ -584,7 +584,6 @@ class TestEncoderSpec:
             tokenizer=build_vocab(["apple pie"]),
             stub=StubContextualizerConfig(seed=4, window=1),
             config=CoilConfig(n_lm=8, n_t=4, n_c=0),
-            projection_seed=9,
         )
 
     def test_meta_roundtrip(self):
@@ -602,7 +601,7 @@ class TestEncoderSpec:
             (lambda m: m["config"].pop("n_lm"), "config: missing key 'n_lm'"),
             (lambda m: m["config"].update(n_t=True), "config: 'n_t' has the wrong type"),
             (lambda m: m["stub"].update(window="2"), "stub: 'window' has the wrong type"),
-            (lambda m: m.update(projection_seed=1.0), "'projection_seed' has the wrong type"),
+            (lambda m: m.update(projection_seed=4), "unknown key 'projection_seed'"),
             (lambda m: m["vocab"].update(pie="2"), "vocab: token ids must be integers"),
             (lambda m: m.update(lowercase=1), "'lowercase' has the wrong type"),
         ],

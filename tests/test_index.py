@@ -19,6 +19,7 @@ from coil import (
     load_index,
     save_index,
 )
+from coil.encoding import fnv1a64
 from coil.index import InvertedList
 from synth import make_instance
 
@@ -115,6 +116,14 @@ class TestBuild:
         with pytest.raises(ValidationError, match="cls"):
             build_index([doc("d0", [1], [[1, 0]], None)], cfg)
 
+    def test_token_id_beyond_int32_rejected(self):
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0, mode="tok")
+        doc = EncodedDocument(
+            "d0", np.asarray([1, 2**31], dtype=np.int64), np.zeros((2, 2), np.float32), None
+        )
+        with pytest.raises(ValidationError, match="int32"):
+            build_index([doc], cfg)
+
     def test_empty_corpus(self):
         cfg = CoilConfig(n_lm=4, n_t=2, n_c=2, mode="full")
         index = build_index([], cfg)
@@ -147,7 +156,7 @@ class TestPersistence:
 
     def test_encoder_meta_preserved(self, tmp_path):
         inst = make_instance(seed=9, num_docs=5)
-        inst.index.encoder_meta = {"projection_seed": 9, "vocab": inst.index.vocab}
+        inst.index.encoder_meta = {"lowercase": True, "vocab": inst.index.vocab}
         save_index(inst.index, tmp_path / "idx")
         assert load_index(tmp_path / "idx").encoder_meta == inst.index.encoder_meta
 
@@ -201,6 +210,78 @@ class TestPersistence:
         with pytest.raises(FormatError, match="invalid JSON"):
             load_index(tmp_path / "idx")
 
+    def test_version_1_rejected(self, tmp_path):
+        inst = make_instance(seed=15, num_docs=5)
+        save_index(inst.index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            load_index(tmp_path / "idx")
+
+    def test_tok_index_saved_over_full_index_leaves_no_cls(self, tmp_path):
+        idx = tmp_path / "idx"
+        save_index(make_instance(seed=20, num_docs=10).index, idx)
+        tok = make_instance(seed=21, num_docs=10, n_c=0).index
+        save_index(tok, idx)
+        assert not (idx / "cls.bin").exists()
+        on_disk = sum(path.stat().st_size for path in idx.glob("*.bin"))
+        assert index_stats(tok).bytes_on_disk == on_disk
+        assert load_index(idx).cls_matrix is None
+
+    def test_every_token_id_byte_is_checksummed(self, tmp_path):
+        inst = make_instance(seed=22, num_docs=4, vocab_size=6, max_doc_len=4, n_c=0)
+        save_index(inst.index, tmp_path / "idx")
+        rows = sum(len(lst) for lst in inst.index.lists.values())
+        for offset in range(4 * rows):  # the leading int32 token-id column
+            self._corrupt(tmp_path / "idx" / "postings.bin", offset)
+            with pytest.raises(ChecksumError):
+                load_index(tmp_path / "idx")
+            self._corrupt(tmp_path / "idx" / "postings.bin", offset)  # undo
+        assert load_index(tmp_path / "idx").lists.keys() == inst.index.lists.keys()
+
+    @staticmethod
+    def _write_rows(idx, tids, refs, extra=b""):
+        """Replace postings.bin by hand-made v2 columns (n_t = 2, zero vectors)
+        and store their checksum, so only the row checks can reject them."""
+        blob = b"".join(
+            (
+                np.asarray(tids, dtype="<i4").tobytes(),
+                np.asarray(refs, dtype="<i4").tobytes(),
+                np.zeros((len(tids), 2), dtype="<f4").tobytes(),
+                extra,
+            )
+        )
+        (idx / "postings.bin").write_bytes(blob)
+        meta = json.loads((idx / "meta.json").read_text())
+        meta["checksums"]["postings.bin"] = f"{fnv1a64(blob):016x}"
+        (idx / "meta.json").write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize(
+        "tids, refs, extra, message",
+        [
+            ([2, 1, 1], [0, 0, 1], b"", "token ids decrease"),
+            ([1, 1, 2], [1, 0, 0], b"", "doc ordinals decrease in list 1"),
+            ([1, 1, 2], [0, 1, 3], b"", "doc ordinal out of range in list 2"),
+            ([1, 1, 2], [-1, 0, 0], b"", "doc ordinal out of range in list 1"),
+            ([1, 1, 2], [0, 1, 2], b"\0" * 4, "size 52 does not fit whole 16-byte rows"),
+        ],
+        ids=["tids-decrease", "refs-decrease", "ref-is-num-docs", "negative-ref", "partial-row"],
+    )
+    def test_hand_made_rows_rejected(self, tmp_path, tids, refs, extra, message):
+        doc = _docs_by_hand(n_c=0)
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0, mode="tok")
+        docs = [doc(f"d{i}", [1], [[1, 0]], None) for i in range(3)]
+        save_index(build_index(docs, cfg), tmp_path / "idx")
+        self._write_rows(tmp_path / "idx", [1, 1, 2], [0, 2, 1])  # valid rows
+        loaded = load_index(tmp_path / "idx")
+        np.testing.assert_array_equal(loaded.lists[1].doc_refs, [0, 2])
+        np.testing.assert_array_equal(loaded.lists[2].doc_refs, [1])
+        self._write_rows(tmp_path / "idx", tids, refs, extra)
+        with pytest.raises(FormatError, match=message):
+            load_index(tmp_path / "idx")
+
     def test_version_mismatch_rejected(self, tmp_path):
         inst = make_instance(seed=15, num_docs=5)
         save_index(inst.index, tmp_path / "idx")
@@ -214,7 +295,7 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: m.pop("lists"), "missing key 'lists'"),
+            (lambda m: m.update(lists=[]), "unknown key 'lists'"),
             (lambda m: m.pop("doc_table"), "missing key 'doc_table'"),
             (lambda m: m.pop("checksums"), "missing key 'checksums'"),
             (lambda m: m.update(config=[]), "'config' has the wrong type"),
@@ -222,7 +303,7 @@ class TestPersistence:
             (lambda m: m.update(vocab={"a": "1"}), "token ids must be integers"),
             (lambda m: m.update(corpus_checksum=7), "'corpus_checksum' has the wrong type"),
             (lambda m: m.update(corpus_checksum="xyz"), "not hexadecimal"),
-            (lambda m: m["lists"].__setitem__(0, [1, "2"]), "pairs"),
+            (lambda m: m.update(num_docs=5), "unknown key 'num_docs'"),
             (lambda m: m["doc_table"].__setitem__(0, 3), "doc_table entries"),
         ],
     )
