@@ -132,7 +132,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     results = search_many(index, encoded, k=args.k, mode=mode, threads=args.threads)
     if args.instrument:
         for ranked, instr in results:
-            print(json.dumps({"qid": ranked.query_id, **asdict(instr)}))
+            print(json.dumps({"qid": ranked.query_id, **asdict(instr)}), file=sys.stderr)
     run = {ranked.query_id: ranked for ranked, _ in results}
     write_run(run, args.out, tag=args.tag or mode)
     print(f"searched {len(queries)} queries (mode={mode}) -> {args.out}")
@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--instrument",
         action="store_true",
-        help="print per-query work counters as JSON lines",
+        help="print per-query work counters as JSON lines to stderr",
     )
     p.add_argument("--threads", type=int, default=1, help="query-level parallelism")
     p.set_defaults(func=cmd_search)

@@ -7,11 +7,12 @@ ordinals are nondecreasing, and query-time scoring can reduce each list
 with a single segmented max.  Document-level vectors are stacked into one
 matrix addressed by ordinal.
 
-On-disk layout, version 2 (all integers little-endian; see README for the
+On-disk layout, version 3 (all integers little-endian; see README for the
 byte-level description):
 
-* ``meta.json``   config, vocabulary, doc table, corpus checksum,
-                  per-file FNV-1a checksums, encoder settings
+* ``meta.json``   config, vocabulary, doc table, corpus checksum (FNV-1a
+                  64), per-file CRC-32 checksums stored as ``crc32:%08x``,
+                  encoder settings
 * ``postings.bin``  three columns over the N sorted rows: N int32 token ids,
                   N int32 doc ordinals, then N x n_t float32 vectors
                   (``8 + 4 * n_t`` bytes per row; N follows from the size)
@@ -21,6 +22,8 @@ byte-level description):
 from __future__ import annotations
 
 import json
+import os
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -42,7 +45,7 @@ from .core import (
 from .encoding import fnv1a64, vocab_from_meta
 
 INDEX_FORMAT = "coil-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 META_FILE = "meta.json"
 POSTINGS_FILE = "postings.bin"
@@ -206,8 +209,24 @@ def build_index(
 # ---------------------------------------------------------------------------
 
 
+def file_checksum(*buffers) -> str:
+    """The checksum meta.json stores for a binary file made of ``buffers``:
+    CRC-32 over their bytes in order, tagged with the algorithm."""
+    crc = 0
+    for buffer in buffers:
+        crc = zlib.crc32(buffer, crc)
+    return f"crc32:{crc:08x}"
+
+
 def save_index(index: CoilIndex, dir_path: str | Path) -> None:
-    """Write meta.json, postings.bin and (when n_c >= 1) cls.bin."""
+    """Write meta.json, postings.bin and (when n_c >= 1) cls.bin.
+
+    Each file is first written under a temporary name in the target
+    directory, then moved into place with ``os.replace``: the binaries first
+    and meta.json last.  A reader that finds an earlier index's meta.json
+    beside new binaries fails its checksum check, and a failed save leaves
+    no temporary file behind.
+    """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     lists = [index.lists[tid] for tid in sorted(index.lists)]
@@ -216,19 +235,14 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
     vecs = np.concatenate(
         [np.empty((0, index.config.n_t), np.float32)] + [lst.vectors for lst in lists]
     )
-    postings_blob = b"".join(
-        column.astype(dtype).tobytes()
-        for column, dtype in ((tids, "<i4"), (refs, "<i4"), (vecs, "<f4"))
-    )
-    (out / POSTINGS_FILE).write_bytes(postings_blob)
-    checksums = {POSTINGS_FILE: f"{fnv1a64(postings_blob):016x}"}
-
+    files = {
+        POSTINGS_FILE: [
+            np.ascontiguousarray(column, dtype=dtype)
+            for column, dtype in ((tids, "<i4"), (refs, "<i4"), (vecs, "<f4"))
+        ]
+    }
     if index.cls_matrix is not None:
-        cls_blob = np.ascontiguousarray(index.cls_matrix, dtype=np.float32).tobytes()
-        (out / CLS_FILE).write_bytes(cls_blob)
-        checksums[CLS_FILE] = f"{fnv1a64(cls_blob):016x}"
-    else:  # a full index saved here before must not leave its CLS rows behind
-        (out / CLS_FILE).unlink(missing_ok=True)
+        files[CLS_FILE] = [np.ascontiguousarray(index.cls_matrix, dtype="<f4")]
 
     meta = {
         "format": INDEX_FORMAT,
@@ -237,12 +251,26 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "doc_table": index.doc_table,
         "vocab": index.vocab,
         "corpus_checksum": f"{index.corpus_checksum:016x}",
-        "checksums": checksums,
+        "checksums": {name: file_checksum(*columns) for name, columns in files.items()},
         "encoder_meta": index.encoder_meta,
     }
-    (out / META_FILE).write_text(
-        json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+
+    temps = {name: out / f".{name}.tmp{os.getpid()}" for name in [*files, META_FILE]}
+    try:
+        for name, columns in files.items():
+            with open(temps[name], "wb") as f:
+                for column in columns:
+                    f.write(column)
+        temps[META_FILE].write_text(
+            json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+        )
+        for name, temp in temps.items():  # the binaries first, meta.json last
+            os.replace(temp, out / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+    if index.cls_matrix is None:  # an earlier full index must not leave its CLS rows behind
+        (out / CLS_FILE).unlink(missing_ok=True)
 
 
 def _read_rows(
@@ -255,7 +283,7 @@ def _read_rows(
     if rest or expected_rows not in (None, rows):
         raise FormatError(f"{path}: size {len(blob)} does not fit {layout}")
     stored = checksums.get(path.name)
-    actual = f"{fnv1a64(blob):016x}"
+    actual = file_checksum(blob)
     if actual != stored:
         raise ChecksumError(f"{path}: checksum mismatch (stored {stored}, computed {actual})")
     return blob, rows

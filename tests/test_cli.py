@@ -128,14 +128,18 @@ class TestPipeline:
 
     def test_instrument_emits_json_lines(self, workdir, capsys):
         _, idx = _encode_and_build(workdir)
+        capsys.readouterr()
         assert main(
             [
                 "search", str(idx), str(workdir / "queries.jsonl"),
                 str(workdir / "run.txt"), "--mode", "tok", "--instrument",
             ]
         ) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        counters = [json.loads(l) for l in lines if l.startswith("{")]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"searched 3 queries (mode=tok) -> {workdir / 'run.txt'}"
+        ]
+        counters = [json.loads(l) for l in captured.err.splitlines()]
         assert [c["qid"] for c in counters] == ["q0", "q1", "q2"]
         assert counters[2]["lists_touched"] == 0  # all-unseen query
         assert all(
@@ -311,6 +315,14 @@ class TestExitCodes:
             ("build", "enc.jsonl.meta.json", lambda m: m["config"].update(n_x=1)),
             ("search", "idx/meta.json", lambda m: m.pop("checksums")),
             ("search", "idx/meta.json", lambda m: m.update(version=1)),
+            ("search", "idx/meta.json", lambda m: m.update(version=2)),
+            (
+                "search",
+                "idx/meta.json",
+                lambda m: m["checksums"].update(
+                    {"postings.bin": m["checksums"]["postings.bin"].removeprefix("crc32:")}
+                ),
+            ),
             ("build", "enc.jsonl.meta.json", lambda m: m.update(projection_seed=0)),
             ("build", "enc.jsonl", lambda r: r.update(id="d 0")),
             ("build", "enc.jsonl", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
@@ -327,6 +339,8 @@ class TestExitCodes:
             "sidecar-unknown-config-key",
             "meta-missing-checksums",
             "meta-version-1",
+            "meta-version-2",
+            "meta-checksum-without-crc32-prefix",
             "sidecar-projection-seed",
             "whitespace-id",
             "nan-vector",

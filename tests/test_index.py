@@ -4,10 +4,12 @@ import json
 import os
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
+import coil.index
 from coil import (
     ChecksumError,
     CoilConfig,
@@ -19,8 +21,7 @@ from coil import (
     load_index,
     save_index,
 )
-from coil.encoding import fnv1a64
-from coil.index import InvertedList
+from coil.index import InvertedList, file_checksum
 from synth import make_instance
 
 
@@ -230,6 +231,50 @@ class TestPersistence:
         assert index_stats(tok).bytes_on_disk == on_disk
         assert load_index(idx).cls_matrix is None
 
+    def test_checksums_are_crc32_of_each_file(self, tmp_path):
+        save_index(make_instance(seed=23, num_docs=10).index, tmp_path / "idx")
+        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
+        assert meta["checksums"] == {
+            name: f"crc32:{zlib.crc32((tmp_path / 'idx' / name).read_bytes()):08x}"
+            for name in ("postings.bin", "cls.bin")
+        }
+
+    @pytest.mark.parametrize(
+        "n_c, failing_call",
+        [(4, 0), (4, 1), (4, 2), (0, 0), (0, 1)],
+        ids=["full-postings", "full-cls", "full-meta", "tok-postings", "tok-meta"],
+    )
+    def test_interrupted_save_never_mixes_indexes(self, tmp_path, monkeypatch, n_c, failing_call):
+        """A save of a second index that fails at one of its os.replace calls
+        leaves the first index or a checksum failure, never a mix of both."""
+        idx = tmp_path / "idx"
+        old = make_instance(seed=24, num_docs=10).index
+        save_index(old, idx)
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) > failing_call:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(coil.index.os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(make_instance(seed=25, num_docs=10, n_c=n_c).index, idx)
+        monkeypatch.undo()
+        assert sorted(p.name for p in idx.iterdir()) == ["cls.bin", "meta.json", "postings.bin"]
+        if failing_call:  # new binaries sit beside the old meta.json
+            with pytest.raises(ChecksumError):
+                load_index(idx)
+            return
+        loaded = load_index(idx)
+        assert loaded.doc_table == old.doc_table
+        assert loaded.lists.keys() == old.lists.keys()
+        for tid, lst in old.lists.items():
+            assert loaded.lists[tid].vectors.tobytes() == lst.vectors.tobytes()
+            assert loaded.lists[tid].doc_refs.tobytes() == lst.doc_refs.tobytes()
+        assert loaded.cls_matrix.tobytes() == old.cls_matrix.tobytes()
+
     def test_every_token_id_byte_is_checksummed(self, tmp_path):
         inst = make_instance(seed=22, num_docs=4, vocab_size=6, max_doc_len=4, n_c=0)
         save_index(inst.index, tmp_path / "idx")
@@ -243,7 +288,7 @@ class TestPersistence:
 
     @staticmethod
     def _write_rows(idx, tids, refs, extra=b""):
-        """Replace postings.bin by hand-made v2 columns (n_t = 2, zero vectors)
+        """Replace postings.bin by hand-made v3 columns (n_t = 2, zero vectors)
         and store their checksum, so only the row checks can reject them."""
         blob = b"".join(
             (
@@ -255,7 +300,7 @@ class TestPersistence:
         )
         (idx / "postings.bin").write_bytes(blob)
         meta = json.loads((idx / "meta.json").read_text())
-        meta["checksums"]["postings.bin"] = f"{fnv1a64(blob):016x}"
+        meta["checksums"]["postings.bin"] = file_checksum(blob)
         (idx / "meta.json").write_text(json.dumps(meta))
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Property tests: the grouped indexes and the production rankers against
-naive per-occurrence references and the pairwise oracles, and the array
-ranker against sorting every (doc id, score) pair.
+naive per-occurrence references and the pairwise oracles, the array
+ranker against sorting every (doc id, score) pair, and the index file
+checksums against short error bursts.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from coil import (
     Bm25Params,
+    ChecksumError,
     CoilConfig,
     Document,
     EncodedDocument,
@@ -39,6 +41,7 @@ from coil import (
     tokenize,
 )
 from coil.core import as_score, ranked_list_from_arrays
+from synth import make_instance
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -111,6 +114,35 @@ def test_build_index_equals_naive_grouping(case):
             assert lst.vectors.shape == (len(occurrences), config.n_t)
             assert lst.doc_refs.tobytes() == want_refs.tobytes()
             assert lst.vectors.tobytes() == want_vecs.tobytes()
+
+
+@pytest.fixture(scope="module")
+def saved_index(tmp_path_factory):
+    path = tmp_path_factory.mktemp("burst") / "idx"
+    save_index(make_instance(seed=26, num_docs=20).index, path)
+    return path
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(["postings.bin", "cls.bin"]),
+    mask=st.binary(min_size=1, max_size=4).filter(any),
+    data=st.data(),
+)
+def test_every_burst_of_up_to_32_bits_raises_checksum_error(saved_index, name, mask, data):
+    """CRC-32 detects every error burst no longer than 32 bits."""
+    path = saved_index / name
+    original = path.read_bytes()
+    offset = data.draw(st.integers(0, len(original) - len(mask)), label="offset")
+    corrupted = bytearray(original)
+    for i, byte in enumerate(mask):
+        corrupted[offset + i] ^= byte
+    path.write_bytes(bytes(corrupted))
+    try:
+        with pytest.raises(ChecksumError, match=name):
+            load_index(saved_index)
+    finally:
+        path.write_bytes(original)
 
 
 @PROPERTY
