@@ -27,6 +27,7 @@ from .core import (
     CoilConfig,
     FormatError,
     ValidationError,
+    atomic_writer,
     load_documents,
     load_queries,
     read_json,
@@ -71,15 +72,17 @@ def cmd_encode(args: argparse.Namespace) -> int:
         config=config,
     )
     params = spec.projection()
-    count = write_encoded(
-        (encode_document(d, spec.tokenizer, spec.stub, params, config) for d in docs),
-        args.out,
-        config.n_t,
-        config.n_c,
-    )
-    _sidecar_path(args.out).write_text(
-        json.dumps(spec.to_meta(), sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    # the sidecar's text is written before any record and replaces the old
+    # sidecar after the records do, so a failed write keeps both old files
+    with atomic_writer(_sidecar_path(args.out)) as sidecar:
+        sidecar.write(json.dumps(spec.to_meta(), sort_keys=True) + "\n")
+        sidecar.flush()
+        count = write_encoded(
+            (encode_document(d, spec.tokenizer, spec.stub, params, config) for d in docs),
+            args.out,
+            config.n_t,
+            config.n_c,
+        )
     print(f"encoded {count} documents -> {args.out}")
     return 0
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -364,6 +366,40 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 ) from None
             if not line.isspace():
                 yield lineno, line
+
+
+def temp_path(path: str | Path) -> Path:
+    """The name a file is written under before it replaces ``path``:
+    ``.<name>.tmp<pid>`` in the same directory, so the replace stays on one
+    file system."""
+    path = Path(path)
+    return path.parent / f".{path.name}.tmp{os.getpid()}"
+
+
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for UTF-8 text with ``\\n`` line ends, all or nothing.
+
+    The text goes to :func:`temp_path`, which replaces ``path`` only when the
+    block ends without an exception.  Otherwise the temporary file is
+    removed and ``path`` keeps its earlier contents, or stays absent.  A
+    target that exists but is not a regular file, such as ``/dev/stdout`` or
+    a pipe, is a stream that a replace would destroy, so it is written in
+    place.  A symlink is followed, so the file it points to is replaced and
+    the link stays.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    temp = temp_path(path)
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:

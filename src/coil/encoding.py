@@ -15,6 +15,7 @@ through :func:`ingest_encoded`, which reads the line-delimited
 from __future__ import annotations
 
 import json
+import re
 import string
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
@@ -34,6 +35,7 @@ from .core import (
     Query,
     TokenSeq,
     ValidationError,
+    atomic_writer,
     check_encoded_dims,
     check_fields,
     config_from_meta,
@@ -389,13 +391,43 @@ def encode_query(
 ENCODED_FORMAT = "coil-enc"
 ENCODED_VERSION = 1
 
+_NEGATIVE_ZERO = re.compile(r"(?<=[\[,])-0(?=[\],])")
+
+
+def _float_text(values: np.ndarray) -> str:
+    """JSON array text of an array cast to float32, nested like its shape,
+    each entry written ``%.9g`` with ``,`` between entries.
+
+    The cast comes first, as in :func:`~coil.index.build_index`, so a
+    float64 or integer input is rounded once, to the float32 the index
+    would hold.  Nine significant digits land within 5e-9 relative of that
+    float32 value, while the float32 rounding midpoints around it are at
+    least 2**-25 (about 3e-8) relative away, so the float64 a JSON reader
+    parses rounds back to the same float32 (subnormals included).  ``%.9g``
+    spells -0.0 as ``-0``, which JSON reads as the integer 0, so those
+    become ``-0.0``.
+    """
+    values = np.asarray(values, np.float32)
+    template = "%.9g"
+    for width in reversed(values.shape):
+        template = "[" + ",".join([template] * width) + "]"
+    text = template % tuple(values.ravel().tolist())
+    if (np.signbit(values) & (values == 0)).any():
+        text = _NEGATIVE_ZERO.sub("-0.0", text)
+    return text
+
 
 def write_encoded(
     docs: Iterable[EncodedDocument], path: str | Path, n_t: int, n_c: int
 ) -> int:
-    """Write the header line plus one JSON record per document; returns the count."""
+    """Write the header line plus one JSON record per document; returns the count.
+
+    Records hold ``id``, ``token_ids``, ``token_vecs`` and, when n_c >= 1,
+    ``cls_vec``, in that order; every float is written by :func:`_float_text`.
+    The file is replaced only once every record is written.
+    """
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         header = {
             "format": ENCODED_FORMAT,
             "version": ENCODED_VERSION,
@@ -405,16 +437,14 @@ def write_encoded(
         fh.write(json.dumps(header) + "\n")
         for doc in docs:
             check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
-            record: dict = {
-                "id": doc.doc_id,
-                # float32 -> Python float keeps the exact value; json prints
-                # the shortest repr, which round-trips back to the same f32
-                "token_ids": doc.token_ids.tolist(),
-                "token_vecs": doc.token_vecs.tolist(),
-            }
+            record = (
+                f'{{"id": {json.dumps(doc.doc_id)}, '
+                f'"token_ids": [{",".join(map(str, doc.token_ids.tolist()))}], '
+                f'"token_vecs": {_float_text(doc.token_vecs)}'
+            )
             if n_c > 0:
-                record["cls_vec"] = doc.cls_vec.tolist()
-            fh.write(json.dumps(record) + "\n")
+                record += f', "cls_vec": {_float_text(doc.cls_vec)}'
+            fh.write(record + "}\n")
             count += 1
     return count
 

@@ -14,10 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .core import FormatError, RankedList, ValidationError, check_id, read_lines
+from .core import (
+    FormatError,
+    RankedList,
+    ValidationError,
+    atomic_writer,
+    check_id,
+    read_lines,
+)
 
 Run = dict[str, RankedList]
 
@@ -74,13 +82,14 @@ def read_qrels(path: str | Path) -> Qrels:
 
 
 def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         for qid, ranked in run.items():
             for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
                 fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\n")
 
 
 def read_run(path: str | Path) -> Run:
+    """Read a run file; every query and document id must pass the id rule."""
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     for lineno, line in read_lines(path):
         fields = line.split()
@@ -96,13 +105,45 @@ def read_run(path: str | Path) -> Run:
             ) from None
         per_query.setdefault(qid, []).append((rank, doc_id, score))
 
+    # split() already rules out empty ids and whitespace, so printable ids
+    # pass the id rule
+    for qid in per_query:
+        if not qid.isprintable():
+            _check_run_ids(path, qid, ())
     run: Run = {}
     for qid, rows in per_query.items():
-        rows.sort(key=lambda r: r[0])
+        rows.sort(key=itemgetter(0))
+        doc_ids = [r[1] for r in rows]
+        if not "".join(doc_ids).isprintable():
+            _check_run_ids(path, qid, doc_ids)
         if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
             raise FormatError(f"{path}: query {qid!r}: ranks are not 1..{len(rows)}")
         run[qid] = RankedList(qid, [(doc_id, score) for _, doc_id, score in rows])
     return run
+
+
+def _check_run_ids(path: str | Path, qid: str, doc_ids: Sequence[str]) -> None:
+    """The id rule for one query's id and the given doc ids; the error
+    names the first offending line of that query.
+
+    Valid runs get here only when an id holds a character that is not
+    printable yet allowed by the rule (such as U+200B), so reading the file
+    again to find the line costs nothing on the common path.
+    """
+    try:
+        check_id("query", qid)
+        for doc_id in doc_ids:
+            check_id("document", doc_id)
+    except ValidationError as exc:
+        for lineno, line in read_lines(path):
+            fields = line.split()
+            if fields[0] == qid:
+                try:
+                    check_id("query", qid)
+                    check_id("document", fields[2])
+                except ValidationError as line_exc:
+                    raise FormatError(f"{path}: line {lineno}: {line_exc}") from line_exc
+        raise FormatError(f"{path}: query {qid!r}: {exc}") from exc
 
 
 def _check_k(k: int) -> None:

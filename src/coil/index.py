@@ -40,6 +40,7 @@ from .core import (
     check_id,
     config_from_meta,
     read_json,
+    temp_path,
     validate_config,
 )
 from .encoding import fnv1a64, vocab_from_meta
@@ -255,7 +256,7 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "encoder_meta": index.encoder_meta,
     }
 
-    temps = {name: out / f".{name}.tmp{os.getpid()}" for name in [*files, META_FILE]}
+    temps = {name: temp_path(out / name) for name in [*files, META_FILE]}
     try:
         for name, columns in files.items():
             with open(temps[name], "wb") as f:

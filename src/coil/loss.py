@@ -16,7 +16,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FormatError, ValidationError, check_fields, check_id, read_json_lines
+from .core import (
+    FormatError,
+    ValidationError,
+    atomic_writer,
+    check_fields,
+    check_id,
+    read_json_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ def write_training_examples(
     examples: Iterable[TrainingExample], path: str | Path
 ) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         for ex in examples:
             record = {
                 "qid": ex.query_id,

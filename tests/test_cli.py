@@ -1,19 +1,32 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from coil import (
+    EncodedDocument,
     EncoderSpec,
     Query,
+    RankedList,
+    TrainingExample,
+    ValidationError,
     brute_force_search,
+    encode_document,
     encode_query,
     ingest_encoded,
     read_run,
+    write_encoded,
+    write_run,
+    write_training_examples,
 )
 from coil.cli import main
-from coil.core import EncodedQuery
+from coil.core import EncodedQuery, atomic_writer
+from coil.encoding import read_encoded_header
 import numpy as np
 
 CORPUS = [
@@ -392,6 +405,125 @@ class TestExitCodes:
         assert code == 1
 
 
+def _raise_after_two(items):
+    for i, item in enumerate(items):
+        if i == 2:
+            raise ValidationError("stopped after two items")
+        yield item
+
+
+class _RaisingRun(dict):
+    def items(self):
+        return _raise_after_two(super().items())
+
+
+def _encoded_doc(i, n_t=2):
+    return EncodedDocument(
+        f"d{i}", np.array([1], np.int32), np.full((1, n_t), 0.5, np.float32), None
+    )
+
+
+_FAILING_WRITES = {
+    "write_encoded": lambda path: write_encoded(
+        _raise_after_two(_encoded_doc(i) for i in range(3)), path, 2, 0
+    ),
+    # the third record fails check_encoded_dims: a truncated corpus must not land
+    "write_encoded-bad-dims": lambda path: write_encoded(
+        [_encoded_doc(0), _encoded_doc(1), _encoded_doc(2, n_t=3)], path, 2, 0
+    ),
+    "write_run": lambda path: write_run(
+        _RaisingRun({f"q{i}": RankedList(f"q{i}", [("d0", 1.0)]) for i in range(3)}), path
+    ),
+    "write_training_examples": lambda path: write_training_examples(
+        _raise_after_two(TrainingExample(f"q{i}", "d0", ("d1",)) for i in range(3)), path
+    ),
+}
+
+
+class TestInterruptedWrites:
+    """A writer that fails part-way leaves the earlier file, or none, and no temp file."""
+
+    @pytest.mark.parametrize("case", sorted(_FAILING_WRITES))
+    @pytest.mark.parametrize("earlier", [None, "earlier contents\n"])
+    def test_writer_failing_part_way(self, tmp_path, case, earlier):
+        path = tmp_path / "out.txt"
+        if earlier is not None:
+            path.write_text(earlier)
+        with pytest.raises(ValidationError):
+            _FAILING_WRITES[case](path)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out.txt"])
+        if earlier is not None:
+            assert path.read_text() == earlier
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("earlier\n")
+
+        def failing_replace(src, dst):
+            raise OSError("no space left")
+
+        monkeypatch.setattr("coil.core.os.replace", failing_replace)
+        with pytest.raises(OSError, match="no space left"):
+            with atomic_writer(path) as fh:
+                fh.write("new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "earlier\n"
+
+    def test_pipe_target_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "run.pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_run({"q0": RankedList("q0", [("d0", 0.5)])}, fifo, tag="t")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == ["q0 Q0 d0 1 0.5 t\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_encode_failing_part_way_keeps_both_outputs(self, workdir, monkeypatch):
+        enc, _ = _encode_and_build(workdir)
+        sidecar = workdir / "enc.jsonl.meta.json"
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        calls = []
+
+        def encode_two(doc, *args):
+            calls.append(doc.id)
+            if len(calls) > 2:
+                raise ValidationError("encoder stopped")
+            return encode_document(doc, *args)
+
+        monkeypatch.setattr("coil.cli.encode_document", encode_two)
+        argv = ["encode", str(workdir / "corpus.jsonl"), str(enc), *ENCODE_FLAGS, "--n-c", "0"]
+        assert main(argv) == 1
+        after = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        assert after == before and sidecar.name in after
+
+    def test_failed_sidecar_write_keeps_both_earlier_files(self, workdir, monkeypatch):
+        enc, _ = _encode_and_build(workdir)
+        sidecar = workdir / "enc.jsonl.meta.json"
+        earlier = {p: p.read_bytes() for p in (enc, sidecar)}
+        # corpus B shares no document with A, so a mixed pair would show
+        corpus_b = workdir / "corpus_b.jsonl"
+        corpus_b.write_text(json.dumps({"id": "b1", "text": "blue sky over water"}) + "\n")
+        # a lone surrogate cannot be encoded as UTF-8, so the sidecar write fails
+        unencodable = SimpleNamespace(dumps=lambda *args, **kwargs: '{"vocab": "\ud800"}')
+        monkeypatch.setattr("coil.cli.json", unencodable)
+        with pytest.raises(UnicodeEncodeError):
+            main(["encode", str(corpus_b), str(enc), *ENCODE_FLAGS])
+        assert {p: p.read_bytes() for p in earlier} == earlier
+        assert not [p for p in workdir.iterdir() if ".tmp" in p.name]
+
+    def test_encode_through_a_symlink_keeps_the_link(self, workdir):
+        enc, _ = _encode_and_build(workdir)
+        link = workdir / "link.jsonl"
+        link.symlink_to(enc.name)
+        argv = ["encode", str(workdir / "corpus.jsonl"), str(link), *ENCODE_FLAGS, "--n-c", "0"]
+        assert main(argv) == 0
+        assert link.is_symlink() and link.read_bytes() == enc.read_bytes()
+        assert read_encoded_header(enc)["n_c"] == 0
+        assert not [p for p in workdir.iterdir() if ".tmp" in p.name]
+
+
 def _damaged_variants(data: bytes) -> dict[str, bytes]:
     """Empty, cut in half, a non-UTF-8 byte pair inserted, and single-bit flips
     (XOR 0x01 and 0x20) at 8 evenly spaced offsets."""
@@ -458,3 +590,19 @@ class TestCorruptedInputs:
                 assert err.startswith("error:") and "Traceback" not in err, variant
             if not name.endswith(".bin") and not _is_utf8(data):
                 assert code == 2 and str(path) in err, variant
+
+    @pytest.mark.parametrize("char", ["\x00", "\x7f"])
+    @pytest.mark.parametrize("field", [0, 2], ids=["query-id", "doc-id"])
+    def test_control_character_in_run_id_exits_2(self, workdir, capsys, char, field):
+        _, idx = _encode_and_build(workdir)
+        run = workdir / "run.txt"
+        assert main(["search", str(idx), str(workdir / "queries.jsonl"), str(run)]) == 0
+        lines = run.read_text().splitlines()
+        fields = lines[1].split(" ")
+        fields[field] += char
+        lines[1] = " ".join(fields)
+        run.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", str(run), str(workdir / "qrels.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run}: line 2: ") and "control characters" in err

@@ -425,6 +425,55 @@ class TestEncodedRecordIo:
             np.testing.assert_array_equal(back.cls_vec, orig.cls_vec)
             assert back.token_vecs.dtype == np.float32
 
+    def test_record_text_golden(self, tmp_path):
+        # float32 values at 9 significant digits, -0.0 spelled out, the
+        # largest float32 and the smallest subnormal
+        doc = EncodedDocument(
+            "dé",
+            np.array([3, 0], np.int32),
+            np.array([[0.1, -0.0], [1e-7, -2.5]], np.float32),
+            np.array([np.finfo(np.float32).max, 2.0**-149, 0.0], np.float32),
+        )
+        path = tmp_path / "enc.jsonl"
+        write_encoded([doc], path, 2, 3)
+        assert path.read_text().splitlines() == [
+            '{"format": "coil-enc", "version": 1, "n_t": 2, "n_c": 3}',
+            '{"id": "d\\u00e9", "token_ids": [3,0], '
+            '"token_vecs": [[0.100000001,-0.0],[1.00000001e-07,-2.5]], '
+            '"cls_vec": [3.40282347e+38,1.40129846e-45,0]}',
+        ]
+        (back,) = ingest_encoded(path)
+        assert back.token_vecs.tobytes() == doc.token_vecs.tobytes()
+        assert back.cls_vec.tobytes() == doc.cls_vec.tobytes()
+
+    def test_shortest_repr_records_still_read(self, tmp_path):
+        """Records whose floats are the shortest float64 repr (``json.dumps`` of
+        ``.tolist()``) read back to the same arrays as the 9-digit form."""
+        cfg, encoded = self._encode_all()
+        header = {"format": "coil-enc", "version": 1, "n_t": cfg.n_t, "n_c": cfg.n_c}
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            json.dumps(header) + "\n" + "".join(
+                json.dumps(
+                    {
+                        "id": d.doc_id,
+                        "token_ids": d.token_ids.tolist(),
+                        "token_vecs": d.token_vecs.tolist(),
+                        "cls_vec": d.cls_vec.tolist(),
+                    }
+                )
+                + "\n"
+                for d in encoded
+            )
+        )
+        new = tmp_path / "new.jsonl"
+        write_encoded(encoded, new, cfg.n_t, cfg.n_c)
+        assert new.stat().st_size < old.stat().st_size
+        for orig, a, b in zip(encoded, ingest_encoded(old), ingest_encoded(new), strict=True):
+            for field in ("token_ids", "token_vecs", "cls_vec"):
+                assert getattr(a, field).tobytes() == getattr(orig, field).tobytes()
+                assert getattr(b, field).tobytes() == getattr(orig, field).tobytes()
+
     def test_roundtrip_without_cls(self, tmp_path):
         cfg, encoded = self._encode_all(n_c=0)
         path = tmp_path / "enc.jsonl"

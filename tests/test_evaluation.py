@@ -120,6 +120,29 @@ class TestRunIo:
         path.write_text("")
         assert read_run(path) == {}
 
+    @pytest.mark.parametrize("char", ["\x00", "\x7f"])
+    @pytest.mark.parametrize(
+        "lines, kind, lineno",
+        [
+            (["q1 Q0 d1 1 0.9 t", "q1 Q0 d{c}2 2 0.8 t", "q1 Q0 d{c}3 3 0.7 t"], "document", 2),
+            (["q1 Q0 d1 1 0.9 t", "q{c}2 Q0 d1 1 0.8 t"], "query", 2),
+        ],
+        ids=["doc-id", "query-id"],
+    )
+    def test_control_character_id_names_line(self, tmp_path, char, lines, kind, lineno):
+        path = tmp_path / "run.txt"
+        path.write_text("".join(line.format(c=char) + "\n" for line in lines))
+        with pytest.raises(
+            FormatError, match=f"run.txt: line {lineno}: {kind} id .* control characters"
+        ):
+            read_run(path)
+
+    def test_unprintable_but_valid_id_accepted(self, tmp_path):
+        # U+200B is a format character: not printable, yet allowed by the id rule
+        path = tmp_path / "run.txt"
+        path.write_text("q​1 Q0 d​1 1 0.9 t\n")
+        assert read_run(path)["q​1"].doc_ids() == ["d​1"]
+
 
 class TestMrr:
     def test_first_relevant_at_rank_three(self):

@@ -1,7 +1,8 @@
 """Property tests: the grouped indexes and the production rankers against
 naive per-occurrence references and the pairwise oracles, the array
 ranker against sorting every (doc id, score) pair, and the index file
-checksums against short error bursts.
+checksums against short error bursts, and the coil-enc float text
+against every finite float32.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -17,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coil import (
     Bm25Params,
@@ -35,10 +36,12 @@ from coil import (
     build_bm25_index,
     build_index,
     build_vocab,
+    ingest_encoded,
     load_index,
     save_index,
     search,
     tokenize,
+    write_encoded,
 )
 from coil.core import as_score, ranked_list_from_arrays
 from synth import make_instance
@@ -254,3 +257,58 @@ def test_bm25_search_equals_ranking_every_document_by_pair_score(case):
         ]
         want = RankedList.from_scores("q", pairs, k=5)
         assert bm25_search(index, query, 5, params, query_id="q").entries == want.entries
+
+
+F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+F32_MAX = float(np.finfo(np.float32).max)
+SUBNORMALS = [2.0**-149, 2.0**-126 - 2.0**-149]  # the smallest and the largest
+
+
+@pytest.fixture(scope="module")
+def enc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("enc") / "enc.jsonl"
+
+
+@PROPERTY
+@given(
+    rows=st.lists(st.lists(F32, min_size=3, max_size=3), max_size=4),
+    cls_vec=st.lists(F32, min_size=4, max_size=4),
+)
+@example(rows=[[-0.0, SUBNORMALS[0], F32_MAX]], cls_vec=[-F32_MAX, -SUBNORMALS[1], -0.0, 0.0])
+@example(rows=[[-SUBNORMALS[0], 1.0, -F32_MAX]], cls_vec=[SUBNORMALS[1], -0.0, 0.1, -1.0])
+def test_coil_enc_float_text_round_trips_bit_exact(enc_path, rows, cls_vec):
+    doc = EncodedDocument(
+        "d",
+        np.arange(len(rows), dtype=np.int32),
+        np.asarray(rows, np.float32).reshape(len(rows), 3),
+        np.asarray(cls_vec, np.float32),
+    )
+    write_encoded([doc], enc_path, 3, 4)
+    (back,) = ingest_encoded(enc_path)
+    assert back.token_vecs.dtype == back.cls_vec.dtype == np.float32
+    assert back.token_vecs.tobytes() == doc.token_vecs.tobytes()
+    assert back.cls_vec.tobytes() == doc.cls_vec.tobytes()
+
+
+# -0.1321048513056169 lies just past a float32 rounding midpoint: its 9-digit
+# text rounds to the float32 on the other side of it
+F64_IN_F32_RANGE = st.floats(-F32_MAX, F32_MAX, allow_nan=False)
+
+
+@PROPERTY
+@given(
+    rows=st.lists(st.lists(F64_IN_F32_RANGE, min_size=3, max_size=3), max_size=4),
+    cls_vec=st.lists(F64_IN_F32_RANGE, min_size=4, max_size=4),
+)
+@example(rows=[[-0.1321048513056169, 1.0, -0.0]], cls_vec=[-0.5356693565840133, 0.0, 1.0, 2.0])
+def test_coil_enc_float64_input_reads_back_as_its_float32_cast(enc_path, rows, cls_vec):
+    doc = EncodedDocument(
+        "d",
+        np.arange(len(rows), dtype=np.int32),
+        np.asarray(rows, np.float64).reshape(len(rows), 3),
+        np.asarray(cls_vec, np.float64),
+    )
+    write_encoded([doc], enc_path, 3, 4)
+    (back,) = ingest_encoded(enc_path)
+    assert back.token_vecs.tobytes() == doc.token_vecs.astype(np.float32).tobytes()
+    assert back.cls_vec.tobytes() == doc.cls_vec.astype(np.float32).tobytes()
