@@ -3,9 +3,9 @@
 Subcommands: encode, build, search, bm25, eval, sample-negs, stats.
 Exit codes: 0 success, 1 validation error, 2 malformed input or IO error.
 
-`encode` writes a sidecar `<out>.meta.json` with the vocabulary and the
-encoder settings; `build` embeds it into the index so `search` can encode
-raw-text queries the same way the corpus was encoded.
+`encode` writes the vocabulary and the encoder settings into the header of
+its `coil-enc` output; `build` embeds them into the index so `search` can
+encode raw-text queries the same way the corpus was encoded.
 """
 from __future__ import annotations
 
@@ -27,10 +27,8 @@ from .core import (
     CoilConfig,
     FormatError,
     ValidationError,
-    atomic_writer,
     load_documents,
     load_queries,
-    read_json,
     validate_config,
 )
 from .encoding import (
@@ -51,10 +49,6 @@ from .loss import TrainingExample, write_training_examples
 from .retrieval import search_many
 
 
-def _sidecar_path(encoded_path: str) -> Path:
-    return Path(str(encoded_path) + ".meta.json")
-
-
 def cmd_encode(args: argparse.Namespace) -> int:
     docs = load_documents(args.corpus)
     config = validate_config(
@@ -72,17 +66,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
         config=config,
     )
     params = spec.projection()
-    # the sidecar's text is written before any record and replaces the old
-    # sidecar after the records do, so a failed write keeps both old files
-    with atomic_writer(_sidecar_path(args.out)) as sidecar:
-        sidecar.write(json.dumps(spec.to_meta(), sort_keys=True) + "\n")
-        sidecar.flush()
-        count = write_encoded(
-            (encode_document(d, spec.tokenizer, spec.stub, params, config) for d in docs),
-            args.out,
-            config.n_t,
-            config.n_c,
-        )
+    count = write_encoded(
+        (encode_document(d, spec.tokenizer, spec.stub, params, config) for d in docs),
+        args.out,
+        config.n_t,
+        config.n_c,
+        spec,
+    )
     print(f"encoded {count} documents -> {args.out}")
     return 0
 
@@ -90,17 +80,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     header = read_encoded_header(args.encoded)
     n_t, n_c = header["n_t"], header["n_c"]
-    spec = None
-    sidecar = _sidecar_path(args.encoded)
-    if sidecar.exists():
-        spec = EncoderSpec.from_meta(read_json(sidecar), str(sidecar))
-        if (spec.config.n_t, spec.config.n_c) != (n_t, n_c):
-            raise FormatError(
-                f"{sidecar}: encoder settings disagree with {args.encoded} header"
-            )
-        config = spec.config
-    else:
-        config = CoilConfig(n_lm=max(n_t, n_c, 1), n_t=n_t, n_c=n_c)
+    spec = header.get("encoder")
+    config = spec.config if spec else CoilConfig(n_lm=max(n_t, n_c), n_t=n_t, n_c=n_c)
     index = build_index(
         ingest_encoded(args.encoded),
         config,
@@ -122,7 +103,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if not index.encoder_meta:
         raise ValidationError(
             f"{args.index_dir}: index stores no encoder settings; rebuild it from "
-            "an `encode` output with its .meta.json sidecar in place"
+            "a `coil encode` output"
         )
     spec = EncoderSpec.from_meta(
         index.encoder_meta, f"{Path(args.index_dir) / META_FILE}: encoder_meta"

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -36,18 +36,21 @@ def as_score(value: float) -> float:
 
 
 def check_id(kind: str, value: str) -> None:
-    """The id rule: a non-empty string without whitespace or control characters."""
+    """The id rule: a non-empty string free of whitespace, control characters and surrogates."""
     if not isinstance(value, str):
         raise ValidationError(f"{kind} id must be a string")
     if not value:
         raise ValidationError(f"{kind} id must be non-empty")
     if value.isprintable() and " " not in value:
-        return  # neither whitespace nor control characters
+        return  # no whitespace, control character or surrogate
     if any(ch.isspace() for ch in value):
         raise ValidationError(f"{kind} id {value!r} must not contain whitespace")
-    # numpy string arrays drop trailing NULs, so such ids would collide in rankings
-    if any(unicodedata.category(ch) == "Cc" for ch in value):
-        raise ValidationError(f"{kind} id {value!r} must not contain control characters")
+    # numpy string arrays drop trailing NULs, so such ids would collide in rankings,
+    # and a lone surrogate cannot be written as UTF-8
+    if any(unicodedata.category(ch) in ("Cc", "Cs") for ch in value):
+        raise ValidationError(
+            f"{kind} id {value!r} must not contain control characters or surrogates"
+        )
 
 
 @dataclass(frozen=True)
@@ -368,19 +371,13 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def temp_path(path: str | Path) -> Path:
-    """The name a file is written under before it replaces ``path``:
-    ``.<name>.tmp<pid>`` in the same directory, so the replace stays on one
-    file system."""
-    path = Path(path)
-    return path.parent / f".{path.name}.tmp{os.getpid()}"
-
-
 @contextmanager
-def atomic_writer(path: str | Path) -> Iterator[TextIO]:
-    """Open ``path`` for UTF-8 text with ``\\n`` line ends, all or nothing.
+def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for UTF-8 text with ``\\n`` line ends, or for bytes when
+    ``binary``, all or nothing.
 
-    The text goes to :func:`temp_path`, which replaces ``path`` only when the
+    The data goes to ``.<name>.tmp<pid>`` in the same directory, so that the
+    replace stays on one file system, and replaces ``path`` only when the
     block ends without an exception.  Otherwise the temporary file is
     removed and ``path`` keeps its earlier contents, or stays absent.  A
     target that exists but is not a regular file, such as ``/dev/stdout`` or
@@ -388,14 +385,15 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     place.  A symlink is followed, so the file it points to is replaced and
     the link stays.
     """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    open_args = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8", "newline": "\n"}
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, **open_args) as fh:
             yield fh
         return
-    temp = temp_path(path)
+    temp = path.parent / f".{path.name}.tmp{os.getpid()}"
     try:
-        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(temp, **open_args) as fh:
             yield fh
         os.replace(temp, path)
     finally:

@@ -39,7 +39,6 @@ from .core import (
     check_encoded_dims,
     check_fields,
     config_from_meta,
-    read_json_lines,
     read_lines,
     validate_config,
 )
@@ -291,9 +290,9 @@ def vocab_from_meta(vocab: dict, source: str) -> dict[str, int]:
 class EncoderSpec:
     """Every setting that must match between corpus and query encoding.
 
-    Its JSON form is the ``coil encode`` sidecar and the ``encoder_meta``
-    stored in an index; :meth:`to_meta` and :meth:`from_meta` are the only
-    writer and reader of that layout.
+    Its JSON form is the ``encoder`` key of a coil-enc header and the
+    ``encoder_meta`` stored in an index; :meth:`to_meta` and :meth:`from_meta`
+    are the only writer and reader of that layout.
     """
 
     tokenizer: TokenizerConfig
@@ -305,7 +304,7 @@ class EncoderSpec:
         return seeded_projection(self.config, self.stub.seed)
 
     def to_meta(self) -> dict:
-        """The JSON form written as the sidecar and stored as ``encoder_meta``."""
+        """The JSON form written in a coil-enc header and stored as ``encoder_meta``."""
         return {
             "vocab": self.tokenizer.vocab,
             "lowercase": self.tokenizer.lowercase,
@@ -418,22 +417,26 @@ def _float_text(values: np.ndarray) -> str:
 
 
 def write_encoded(
-    docs: Iterable[EncodedDocument], path: str | Path, n_t: int, n_c: int
+    docs: Iterable[EncodedDocument],
+    path: str | Path,
+    n_t: int,
+    n_c: int,
+    encoder: EncoderSpec | None = None,
 ) -> int:
     """Write the header line plus one JSON record per document; returns the count.
 
+    The header holds ``encoder.to_meta()`` under ``encoder`` when one is given.
     Records hold ``id``, ``token_ids``, ``token_vecs`` and, when n_c >= 1,
     ``cls_vec``, in that order; every float is written by :func:`_float_text`.
     The file is replaced only once every record is written.
     """
+    header = {"format": ENCODED_FORMAT, "version": ENCODED_VERSION, "n_t": n_t, "n_c": n_c}
+    if encoder is not None:
+        if (encoder.config.n_t, encoder.config.n_c) != (n_t, n_c):
+            raise ValidationError(f"encoder settings disagree with n_t={n_t}, n_c={n_c}")
+        header["encoder"] = encoder.to_meta()
     count = 0
     with atomic_writer(path) as fh:
-        header = {
-            "format": ENCODED_FORMAT,
-            "version": ENCODED_VERSION,
-            "n_t": n_t,
-            "n_c": n_c,
-        }
         fh.write(json.dumps(header) + "\n")
         for doc in docs:
             check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
@@ -449,46 +452,61 @@ def write_encoded(
     return count
 
 
-def read_encoded_header(path: str | Path) -> dict:
-    """Parse and check line 1 of a coil-enc file."""
-    with closing(read_lines(path)) as lines:
-        lineno, line = next(lines, (1, ""))
+def _parse_header(path: str | Path, lines: Iterator[tuple[int, str]]) -> dict:
+    """:func:`read_encoded_header` on the first of ``lines``, which the caller
+    may go on reading."""
+    lineno, line = next(lines, (1, ""))
+    where = f"{path}: line 1"
     try:
         header = json.loads(line if lineno == 1 else "")  # a blank line 1 is no header
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line 1: invalid header JSON: {exc}") from exc
+        raise FormatError(f"{where}: invalid header JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != ENCODED_FORMAT:
-        raise FormatError(f"{path}: line 1: not a {ENCODED_FORMAT} file")
+        raise FormatError(f"{where}: not a {ENCODED_FORMAT} file")
     if header.get("version") != ENCODED_VERSION:
-        raise FormatError(
-            f"{path}: line 1: unsupported version {header.get('version')!r}"
-        )
+        raise FormatError(f"{where}: unsupported version {header.get('version')!r}")
     n_t, n_c = header.get("n_t"), header.get("n_c")
-    if not isinstance(n_t, int) or not isinstance(n_c, int) or n_t < 0 or n_c < 0:
-        raise FormatError(f"{path}: line 1: header n_t/n_c must be non-negative ints")
+    # the CoilConfig rule; bools are ints to Python
+    if type(n_t) is not int or type(n_c) is not int or min(n_t, n_c) < 0 or n_t == n_c == 0:
+        raise FormatError(f"{where}: header n_t/n_c must be non-negative ints, not both 0")
+    if "encoder" in header:
+        spec = header["encoder"] = EncoderSpec.from_meta(header["encoder"], f"{where}: encoder")
+        if (spec.config.n_t, spec.config.n_c) != (n_t, n_c):
+            raise FormatError(f"{where}: encoder settings disagree with the header's n_t/n_c")
     return header
+
+
+def read_encoded_header(path: str | Path) -> dict:
+    """Parse and check line 1 of a coil-enc file; an ``encoder`` key comes
+    back as an :class:`EncoderSpec`."""
+    with closing(read_lines(path)) as lines:
+        return _parse_header(path, lines)
 
 
 def ingest_encoded(path: str | Path) -> Iterator[EncodedDocument]:
     """Stream EncodedDocuments from a coil-enc file, validating against its header."""
-    header = read_encoded_header(path)
+    lines = read_lines(path)
+    header = _parse_header(path, lines)
     n_t, n_c = header["n_t"], header["n_c"]
-    records = read_json_lines(path)
-    next(records)  # line 1, the header
-    for lineno, obj in records:
+    for lineno, line in lines:
         where = f"{path}: line {lineno}"
         try:
+            obj = json.loads(line)
             doc_id, raw_ids = obj["id"], obj["token_ids"]
             # bools are ints to Python; a fractional id would be truncated
             if not all(type(t) is int and t >= 0 for t in raw_ids):
                 raise ValueError("token_ids must be non-negative integers")
             token_ids = np.asarray(raw_ids, dtype=np.int32)
-            token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
+            # a value beyond float32 casts to inf, which the record rule rejects
+            with np.errstate(over="ignore"):
+                token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
+                cls_vec = None
+                if "cls_vec" in obj:
+                    cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
             if token_vecs.shape == (0,):  # "token_vecs": [] parses without a row width
                 token_vecs = token_vecs.reshape(0, n_t)
-            cls_vec = None
-            if "cls_vec" in obj:
-                cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: invalid JSON: {exc}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{where}: malformed record: {exc}") from exc
         try:

@@ -22,8 +22,9 @@ byte-level description):
 from __future__ import annotations
 
 import json
-import os
+import os  # noqa: F401  tests patch atomic_writer's os.replace as coil.index.os.replace
 import zlib
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -35,12 +36,12 @@ from .core import (
     EncodedDocument,
     FormatError,
     ValidationError,
+    atomic_writer,
     check_encoded_dims,
     check_fields,
     check_id,
     config_from_meta,
     read_json,
-    temp_path,
     validate_config,
 )
 from .encoding import fnv1a64, vocab_from_meta
@@ -222,11 +223,11 @@ def file_checksum(*buffers) -> str:
 def save_index(index: CoilIndex, dir_path: str | Path) -> None:
     """Write meta.json, postings.bin and (when n_c >= 1) cls.bin.
 
-    Each file is first written under a temporary name in the target
-    directory, then moved into place with ``os.replace``: the binaries first
-    and meta.json last.  A reader that finds an earlier index's meta.json
-    beside new binaries fails its checksum check, and a failed save leaves
-    no temporary file behind.
+    Each file goes through :func:`~coil.core.atomic_writer`, and all of them
+    are replaced only once every one is written: the binaries first and
+    meta.json last.  A reader that finds an earlier index's meta.json beside
+    new binaries fails its checksum check, and a failed save leaves no
+    temporary file behind.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,20 +257,16 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "encoder_meta": index.encoder_meta,
     }
 
-    temps = {name: temp_path(out / name) for name in [*files, META_FILE]}
-    try:
-        for name, columns in files.items():
-            with open(temps[name], "wb") as f:
-                for column in columns:
-                    f.write(column)
-        temps[META_FILE].write_text(
-            json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+    # an ExitStack leaves its writers in reverse order, so the files are
+    # replaced in the order postings.bin, cls.bin, meta.json
+    with ExitStack() as stack:
+        stack.enter_context(atomic_writer(out / META_FILE)).write(
+            json.dumps(meta, sort_keys=True) + "\n"
         )
-        for name, temp in temps.items():  # the binaries first, meta.json last
-            os.replace(temp, out / name)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
+        for name in reversed(files):
+            fh = stack.enter_context(atomic_writer(out / name, binary=True))
+            for column in files[name]:
+                fh.write(column)
     if index.cls_matrix is None:  # an earlier full index must not leave its CLS rows behind
         (out / CLS_FILE).unlink(missing_ok=True)
 

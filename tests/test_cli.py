@@ -4,13 +4,11 @@ import json
 import os
 import stat
 import threading
-from types import SimpleNamespace
 
 import pytest
 
 from coil import (
     EncodedDocument,
-    EncoderSpec,
     Query,
     RankedList,
     TrainingExample,
@@ -58,6 +56,16 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _without_encoder(**fields):
+    """A coil-enc header edit that drops the encoder settings and sets ``fields``."""
+
+    def edit(header):
+        del header["encoder"]
+        header.update(fields)
+
+    return edit
+
+
 def _encode_and_build(workdir, extra=()):
     enc = workdir / "enc.jsonl"
     idx = workdir / "idx"
@@ -80,9 +88,8 @@ class TestPipeline:
         assert code == 0
         run = read_run(run_path)
         docs = list(ingest_encoded(enc))
-        # encode queries exactly as the CLI does, via the sidecar settings
-        sidecar = workdir / "enc.jsonl.meta.json"
-        spec = EncoderSpec.from_meta(json.loads(sidecar.read_text()), str(sidecar))
+        # encode queries exactly as the CLI does, via the header's encoder settings
+        spec = read_encoded_header(enc)["encoder"]
         params = spec.projection()
         for q in QUERIES:
             enc_q = encode_query(
@@ -97,16 +104,32 @@ class TestPipeline:
                 for (_, gs), (_, ws) in zip(got.entries, want.entries):
                     assert gs == pytest.approx(ws, rel=1e-5)
 
-    def test_sidecar_roundtrips_through_encoder_spec(self, workdir):
+    def test_header_roundtrips_through_encoder_spec(self, workdir):
         enc = workdir / "enc.jsonl"
         flags = [*ENCODE_FLAGS, "--layer-norm", "--max-doc-tokens", "4"]
         assert main(["encode", str(workdir / "corpus.jsonl"), str(enc), *flags]) == 0
-        sidecar = workdir / "enc.jsonl.meta.json"
-        meta = json.loads(sidecar.read_text())
-        spec = EncoderSpec.from_meta(meta, str(sidecar))
+        line = enc.read_text().splitlines()[0]
+        spec = read_encoded_header(enc)["encoder"]
         assert spec.config.mode == "full" and spec.config.cls_layer_norm
-        assert spec.to_meta() == meta
-        assert json.dumps(spec.to_meta(), sort_keys=True) + "\n" == sidecar.read_text()
+        header = {"format": "coil-enc", "version": 1, "n_t": 8, "n_c": 6}
+        assert json.dumps({**header, "encoder": spec.to_meta()}) == line
+
+    def test_encode_writes_one_file(self, workdir):
+        out = workdir / "out"
+        out.mkdir()
+        argv = ["encode", str(workdir / "corpus.jsonl"), str(out / "enc.jsonl"), *ENCODE_FLAGS]
+        assert main(argv) == 0
+        assert [p.name for p in out.iterdir()] == ["enc.jsonl"]
+
+    def test_leftover_sidecar_is_never_read(self, workdir):
+        stale = workdir / "enc.jsonl.meta.json"
+        stale.write_text("not json\n")
+        enc, idx = _encode_and_build(workdir)
+        assert stale.read_text() == "not json\n"
+        meta = json.loads((idx / "meta.json").read_text())
+        assert meta["encoder_meta"] == read_encoded_header(enc)["encoder"].to_meta()
+        queries = str(workdir / "queries.jsonl")
+        assert main(["search", str(idx), queries, str(workdir / "r.txt")]) == 0
 
     def test_encode_deterministic_and_idempotent(self, workdir):
         enc_a = workdir / "a.jsonl"
@@ -209,9 +232,12 @@ class TestPipeline:
         assert main(["encode", str(empty), str(enc), *ENCODE_FLAGS]) == 0
         assert len(enc.read_text().splitlines()) == 1
 
-    def test_build_without_sidecar_still_works(self, workdir):
+    def test_build_without_encoder_settings_still_works(self, workdir):
         enc, _ = _encode_and_build(workdir)
-        (workdir / "enc.jsonl.meta.json").unlink()
+        lines = enc.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["encoder"]
+        enc.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         idx2 = workdir / "idx2"
         assert main(["build", str(enc), str(idx2)]) == 0
         # but searching raw text queries now has no encoder settings
@@ -324,8 +350,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, name, edit",
         [
-            ("build", "enc.jsonl.meta.json", lambda m: m.pop("stub")),
-            ("build", "enc.jsonl.meta.json", lambda m: m["config"].update(n_x=1)),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"].pop("stub")),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"]["config"].update(n_x=1)),
             ("search", "idx/meta.json", lambda m: m.pop("checksums")),
             ("search", "idx/meta.json", lambda m: m.update(version=1)),
             ("search", "idx/meta.json", lambda m: m.update(version=2)),
@@ -336,30 +362,38 @@ class TestExitCodes:
                     {"postings.bin": m["checksums"]["postings.bin"].removeprefix("crc32:")}
                 ),
             ),
-            ("build", "enc.jsonl.meta.json", lambda m: m.update(projection_seed=0)),
-            ("build", "enc.jsonl", lambda r: r.update(id="d 0")),
-            ("build", "enc.jsonl", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
-            ("build", "enc.jsonl", lambda r: r.update(id="d0\x00")),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"].update(projection_seed=0)),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"]["config"].update(n_t=4)),
+            ("build", "enc.jsonl:1", _without_encoder(n_t=True, n_c=False)),
+            ("build", "enc.jsonl:1", _without_encoder(n_t=0, n_c=0)),
+            ("build", "enc.jsonl:2", lambda r: r.update(id="d 0")),
+            ("build", "enc.jsonl:2", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
+            ("build", "enc.jsonl:2", lambda r: r.update(id="d0\x00")),
             ("encode", "corpus.jsonl", lambda r: r.update(id="d 0")),
             ("bm25", "corpus.jsonl", lambda r: r.update(id="d\x00")),
+            ("bm25", "corpus.jsonl", lambda r: r.update(id="d\ud800")),
             ("search", "queries.jsonl", lambda r: r.update(id="q\x00")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, " ")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "d1")),
         ],
         ids=[
-            "sidecar-missing-stub",
-            "sidecar-unknown-config-key",
+            "header-encoder-missing-stub",
+            "header-encoder-unknown-config-key",
             "meta-missing-checksums",
             "meta-version-1",
             "meta-version-2",
             "meta-checksum-without-crc32-prefix",
-            "sidecar-projection-seed",
+            "header-encoder-projection-seed",
+            "header-encoder-disagrees-with-n_t",
+            "header-bool-dims",
+            "header-zero-dims",
             "whitespace-id",
             "nan-vector",
             "nul-id",
             "corpus-whitespace-id",
             "corpus-nul-id",
+            "corpus-surrogate-id",
             "query-nul-id",
             "meta-empty-doc-id",
             "meta-whitespace-doc-id",
@@ -368,9 +402,10 @@ class TestExitCodes:
     )
     def test_malformed_input_exits_2(self, workdir, capsys, command, name, edit):
         enc, idx = _encode_and_build(workdir)
+        name, _, line = name.partition(":")  # a coil-enc line: 1 the header, 2 a record
         path = workdir / name
         lines = path.read_text().splitlines()
-        row = 1 if name == "enc.jsonl" else 0  # the first coil-enc record
+        row = int(line or 1) - 1
         obj = json.loads(lines[row])
         edit(obj)
         lines[row] = json.dumps(obj)
@@ -480,9 +515,8 @@ class TestInterruptedWrites:
         assert not reader.is_alive() and got == ["q0 Q0 d0 1 0.5 t\n"]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
-    def test_encode_failing_part_way_keeps_both_outputs(self, workdir, monkeypatch):
+    def test_encode_failing_part_way_keeps_the_earlier_file(self, workdir, monkeypatch):
         enc, _ = _encode_and_build(workdir)
-        sidecar = workdir / "enc.jsonl.meta.json"
         before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
         calls = []
 
@@ -496,22 +530,7 @@ class TestInterruptedWrites:
         argv = ["encode", str(workdir / "corpus.jsonl"), str(enc), *ENCODE_FLAGS, "--n-c", "0"]
         assert main(argv) == 1
         after = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
-        assert after == before and sidecar.name in after
-
-    def test_failed_sidecar_write_keeps_both_earlier_files(self, workdir, monkeypatch):
-        enc, _ = _encode_and_build(workdir)
-        sidecar = workdir / "enc.jsonl.meta.json"
-        earlier = {p: p.read_bytes() for p in (enc, sidecar)}
-        # corpus B shares no document with A, so a mixed pair would show
-        corpus_b = workdir / "corpus_b.jsonl"
-        corpus_b.write_text(json.dumps({"id": "b1", "text": "blue sky over water"}) + "\n")
-        # a lone surrogate cannot be encoded as UTF-8, so the sidecar write fails
-        unencodable = SimpleNamespace(dumps=lambda *args, **kwargs: '{"vocab": "\ud800"}')
-        monkeypatch.setattr("coil.cli.json", unencodable)
-        with pytest.raises(UnicodeEncodeError):
-            main(["encode", str(corpus_b), str(enc), *ENCODE_FLAGS])
-        assert {p: p.read_bytes() for p in earlier} == earlier
-        assert not [p for p in workdir.iterdir() if ".tmp" in p.name]
+        assert after == before and enc.name in after
 
     def test_encode_through_a_symlink_keeps_the_link(self, workdir):
         enc, _ = _encode_and_build(workdir)
@@ -559,7 +578,6 @@ class TestCorruptedInputs:
             ("corpus.jsonl", "encode"),
             ("queries.jsonl", "search"),
             ("enc.jsonl", "build"),
-            ("enc.jsonl.meta.json", "build"),
             ("idx/meta.json", "search"),
             ("idx/postings.bin", "search"),
             ("idx/cls.bin", "search"),

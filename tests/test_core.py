@@ -98,7 +98,7 @@ class TestIds:
         with pytest.raises(ValidationError, match="whitespace"):
             Query(bad, "text")
 
-    @pytest.mark.parametrize("bad", ["d\x00", "\x00", "a\x7fb", "x\x1b"])
+    @pytest.mark.parametrize("bad", ["d\x00", "\x00", "a\x7fb", "x\x1b", "d\ud800"])
     @pytest.mark.parametrize(
         "make",
         [
@@ -119,7 +119,7 @@ class TestIds:
         Query("q1", "")
 
     @pytest.mark.parametrize("load", [load_documents, load_queries])
-    @pytest.mark.parametrize("bad", ["", "a b", "d\x00"])
+    @pytest.mark.parametrize("bad", ["", "a b", "d\x00", "d\udc80"])
     def test_file_boundary_names_line(self, tmp_path, load, bad):
         path = tmp_path / "records.jsonl"
         records = [{"id": "ok", "text": "a"}, {"id": bad, "text": "b"}]

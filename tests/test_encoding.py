@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -557,6 +558,11 @@ class TestEncodedRecordIo:
             ('{"id":"d0","token_ids":[1.7],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
             ('{"id":"d0","token_ids":[true],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
             ('{"id":"d0","token_ids":1,"token_vecs":[[0.5,0.5]]}', "malformed"),
+            ('{"id":"d0","token_ids":[1],"token_vecs":[[1e39,0.5]]}', "non-finite token"),
+            (
+                '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]],"cls_vec":[-1e39]}',
+                "non-finite cls_vec",
+            ),
         ],
     )
     def test_bad_record_rejected_with_line(self, tmp_path, record, message):
@@ -664,3 +670,31 @@ class TestEncoderSpec:
     def test_from_meta_rejects_non_object(self):
         with pytest.raises(FormatError, match="expected a JSON object"):
             EncoderSpec.from_meta([], "sidecar")
+
+    def test_coil_enc_header_carries_the_spec(self, tmp_path):
+        spec, path = self._spec(), tmp_path / "enc.jsonl"
+        assert write_encoded([], path, 4, 0, spec) == 0
+        assert read_encoded_header(path)["encoder"] == spec
+        with pytest.raises(ValidationError, match="disagree with n_t=4, n_c=2"):
+            write_encoded([], path, 4, 2, spec)
+        assert read_encoded_header(path)["encoder"] == spec
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h["encoder"].pop("stub"), "encoder: missing key 'stub'"),
+            (lambda h: h["encoder"].update(vocab=[]), "encoder: 'vocab' has the wrong type"),
+            (lambda h: h.update(n_t=2), "encoder settings disagree with the header's n_t/n_c"),
+            (lambda h: h.update(n_t=True), "header n_t/n_c must be non-negative ints"),
+            (lambda h: h.update(n_t=0), "header n_t/n_c must be .*not both 0"),
+        ],
+    )
+    def test_bad_coil_enc_header_names_line_1(self, tmp_path, edit, message):
+        path = tmp_path / "enc.jsonl"
+        header = {"format": "coil-enc", "version": 1, "n_t": 4, "n_c": 0}
+        header["encoder"] = self._spec().to_meta()
+        edit(header)
+        path.write_text(json.dumps(header) + "\n")
+        for read in (read_encoded_header, lambda p: list(ingest_encoded(p))):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 1: {message}"):
+                read(path)
