@@ -337,7 +337,8 @@ def ranked_list_from_arrays(
     Only the scores at or above the k-th best (every tie at the cut
     included) are sorted, so the result equals a sort of all of them.
     """
-    reported = scores.astype(np.float32)
+    with np.errstate(over="ignore"):  # a score past the float32 range raises below
+        reported = scores.astype(np.float32)
     finite = np.isfinite(reported)
     if not finite.all():
         bad = int(np.argmin(finite))

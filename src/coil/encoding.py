@@ -280,9 +280,15 @@ _STUB_TYPES = {"seed": int, "window": int, "mix_weight": float}
 
 
 def vocab_from_meta(vocab: dict, source: str) -> dict[str, int]:
-    """Check that a JSON vocabulary maps every token to an integer id."""
-    if not all(type(i) is int for i in vocab.values()):
-        raise FormatError(f"{source}: token ids must be integers")
+    """Check the vocabulary rule: every token maps to an int id in [1, 2**31).
+
+    Id 0 is reserved for unknown tokens, and indexes store ids as int32.
+    """
+    for token, token_id in vocab.items():
+        if type(token_id) is not int:
+            raise FormatError(f"{source}: token ids must be integers")
+        if not 1 <= token_id < 2**31:
+            raise FormatError(f"{source}: token {token!r} has id {token_id}, not in [1, 2**31)")
     return vocab
 
 

@@ -22,7 +22,6 @@ byte-level description):
 from __future__ import annotations
 
 import json
-import os  # noqa: F401  tests patch atomic_writer's os.replace as coil.index.os.replace
 import zlib
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field

@@ -1,19 +1,20 @@
 """Query-time scoring: indexed search and brute-force pairwise oracles.
 
 The indexed path and the pairwise oracles must agree exactly in ordering,
-so both funnel every dot product through `_row_dots` (elementwise multiply
-then a row-wise float64 reduction) and accumulate per-document sums in
-ascending query-position order.  That keeps the arithmetic bitwise
-identical between the two routes; the reported float32 cast then cannot
-disagree either.
+so both funnel every dot product through `_dots` (one float64 `einsum`)
+and accumulate per-document sums in ascending query-position order.  A
+cell of `_dots` does not depend on how many matrix rows or query rows are
+scored with it, so the arithmetic is bitwise identical between the two
+routes; the reported float32 cast then cannot disagree either.
 
-Both hot steps are exact.  `_row_dots` works through a long matrix (the
-CLS matrix of every document, a long inverted list) in blocks of about
-256 KB of float64 products rather than one matrix-sized temporary; each
-row is still reduced on its own, so the dots do not depend on where the
-blocks fall.  `ranked_list_from_arrays` finds the k-th best float32 score
-with a partition and sorts only the scores at or above it, every tie at
-the cut included, so its entries equal those of sorting every score.
+Both hot steps are exact.  `einsum` casts each float32 entry to float64
+as it multiplies, so no float64 copy of a matrix is built.  `search_many`
+scores the CLS term for a block of up to `_QUERY_BLOCK` queries in one
+pass over the CLS matrix, then scores the inverted lists and ranks each
+query on its own; `search` is a block of one.  `ranked_list_from_arrays`
+finds the k-th best float32 score with a partition and sorts only the
+scores at or above it, every tie at the cut included, so its entries
+equal those of sorting every score.
 
 Query positions with the unknown token id (0) are skipped by the lexical
 scorers: an out-of-vocabulary token matches nothing, not other unknowns.
@@ -53,29 +54,17 @@ class SearchInstrumentation:
     candidates: int
 
 
-_BLOCK_VALUES = 32768  # products per block: 256 KB of float64, well inside L2
+_QUERY_BLOCK = 32  # queries per CLS scan: bounds its scores at 32 x num_docs float64
 
 
-def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Per-row dot products, float64 for the float64 vectors every caller passes.
+def _dots(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Float64 dots of every query row with every matrix row, shape (queries, rows).
 
-    A matrix longer than one block (``_BLOCK_VALUES // width`` rows) is
-    multiplied a block at a time into one reused buffer, and each block is
-    summed into the result, so no matrix-sized temporary is built.  Every
-    row is reduced on its own, so the result is bitwise that of
-    ``np.multiply(matrix, vector).sum(axis=1)`` whatever the row count or
-    the block boundaries; the indexed path and the oracles share this helper.
+    A cell's value does not depend on how many rows or query rows are
+    scored with it, nor on where the rows start in memory, so the indexed
+    path and the oracles, which share this helper, agree bit for bit.
     """
-    n, width = matrix.shape
-    rows = max(1, _BLOCK_VALUES // max(width, 1))
-    if n <= rows:
-        return np.multiply(matrix, vector).sum(axis=1)
-    result = np.empty(n, dtype=np.result_type(matrix, vector))
-    buffer = np.empty((rows, width), dtype=result.dtype)
-    for start in range(0, n, rows):
-        block = np.multiply(matrix[start : start + rows], vector, out=buffer[: n - start])
-        block.sum(axis=1, out=result[start : start + rows])
-    return result
+    return np.einsum("ij,kj->ki", matrix, queries, dtype=np.float64)
 
 
 def _check_token_dims(q: EncodedQuery, d: EncodedDocument) -> None:
@@ -98,8 +87,7 @@ def _tok_score_f64(q: EncodedQuery, d: EncodedDocument) -> tuple[float, bool]:
         if len(rows) == 0:
             continue
         matched = True
-        dots = _row_dots(d.token_vecs[rows], q.token_vecs[i].astype(np.float64))
-        total += float(dots.max())
+        total += float(_dots(d.token_vecs[rows], q.token_vecs[i : i + 1]).max())
     return total, matched
 
 
@@ -115,7 +103,7 @@ def _cls_dot_f64(q: EncodedQuery, d: EncodedDocument) -> float:
     if q.cls_vec is None or d.cls_vec is None:
         raise ValidationError("cls scoring requires cls vectors on both sides")
     _check_cls_dims(q, d)
-    return float(_row_dots(d.cls_vec[None, :], q.cls_vec.astype(np.float64))[0])
+    return float(_dots(d.cls_vec[None, :], q.cls_vec[None, :])[0, 0])
 
 
 def score_tok_pair(q: EncodedQuery, d: EncodedDocument) -> float:
@@ -171,8 +159,11 @@ def score_all_to_all_pair(q: EncodedQuery, d: EncodedDocument) -> float:
     return as_score(float(sims.max(axis=1).sum()))
 
 
-def _validate_mode_for_index(index: CoilIndex, q: EncodedQuery, mode: str) -> None:
-    """A full index serves every mode; a tok or cls_only index only its own."""
+def _validate_query(index: CoilIndex, q: EncodedQuery, k: int, mode: str) -> None:
+    """Raise unless ``index`` can rank ``q`` in ``mode``, then unless k >= 1.
+
+    A full index serves every mode; a tok or cls_only index only its own.
+    """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
     cfg = index.config
@@ -189,25 +180,43 @@ def _validate_mode_for_index(index: CoilIndex, q: EncodedQuery, mode: str) -> No
         raise ValidationError(
             f"mode={mode} requires a {cfg.n_c}-dimensional query cls vector"
         )
-
-
-def search(
-    index: CoilIndex, q: EncodedQuery, k: int, mode: str | None = None
-) -> tuple[RankedList, SearchInstrumentation]:
-    """Top-k retrieval over the inverted lists.
-
-    Per query position, score its token's whole list with one batched
-    row-dot, reduce to per-document maxima with a segmented max, and add
-    into float64 accumulators; full and cls_only modes add one blocked
-    CLS row-dot over all documents.  tok mode ranks only documents that
-    share at least one token with the query.  ``mode`` defaults to the
-    index's own mode.
-    """
-    mode = index.config.mode if mode is None else mode
-    _validate_mode_for_index(index, q, mode)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
 
+
+def _search_block(
+    index: CoilIndex, queries: Sequence[EncodedQuery], k: int, mode: str | None
+) -> list[tuple[RankedList, SearchInstrumentation]]:
+    """Rank a block of queries in order, with one CLS scan for the whole block.
+
+    An invalid query ends the block: the queries before it are ranked, so
+    their errors come first, and then its own error is raised, in the
+    order a loop of single searches would raise them.
+    """
+    mode = index.config.mode if mode is None else mode
+    error = None
+    for n, q in enumerate(queries):
+        try:
+            _validate_query(index, q, k, mode)
+        except ValidationError as exc:
+            queries, error = queries[:n], exc
+            break
+    cls_scores = None
+    if mode != "tok" and len(queries):
+        cls_scores = _dots(index.cls_matrix, np.stack([q.cls_vec for q in queries]))
+    results = [
+        _rank_query(index, q, k, mode, None if cls_scores is None else cls_scores[n])
+        for n, q in enumerate(queries)
+    ]
+    if error is not None:
+        raise error
+    return results
+
+
+def _rank_query(
+    index: CoilIndex, q: EncodedQuery, k: int, mode: str, cls_scores: np.ndarray | None
+) -> tuple[RankedList, SearchInstrumentation]:
+    """Score one query's inverted lists, add its CLS scores and rank."""
     num_docs = index.num_docs
     acc = np.zeros(num_docs, dtype=np.float64)
     touched = np.zeros(num_docs, dtype=bool)
@@ -221,7 +230,7 @@ def search(
             if lst is None:
                 continue
             touched_tids.add(tid)
-            products = _row_dots(lst.vectors, q.token_vecs[i].astype(np.float64))
+            products = _dots(lst.vectors, q.token_vecs[i : i + 1])[0]
             starts, ordinals = lst.segments()
             seg_max = np.maximum.reduceat(products, starts)
             acc[ordinals] += seg_max
@@ -238,11 +247,25 @@ def search(
         doc_ids = index.doc_ids[keep]
         scores = acc[keep]
     else:
-        cls_scores = _row_dots(index.cls_matrix, q.cls_vec.astype(np.float64))
         doc_ids = index.doc_ids
         scores = cls_scores if mode == "cls_only" else acc + cls_scores
 
     return ranked_list_from_arrays(q.query_id, doc_ids, scores, k), instr
+
+
+def search(
+    index: CoilIndex, q: EncodedQuery, k: int, mode: str | None = None
+) -> tuple[RankedList, SearchInstrumentation]:
+    """Top-k retrieval over the inverted lists.
+
+    Per query position, score its token's whole list with one `_dots`
+    pass, reduce to per-document maxima with a segmented max, and add
+    into float64 accumulators; full and cls_only modes add the CLS dot of
+    every document.  tok mode ranks only documents that share at least one
+    token with the query.  ``mode`` defaults to the index's own mode.
+    This is `search_many` over a block of one query.
+    """
+    return _search_block(index, [q], k, mode)[0]
 
 
 def brute_force_search(
@@ -275,14 +298,21 @@ def search_many(
     mode: str | None = None,
     threads: int = 1,
 ) -> list[tuple[RankedList, SearchInstrumentation]]:
-    """Run `search` over many queries, optionally in a thread pool.
+    """Rank many queries in blocks, optionally in a thread pool.
 
-    Results keep query order and are identical for any thread count: each
-    query's scoring is independent and internally sequential.
+    The queries are cut into blocks of at most `_QUERY_BLOCK`, fewer when
+    that gives every thread a block, and each block makes one pass over
+    the CLS matrix.  Results keep query order and equal those of `search`
+    for any thread count: every score cell is computed the same way
+    whatever block it falls in.  The first invalid query, in query order,
+    raises the error `search` would.
     """
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(queries) <= 1:
-        return [search(index, q, k, mode) for q in queries]
+    size = max(1, min(_QUERY_BLOCK, -(-len(queries) // threads)))
+    blocks = [queries[start : start + size] for start in range(0, len(queries), size)]
+    if threads == 1 or len(blocks) <= 1:
+        return [r for block in blocks for r in _search_block(index, block, k, mode)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda q: search(index, q, k, mode), queries))
+        ranked = pool.map(lambda block: _search_block(index, block, k, mode), blocks)
+        return [r for results in ranked for r in results]

@@ -376,6 +376,10 @@ class TestExitCodes:
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, " ")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "d1")),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"]["vocab"].update(apple=-5)),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"]["vocab"].update(apple=0)),
+            ("build", "enc.jsonl:1", lambda h: h["encoder"]["vocab"].update(apple=2**31)),
+            ("search", "idx/meta.json", lambda m: m["vocab"].update(apple=-5)),
         ],
         ids=[
             "header-encoder-missing-stub",
@@ -398,6 +402,10 @@ class TestExitCodes:
             "meta-empty-doc-id",
             "meta-whitespace-doc-id",
             "meta-duplicate-doc-id",
+            "header-negative-token-id",
+            "header-zero-token-id",
+            "header-token-id-past-int32",
+            "meta-negative-token-id",
         ],
     )
     def test_malformed_input_exits_2(self, workdir, capsys, command, name, edit):
@@ -422,6 +430,8 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if line:
+            assert f"{path}: line {line}:" in err
 
     def test_bad_k_exits_1(self, workdir):
         _, idx = _encode_and_build(workdir)

@@ -314,7 +314,7 @@ class TestRankedListFromArrays:
         doc_ids = np.array([], dtype="<U1")
         assert ranked_list_from_arrays("q", doc_ids, np.array([]), 3).entries == []
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e39])
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_non_finite_score_anywhere_raises(self, bad, at):
         doc_ids = np.array(["a", "b", "c", "d", "e"])

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-import coil.index
+import coil.core
 from coil import (
     ChecksumError,
     CoilConfig,
@@ -258,7 +258,7 @@ class TestPersistence:
                 raise OSError("disk full")
             real_replace(src, dst)
 
-        monkeypatch.setattr(coil.index.os, "replace", replace)
+        monkeypatch.setattr(coil.core.os, "replace", replace)
         with pytest.raises(OSError, match="disk full"):
             save_index(make_instance(seed=25, num_docs=10, n_c=n_c).index, idx)
         monkeypatch.undo()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coil import (
     CoilConfig,
@@ -15,8 +16,9 @@ from coil import (
     score_tok_pair,
     search,
     search_many,
+    write_run,
 )
-from coil.retrieval import _BLOCK_VALUES, _row_dots
+from coil.retrieval import _dots
 from synth import make_instance
 
 
@@ -38,19 +40,53 @@ def _doc(token_ids, vecs, cls=None, n_t=2, doc_id="d"):
     )
 
 
-class TestRowDots:
-    @pytest.mark.parametrize("width", [1, 32, 768])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_blocked_equals_unblocked_bitwise(self, width, dtype):
-        block = _BLOCK_VALUES // width
-        rng = np.random.default_rng(width)
-        vector = rng.standard_normal(width)
-        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
-            matrix = rng.standard_normal((n, width)).astype(dtype)
-            got = _row_dots(matrix, vector)
-            want = np.multiply(matrix, vector).sum(axis=1)
-            assert got.dtype == want.dtype == np.float64
-            assert got.tobytes() == want.tobytes()
+_BUFFER_VALUES = 8192  # numpy's iterator buffer: slices must cross its edge
+
+
+@st.composite
+def _dots_case(draw):
+    """A matrix, a float32 query block, a row slice and a query slice.
+
+    Row counts run past one iterator buffer of values at every width, and
+    the matrix is a view read from bytes at a 4-byte offset, as
+    `load_index` reads ``cls.bin`` and ``postings.bin``.  Indexes hold
+    float32; a document built by hand may hold float64.
+    """
+    width = draw(st.sampled_from([1, 3, 32, 768, 1000]))
+    rows = draw(st.integers(0, 2 * _BUFFER_VALUES // width + 2))
+    num_queries = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pad = draw(st.integers(0, 3))
+    values = rng.standard_normal(rows * width).astype(dtype)
+    blob = bytes(4 * pad) + values.tobytes()
+    matrix = np.frombuffer(blob, dtype=dtype, offset=4 * pad).reshape(rows, width)
+    queries = rng.standard_normal((num_queries, width)).astype(np.float32)
+    start = draw(st.integers(0, rows))
+    end = draw(st.integers(start, rows))
+    first = draw(st.integers(0, num_queries - 1))
+    last = draw(st.integers(first + 1, num_queries))
+    return matrix, queries, (start, end), (first, last)
+
+
+class TestDots:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(_dots_case())
+    def test_cells_do_not_depend_on_rows_or_queries_scored_with_them(self, case):
+        matrix, queries, (start, end), (first, last) = case
+        full = _dots(matrix, queries)
+        assert full.dtype == np.float64
+        assert full.shape == (len(queries), len(matrix))
+        assert full.tobytes() == _dots(matrix.copy(), queries).tobytes()
+        part = _dots(matrix[start:end], queries[first:last])
+        assert part.tobytes() == full[first:last, start:end].tobytes()
+        if end > start:
+            one = _dots(matrix[end - 1 : end], queries[last - 1 : last])
+            assert one[0, 0] == full[last - 1, end - 1]
+        # against a row-wise multiply().sum(), within float64 rounding
+        products = matrix[None, :, :].astype(np.float64) * queries[:, None, :]
+        bound = 2 * matrix.shape[1] * np.finfo(np.float64).eps * np.abs(products).sum(axis=2)
+        assert (np.abs(full - products.sum(axis=2)) <= bound).all()
 
 
 class TestScoreTokPair:
@@ -365,3 +401,64 @@ class TestSearchMany:
         inst = make_instance(seed=40, num_docs=5)
         with pytest.raises(ValidationError, match="threads"):
             search_many(inst.index, inst.enc_queries, k=5, threads=0)
+
+
+class TestSearchManyBlocks:
+    """Batch sizes around the 32-query block, and thread counts that cut it smaller."""
+
+    K = 25
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        return make_instance(seed=42, num_docs=90, vocab_size=30, num_queries=67)
+
+    @pytest.mark.parametrize("mode", ["full", "cls_only", "tok"])
+    @pytest.mark.parametrize("batch", [1, 31, 32, 33, 67])
+    def test_blocks_equal_single_searches_and_the_oracle(self, inst, tmp_path, mode, batch):
+        queries = inst.enc_queries[:batch]
+        singles = [search(inst.index, q, k=self.K, mode=mode) for q in queries]
+        for q, (ranked, _) in zip(queries, singles):
+            want = brute_force_search(inst.enc_docs, q, k=self.K, mode=mode)
+            assert ranked.entries == want.entries, f"{mode} mismatch for {q.query_id}"
+        runs = set()
+        for threads in (1, 2, 3):
+            results = search_many(inst.index, queries, k=self.K, mode=mode, threads=threads)
+            assert results == singles
+            path = tmp_path / f"run{threads}.txt"
+            write_run({ranked.query_id: ranked for ranked, _ in results}, path, tag=mode)
+            runs.add(path.read_bytes())
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("bad_at", [0, 30, 31, 32, 33, 66])
+    def test_first_invalid_query_raises_its_error(self, inst, threads, bad_at):
+        queries = list(inst.enc_queries)
+        q = queries[bad_at]
+        queries[bad_at] = EncodedQuery("short_cls", q.token_ids, q.token_vecs, q.cls_vec[:-1])
+        if bad_at + 1 < len(queries):  # a later invalid query, with another error
+            later = queries[bad_at + 1]
+            queries[bad_at + 1] = EncodedQuery(
+                "wide_tokens", later.token_ids, np.pad(later.token_vecs, ((0, 0), (0, 1))), None
+            )
+        with pytest.raises(ValidationError) as want:
+            search(inst.index, queries[bad_at], k=self.K)
+        with pytest.raises(ValidationError) as got:
+            search_many(inst.index, queries, k=self.K, threads=threads)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_scoring_error_before_an_invalid_query_comes_first(self, inst, threads):
+        queries = list(inst.enc_queries[:40])
+        q = queries[20]
+        huge = np.full_like(q.cls_vec, np.finfo(np.float32).max)
+        queries[20] = EncodedQuery("huge", q.token_ids, q.token_vecs, huge)
+        queries[21] = EncodedQuery("no_cls", q.token_ids, q.token_vecs, None)
+        with pytest.raises(ValidationError, match="non-finite score"):
+            search(inst.index, queries[20], k=self.K, mode="cls_only")
+        with pytest.raises(ValidationError, match="non-finite score"):
+            search_many(inst.index, queries, k=self.K, mode="cls_only", threads=threads)
+
+    def test_k_is_checked_at_the_first_query(self, inst):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            search_many(inst.index, inst.enc_queries, k=0, threads=2)
+        assert search_many(inst.index, [], k=0, threads=2) == []
