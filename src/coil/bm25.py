@@ -123,6 +123,12 @@ def _h_q(tf_q: int, params: Bm25Params) -> float:
     return tf_q * (1.0 + params.k2) / (tf_q + params.k2)
 
 
+def _h_d(tf, dl, index: Bm25Index, params: Bm25Params):
+    """Document-side saturating tf, for scalars or arrays of (tf, doc length)."""
+    norm = 1.0 - params.b + params.b * dl / index.avgdl
+    return tf * (1.0 + params.k1) / (tf + params.k1 * norm)
+
+
 def bm25_score_pair(
     query: TokenSeq, ordinal: int, index: Bm25Index, params: Bm25Params = Bm25Params()
 ) -> float:
@@ -138,12 +144,7 @@ def bm25_score_pair(
         pos = int(np.searchsorted(ordinals, ordinal))
         if pos == len(ordinals) or ordinals[pos] != ordinal:
             continue
-        tf_d = float(tfs[pos])
-        h_d = (
-            tf_d
-            * (1.0 + params.k1)
-            / (tf_d + params.k1 * (1.0 - params.b + params.b * dl / index.avgdl))
-        )
+        h_d = _h_d(float(tfs[pos]), dl, index, params)
         score += _idf(index, tid) * _h_q(tf_q, params) * h_d
     return as_score(score)
 
@@ -166,12 +167,7 @@ def bm25_search(
         idf = _idf(index, tid)
         h_q = _h_q(tf_q, params)
         ordinals, tf_d = index.postings[tid]
-        dl = index.doc_len[ordinals]
-        h_d = (
-            tf_d
-            * (1.0 + params.k1)
-            / (tf_d + params.k1 * (1.0 - params.b + params.b * dl / index.avgdl))
-        )
+        h_d = _h_d(tf_d, index.doc_len[ordinals], index, params)
         acc[ordinals] += idf * h_q * h_d
         touched[ordinals] = True
     keep = np.flatnonzero(touched)

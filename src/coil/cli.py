@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="encode a JSONL corpus into vector records")
     p.add_argument("corpus", help="JSONL file of {id, text} documents")
-    p.add_argument("out", help="output encoded-record file")
+    p.add_argument("out", help="output coil-enc file: a JSON header line, then binary records")
     p.add_argument("--stub-seed", type=int, default=0, help="encoder seed (default 0)")
     p.add_argument("--n-lm", type=int, default=768, help="base vector width (default 768)")
     p.add_argument("--n-t", type=int, default=32, help="token vector dim (default 32)")
@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("build", help="build an inverted index from encoded records")
-    p.add_argument("encoded", help="encoded-record file from `encode`")
+    p.add_argument("encoded", help="coil-enc file from `encode` or an outside encoder")
     p.add_argument("index_dir", help="output index directory")
     p.set_defaults(func=cmd_build)
 

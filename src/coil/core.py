@@ -277,7 +277,8 @@ def check_encoded_dims(
     name: str, rec: EncodedDocument | EncodedQuery, n_t: int, n_c: int
 ) -> None:
     """Raise unless ``rec`` has n_t-wide token vectors and a cls_vec of shape
-    (n_c,), or no cls_vec when n_c = 0."""
+    (n_c,), or no cls_vec when n_c = 0, and fits the stored types: token ids
+    below 2**31 and vector entries that stay finite when cast to float32."""
     if rec.token_vecs.shape[1] != n_t:
         raise ValidationError(
             f"{name}: token vectors have dimension {rec.token_vecs.shape[1]}, expected n_t={n_t}"
@@ -286,6 +287,14 @@ def check_encoded_dims(
     if cls_shape != ((n_c,) if n_c else None):
         expected = f"shape ({n_c},)" if n_c else "no cls_vec"
         raise ValidationError(f"{name}: cls_vec shape {cls_shape}, n_c={n_c} requires {expected}")
+    ids = rec.token_ids
+    if ids.dtype != np.int32 and ids.size and ids.max() >= 2**31:
+        raise ValidationError(f"{name}: token id {ids.max()} does not fit in int32")
+    for kind, vec in (("token vector", rec.token_vecs), ("cls_vec", rec.cls_vec)):
+        if vec is not None and vec.dtype != np.float32:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(vec.astype(np.float32)).all():
+                    raise ValidationError(f"{name}: {kind} entry beyond the float32 range")
 
 
 @dataclass
@@ -354,6 +363,12 @@ def ranked_list_from_arrays(
     return RankedList(query_id, list(zip(doc_ids[order].tolist(), reported[order].tolist())))
 
 
+def utf8_error(where: str, exc: UnicodeDecodeError) -> FormatError:
+    """The error for bytes that are not UTF-8, such as a line of a text file;
+    ``where`` names them, as in ``<path>: line <n>``."""
+    return FormatError(f"{where}: not UTF-8 (byte {exc.start + 1}: {exc.reason})")
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text file.
 
@@ -365,9 +380,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"{path}: line {lineno}: not UTF-8 (byte {exc.start + 1}: {exc.reason})"
-                ) from None
+                raise utf8_error(f"{path}: line {lineno}", exc) from None
             if not line.isspace():
                 yield lineno, line
 

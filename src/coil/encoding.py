@@ -9,19 +9,20 @@ stream, both defined over little-endian 8-byte words, so the same
 (seed, token sequence) pair reproduces identical vectors everywhere.
 
 Externally produced encodings (e.g. from a real trained model) enter
-through :func:`ingest_encoded`, which reads the line-delimited
-``coil-enc`` record format written by :func:`write_encoded`.
+through :func:`ingest_encoded`, which reads the ``coil-enc`` format
+written by :func:`write_encoded`: a JSON header line, then binary records.
 """
 from __future__ import annotations
 
+import itertools
 import json
-import re
+import os
 import string
-from contextlib import closing
+import struct
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .core import (
     check_encoded_dims,
     check_fields,
     config_from_meta,
-    read_lines,
+    utf8_error,
     validate_config,
 )
 
@@ -394,32 +395,9 @@ def encode_query(
 # ---------------------------------------------------------------------------
 
 ENCODED_FORMAT = "coil-enc"
-ENCODED_VERSION = 1
+ENCODED_VERSION = 2
 
-_NEGATIVE_ZERO = re.compile(r"(?<=[\[,])-0(?=[\],])")
-
-
-def _float_text(values: np.ndarray) -> str:
-    """JSON array text of an array cast to float32, nested like its shape,
-    each entry written ``%.9g`` with ``,`` between entries.
-
-    The cast comes first, as in :func:`~coil.index.build_index`, so a
-    float64 or integer input is rounded once, to the float32 the index
-    would hold.  Nine significant digits land within 5e-9 relative of that
-    float32 value, while the float32 rounding midpoints around it are at
-    least 2**-25 (about 3e-8) relative away, so the float64 a JSON reader
-    parses rounds back to the same float32 (subnormals included).  ``%.9g``
-    spells -0.0 as ``-0``, which JSON reads as the integer 0, so those
-    become ``-0.0``.
-    """
-    values = np.asarray(values, np.float32)
-    template = "%.9g"
-    for width in reversed(values.shape):
-        template = "[" + ",".join([template] * width) + "]"
-    text = template % tuple(values.ravel().tolist())
-    if (np.signbit(values) & (values == 0)).any():
-        text = _NEGATIVE_ZERO.sub("-0.0", text)
-    return text
+_FRAME = struct.Struct("<II")  # id byte length, token count
 
 
 def write_encoded(
@@ -429,12 +407,14 @@ def write_encoded(
     n_c: int,
     encoder: EncoderSpec | None = None,
 ) -> int:
-    """Write the header line plus one JSON record per document; returns the count.
+    """Write the header line plus one binary record per document; returns the count.
 
     The header holds ``encoder.to_meta()`` under ``encoder`` when one is given.
-    Records hold ``id``, ``token_ids``, ``token_vecs`` and, when n_c >= 1,
-    ``cls_vec``, in that order; every float is written by :func:`_float_text`.
-    The file is replaced only once every record is written.
+    A record is the id's UTF-8 byte length and the token count m as ``<u4``,
+    then the id, m ``<i4`` token ids, m * n_t ``<f4`` token vector entries
+    and, when n_c >= 1, n_c ``<f4`` cls_vec entries.  Vectors are cast to
+    float32 as :func:`~coil.index.build_index` casts them.  The file is
+    replaced only once every record is written.
     """
     header = {"format": ENCODED_FORMAT, "version": ENCODED_VERSION, "n_t": n_t, "n_c": n_c}
     if encoder is not None:
@@ -442,29 +422,28 @@ def write_encoded(
             raise ValidationError(f"encoder settings disagree with n_t={n_t}, n_c={n_c}")
         header["encoder"] = encoder.to_meta()
     count = 0
-    with atomic_writer(path) as fh:
-        fh.write(json.dumps(header) + "\n")
+    with atomic_writer(path, binary=True) as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
         for doc in docs:
             check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
-            record = (
-                f'{{"id": {json.dumps(doc.doc_id)}, '
-                f'"token_ids": [{",".join(map(str, doc.token_ids.tolist()))}], '
-                f'"token_vecs": {_float_text(doc.token_vecs)}'
-            )
+            doc_id = doc.doc_id.encode("utf-8")
+            fh.write(_FRAME.pack(len(doc_id), len(doc.token_ids)) + doc_id)
+            fh.write(doc.token_ids.astype("<i4").tobytes())
+            fh.write(doc.token_vecs.astype("<f4").tobytes())
             if n_c > 0:
-                record += f', "cls_vec": {_float_text(doc.cls_vec)}'
-            fh.write(record + "}\n")
+                fh.write(doc.cls_vec.astype("<f4").tobytes())
             count += 1
     return count
 
 
-def _parse_header(path: str | Path, lines: Iterator[tuple[int, str]]) -> dict:
-    """:func:`read_encoded_header` on the first of ``lines``, which the caller
-    may go on reading."""
-    lineno, line = next(lines, (1, ""))
+def _parse_header(path: str | Path, fh: BinaryIO) -> dict:
+    """:func:`read_encoded_header` on the first line of ``fh``, which the
+    caller may go on reading."""
     where = f"{path}: line 1"
     try:
-        header = json.loads(line if lineno == 1 else "")  # a blank line 1 is no header
+        header = json.loads(fh.readline().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise utf8_error(where, exc) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: invalid header JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != ENCODED_FORMAT:
@@ -485,39 +464,44 @@ def _parse_header(path: str | Path, lines: Iterator[tuple[int, str]]) -> dict:
 def read_encoded_header(path: str | Path) -> dict:
     """Parse and check line 1 of a coil-enc file; an ``encoder`` key comes
     back as an :class:`EncoderSpec`."""
-    with closing(read_lines(path)) as lines:
-        return _parse_header(path, lines)
+    with open(path, "rb") as fh:
+        return _parse_header(path, fh)
 
 
 def ingest_encoded(path: str | Path) -> Iterator[EncodedDocument]:
-    """Stream EncodedDocuments from a coil-enc file, validating against its header."""
-    lines = read_lines(path)
-    header = _parse_header(path, lines)
-    n_t, n_c = header["n_t"], header["n_c"]
-    for lineno, line in lines:
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json.loads(line)
-            doc_id, raw_ids = obj["id"], obj["token_ids"]
-            # bools are ints to Python; a fractional id would be truncated
-            if not all(type(t) is int and t >= 0 for t in raw_ids):
-                raise ValueError("token_ids must be non-negative integers")
-            token_ids = np.asarray(raw_ids, dtype=np.int32)
-            # a value beyond float32 casts to inf, which the record rule rejects
-            with np.errstate(over="ignore"):
-                token_vecs = np.asarray(obj["token_vecs"], dtype=np.float32)
-                cls_vec = None
-                if "cls_vec" in obj:
-                    cls_vec = np.asarray(obj["cls_vec"], dtype=np.float32)
-            if token_vecs.shape == (0,):  # "token_vecs": [] parses without a row width
-                token_vecs = token_vecs.reshape(0, n_t)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{where}: malformed record: {exc}") from exc
-        try:
-            doc = EncodedDocument(doc_id, token_ids, token_vecs, cls_vec)
-            check_encoded_dims(f"document {doc_id!r}", doc, n_t, n_c)
-        except ValidationError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-        yield doc
+    """Stream EncodedDocuments from a coil-enc file, validating against its header.
+
+    A record whose lengths run past the end of the file raises FormatError
+    before its body is read.
+    """
+    with open(path, "rb") as fh:
+        header = _parse_header(path, fh)
+        n_t, n_c = header["n_t"], header["n_c"]
+        size = os.fstat(fh.fileno()).st_size
+        for number in itertools.count(1):
+            frame = fh.read(_FRAME.size)
+            if not frame:
+                return
+            where = f"{path}: record {number}"
+            if len(frame) < _FRAME.size:
+                raise FormatError(f"{where}: truncated")
+            id_len, m = _FRAME.unpack(frame)
+            vecs_at = id_len + 4 * m
+            cls_at = vecs_at + 4 * m * n_t
+            body = cls_at + 4 * n_c
+            left = size - fh.tell()
+            if body > left:
+                raise FormatError(f"{where}: truncated: {body} bytes declared, {left} left")
+            data = bytearray(fh.read(body))  # so the record's arrays are writable
+            try:
+                doc = EncodedDocument(
+                    data[:id_len].decode("utf-8"),
+                    np.frombuffer(data, "<i4", m, id_len),
+                    np.frombuffer(data, "<f4", m * n_t, vecs_at).reshape(m, n_t),
+                    np.frombuffer(data, "<f4", n_c, cls_at) if n_c else None,
+                )
+            except UnicodeDecodeError as exc:
+                raise utf8_error(f"{where}: id", exc) from None
+            except ValidationError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
+            yield doc

@@ -82,6 +82,9 @@ def read_qrels(path: str | Path) -> Qrels:
 
 
 def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil") -> None:
+    """Write ``run`` in TREC format; ``tag`` must pass the id rule, as
+    :func:`read_run` reads it as one field."""
+    check_id("run tag", tag)
     with atomic_writer(path) as fh:
         for qid, ranked in run.items():
             for rank, (doc_id, score) in enumerate(ranked.entries, start=1):

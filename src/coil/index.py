@@ -162,7 +162,7 @@ def build_index(
     doc_table: list[str] = []
     seen_ids: set[str] = set()
     lengths: list[int] = []
-    tid_parts = [np.empty(0, dtype=np.int64)]
+    tid_parts = [np.empty(0, dtype=np.int32)]
     vec_parts = [np.empty((0, n_t), dtype=np.float32)]
     cls_rows = [np.empty((0, n_c), dtype=np.float32)]
 
@@ -173,15 +173,12 @@ def build_index(
         check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
         doc_table.append(doc.doc_id)
         lengths.append(len(doc.token_ids))
-        tid_parts.append(np.asarray(doc.token_ids, dtype=np.int64))
+        tid_parts.append(np.asarray(doc.token_ids, dtype=np.int32))
         vec_parts.append(np.asarray(doc.token_vecs, dtype=np.float32))
         if n_c >= 1:
             cls_rows.append(np.asarray(doc.cls_vec, dtype=np.float32).reshape(1, n_c))
 
     tids = np.concatenate(tid_parts)
-    if len(tids) and (tids.min() < -(2**31) or tids.max() >= 2**31):
-        raise ValidationError("token ids must fit in int32")
-    tids = tids.astype(np.int32)
     counts = np.asarray(lengths, dtype=np.int32)
     refs = np.repeat(np.arange(len(doc_table), dtype=np.int32), counts)
     vecs = np.concatenate(vec_parts)

@@ -6,6 +6,7 @@ code paths as the CLI.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,3 +89,23 @@ def make_instance(
     queries = [Query(f"q{i:04d}", t) for i, t in enumerate(query_texts)]
     enc_queries = [encode_query(q, tokenizer, stub, params, config) for q in queries]
     return Instance(docs, queries, enc_docs, enc_queries, index, tokenizer, config)
+
+
+def coil_enc_record(doc_id, token_ids, token_vecs, cls_vec=None) -> bytes:
+    """One coil-enc record framed by hand, independently of ``write_encoded``:
+    the id's byte length and the token count as ``<u4``, then the id (a str
+    is UTF-8 encoded, bytes are written as given), the ``<i4`` token ids and
+    the ``<f4`` token vectors, then the ``<f4`` cls_vec when one is given."""
+    if isinstance(doc_id, str):
+        doc_id = doc_id.encode("utf-8")
+    token_ids = np.asarray(token_ids, "<i4")
+    record = np.array([len(doc_id), len(token_ids)], "<u4").tobytes() + doc_id
+    record += token_ids.tobytes() + np.asarray(token_vecs, "<f4").tobytes()
+    if cls_vec is not None:
+        record += np.asarray(cls_vec, "<f4").tobytes()
+    return record
+
+
+def coil_enc_bytes(header: dict, *records: bytes) -> bytes:
+    """A coil-enc file: the JSON header line, then the records."""
+    return json.dumps(header).encode() + b"\n" + b"".join(records)

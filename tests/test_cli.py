@@ -26,6 +26,7 @@ from coil.cli import main
 from coil.core import EncodedQuery, atomic_writer
 from coil.encoding import read_encoded_header
 import numpy as np
+from synth import coil_enc_bytes, coil_enc_record
 
 CORPUS = [
     {"id": "d0", "text": "the quick brown fox jumps over the lazy dog"},
@@ -64,6 +65,12 @@ def _without_encoder(**fields):
         header.update(fields)
 
     return edit
+
+
+def _split_header(enc):
+    """A coil-enc file's header as a dict, and its record bytes."""
+    line, records = enc.read_bytes().split(b"\n", 1)
+    return json.loads(line), records
 
 
 def _encode_and_build(workdir, extra=()):
@@ -108,10 +115,10 @@ class TestPipeline:
         enc = workdir / "enc.jsonl"
         flags = [*ENCODE_FLAGS, "--layer-norm", "--max-doc-tokens", "4"]
         assert main(["encode", str(workdir / "corpus.jsonl"), str(enc), *flags]) == 0
-        line = enc.read_text().splitlines()[0]
+        line = enc.read_bytes().split(b"\n", 1)[0].decode()
         spec = read_encoded_header(enc)["encoder"]
         assert spec.config.mode == "full" and spec.config.cls_layer_norm
-        header = {"format": "coil-enc", "version": 1, "n_t": 8, "n_c": 6}
+        header = {"format": "coil-enc", "version": 2, "n_t": 8, "n_c": 6}
         assert json.dumps({**header, "encoder": spec.to_meta()}) == line
 
     def test_encode_writes_one_file(self, workdir):
@@ -195,8 +202,12 @@ class TestPipeline:
                 "--n-lm", "24", "--n-t", "8", "--n-c", "0",
             ]
         ) == 0
-        record = json.loads(enc.read_text().splitlines()[1])
-        assert "cls_vec" not in record
+        header, _ = _split_header(enc)
+        assert header["n_c"] == 0
+        records = [
+            coil_enc_record(d.doc_id, d.token_ids, d.token_vecs) for d in ingest_encoded(enc)
+        ]
+        assert enc.read_bytes() == coil_enc_bytes(header, *records)
 
     def test_full_mode_on_token_only_index_exits_1(self, workdir, capsys):
         enc = workdir / "enc0.jsonl"
@@ -234,10 +245,9 @@ class TestPipeline:
 
     def test_build_without_encoder_settings_still_works(self, workdir):
         enc, _ = _encode_and_build(workdir)
-        lines = enc.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
+        header, records = _split_header(enc)
         del header["encoder"]
-        enc.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        enc.write_bytes(coil_enc_bytes(header, records))
         idx2 = workdir / "idx2"
         assert main(["build", str(enc), str(idx2)]) == 0
         # but searching raw text queries now has no encoder settings
@@ -350,8 +360,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, name, edit",
         [
-            ("build", "enc.jsonl:1", lambda h: h["encoder"].pop("stub")),
-            ("build", "enc.jsonl:1", lambda h: h["encoder"]["config"].update(n_x=1)),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"].pop("stub")),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["config"].update(n_x=1)),
             ("search", "idx/meta.json", lambda m: m.pop("checksums")),
             ("search", "idx/meta.json", lambda m: m.update(version=1)),
             ("search", "idx/meta.json", lambda m: m.update(version=2)),
@@ -362,13 +372,13 @@ class TestExitCodes:
                     {"postings.bin": m["checksums"]["postings.bin"].removeprefix("crc32:")}
                 ),
             ),
-            ("build", "enc.jsonl:1", lambda h: h["encoder"].update(projection_seed=0)),
-            ("build", "enc.jsonl:1", lambda h: h["encoder"]["config"].update(n_t=4)),
-            ("build", "enc.jsonl:1", _without_encoder(n_t=True, n_c=False)),
-            ("build", "enc.jsonl:1", _without_encoder(n_t=0, n_c=0)),
-            ("build", "enc.jsonl:2", lambda r: r.update(id="d 0")),
-            ("build", "enc.jsonl:2", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
-            ("build", "enc.jsonl:2", lambda r: r.update(id="d0\x00")),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"].update(projection_seed=0)),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["config"].update(n_t=4)),
+            ("build", "enc.jsonl:line 1", _without_encoder(n_t=True, n_c=False)),
+            ("build", "enc.jsonl:line 1", _without_encoder(n_t=0, n_c=0)),
+            ("build", "enc.jsonl:record 1", lambda r: r.update(id="d 0")),
+            ("build", "enc.jsonl:record 1", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
+            ("build", "enc.jsonl:record 1", lambda r: r.update(id="d0\x00")),
             ("encode", "corpus.jsonl", lambda r: r.update(id="d 0")),
             ("bm25", "corpus.jsonl", lambda r: r.update(id="d\x00")),
             ("bm25", "corpus.jsonl", lambda r: r.update(id="d\ud800")),
@@ -376,9 +386,9 @@ class TestExitCodes:
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, " ")),
             ("search", "idx/meta.json", lambda m: m["doc_table"].__setitem__(0, "d1")),
-            ("build", "enc.jsonl:1", lambda h: h["encoder"]["vocab"].update(apple=-5)),
-            ("build", "enc.jsonl:1", lambda h: h["encoder"]["vocab"].update(apple=0)),
-            ("build", "enc.jsonl:1", lambda h: h["encoder"]["vocab"].update(apple=2**31)),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["vocab"].update(apple=-5)),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["vocab"].update(apple=0)),
+            ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["vocab"].update(apple=2**31)),
             ("search", "idx/meta.json", lambda m: m["vocab"].update(apple=-5)),
         ],
         ids=[
@@ -410,14 +420,28 @@ class TestExitCodes:
     )
     def test_malformed_input_exits_2(self, workdir, capsys, command, name, edit):
         enc, idx = _encode_and_build(workdir)
-        name, _, line = name.partition(":")  # a coil-enc line: 1 the header, 2 a record
+        name, _, where = name.partition(":")  # in a coil-enc file, "line 1" or "record 1"
         path = workdir / name
-        lines = path.read_text().splitlines()
-        row = int(line or 1) - 1
-        obj = json.loads(lines[row])
-        edit(obj)
-        lines[row] = json.dumps(obj)
-        path.write_text("\n".join(lines) + "\n")
+        if where == "record 1":
+            first, *rest = ingest_encoded(path)
+            obj = {k: getattr(first, k).tolist() for k in ("token_ids", "token_vecs", "cls_vec")}
+            obj["id"] = first.doc_id
+            edit(obj)
+            header, _ = _split_header(path)
+            records = [
+                coil_enc_record(obj["id"], obj["token_ids"], obj["token_vecs"], obj["cls_vec"])
+            ] + [coil_enc_record(d.doc_id, d.token_ids, d.token_vecs, d.cls_vec) for d in rest]
+            path.write_bytes(coil_enc_bytes(header, *records))
+        elif where == "line 1":
+            header, records = _split_header(path)
+            edit(header)
+            path.write_bytes(coil_enc_bytes(header, records))
+        else:
+            lines = path.read_text().splitlines()
+            obj = json.loads(lines[0])
+            edit(obj)
+            lines[0] = json.dumps(obj)
+            path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         if command == "build":
             argv = ["build", str(enc), str(workdir / "idx2")]
@@ -430,8 +454,29 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        if line:
-            assert f"{path}: line {line}:" in err
+        if where:
+            assert f"{path}: {where}:" in err
+
+    def test_version_1_coil_enc_exits_2(self, workdir, capsys):
+        """A file in the earlier text form is rejected at its header, not read."""
+        enc = workdir / "enc.jsonl"
+        enc.write_text(
+            '{"format": "coil-enc", "version": 1, "n_t": 2, "n_c": 0}\n'
+            '{"id": "d0", "token_ids": [1], "token_vecs": [[0.5,0.25]]}\n'
+        )
+        assert main(["build", str(enc), str(workdir / "idx")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {enc}: line 1: unsupported version 1\n"
+        assert not (workdir / "idx").exists()
+
+    def test_run_tag_with_whitespace_exits_1(self, workdir, capsys):
+        _, idx = _encode_and_build(workdir)
+        run = workdir / "r.txt"
+        argv = ["search", str(idx), str(workdir / "queries.jsonl"), str(run), "--tag", "my run"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "run tag id 'my run' must not contain whitespace" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_bad_k_exits_1(self, workdir):
         _, idx = _encode_and_build(workdir)
@@ -616,8 +661,19 @@ class TestCorruptedInputs:
             assert code in (0, 1, 2), variant
             if code:
                 assert err.startswith("error:") and "Traceback" not in err, variant
-            if not name.endswith(".bin") and not _is_utf8(data):
+            # past its header line a coil-enc file is binary, like the .bin files
+            text = data.split(b"\n", 1)[0] if name == "enc.jsonl" else data
+            if not name.endswith(".bin") and not _is_utf8(text):
                 assert code == 2 and str(path) in err, variant
+
+    def test_non_utf8_coil_enc_header_exits_2(self, workdir, capsys):
+        enc, _ = _encode_and_build(workdir)
+        data = enc.read_bytes()
+        enc.write_bytes(data[:1] + b"\xff" + data[1:])
+        capsys.readouterr()
+        assert main(["build", str(enc), str(workdir / "idx2")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {enc}: line 1: not UTF-8 (byte 2: invalid start byte)")
 
     @pytest.mark.parametrize("char", ["\x00", "\x7f"])
     @pytest.mark.parametrize("field", [0, 2], ids=["query-id", "doc-id"])

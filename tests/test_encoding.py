@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from coil.encoding import (
     splitmix64_unit_floats,
     token_base_vector,
 )
+from synth import coil_enc_bytes, coil_enc_record
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -425,62 +427,65 @@ class TestEncodedRecordIo:
             np.testing.assert_array_equal(back.token_vecs, orig.token_vecs)
             np.testing.assert_array_equal(back.cls_vec, orig.cls_vec)
             assert back.token_vecs.dtype == np.float32
+            assert back.token_ids.flags.writeable and back.token_vecs.flags.writeable
 
-    def test_record_text_golden(self, tmp_path):
-        # float32 values at 9 significant digits, -0.0 spelled out, the
-        # largest float32 and the smallest subnormal
-        doc = EncodedDocument(
-            "dé",
-            np.array([3, 0], np.int32),
-            np.array([[0.1, -0.0], [1e-7, -2.5]], np.float32),
-            np.array([np.finfo(np.float32).max, 2.0**-149, 0.0], np.float32),
-        )
-        path = tmp_path / "enc.jsonl"
-        write_encoded([doc], path, 2, 3)
-        assert path.read_text().splitlines() == [
-            '{"format": "coil-enc", "version": 1, "n_t": 2, "n_c": 3}',
-            '{"id": "d\\u00e9", "token_ids": [3,0], '
-            '"token_vecs": [[0.100000001,-0.0],[1.00000001e-07,-2.5]], '
-            '"cls_vec": [3.40282347e+38,1.40129846e-45,0]}',
+    def test_record_bytes_golden(self, tmp_path):
+        # -0.0, the largest float32 and the smallest subnormal keep their bits,
+        # and a record without tokens is its frame, id and cls_vec alone
+        docs = [
+            EncodedDocument(
+                "dé",
+                np.array([3, 0], np.int32),
+                np.array([[0.1, -0.0], [1e-7, -2.5]], np.float32),
+                np.array([np.finfo(np.float32).max, 2.0**-149, 0.0], np.float32),
+            ),
+            EncodedDocument(
+                "d2",
+                np.zeros(0, np.int32),
+                np.zeros((0, 2), np.float32),
+                np.array([1.0, -1.0, 0.5], np.float32),
+            ),
         ]
-        (back,) = ingest_encoded(path)
-        assert back.token_vecs.tobytes() == doc.token_vecs.tobytes()
-        assert back.cls_vec.tobytes() == doc.cls_vec.tobytes()
-
-    def test_shortest_repr_records_still_read(self, tmp_path):
-        """Records whose floats are the shortest float64 repr (``json.dumps`` of
-        ``.tolist()``) read back to the same arrays as the 9-digit form."""
-        cfg, encoded = self._encode_all()
-        header = {"format": "coil-enc", "version": 1, "n_t": cfg.n_t, "n_c": cfg.n_c}
-        old = tmp_path / "old.jsonl"
-        old.write_text(
-            json.dumps(header) + "\n" + "".join(
-                json.dumps(
-                    {
-                        "id": d.doc_id,
-                        "token_ids": d.token_ids.tolist(),
-                        "token_vecs": d.token_vecs.tolist(),
-                        "cls_vec": d.cls_vec.tolist(),
-                    }
-                )
-                + "\n"
-                for d in encoded
+        path = tmp_path / "enc.jsonl"
+        write_encoded(docs, path, 2, 3)
+        header = b'{"format": "coil-enc", "version": 2, "n_t": 2, "n_c": 3}\n'
+        assert path.read_bytes() == header + (
+            bytes.fromhex(
+                "03000000 02000000"  # id byte length 3, two tokens
+                "64c3a9"  # "dé" in UTF-8
+                "03000000 00000000"  # token ids 3, 0
+                "cdcccc3d 00000080 95bfd633 000020c0"  # 0.1, -0.0, 1e-7, -2.5
+                "ffff7f7f 01000000 00000000"  # float32 max, 2**-149, 0.0
+                "02000000 00000000 6432"  # "d2", no tokens
+                "0000803f 000080bf 0000003f"  # 1.0, -1.0, 0.5
             )
         )
-        new = tmp_path / "new.jsonl"
-        write_encoded(encoded, new, cfg.n_t, cfg.n_c)
-        assert new.stat().st_size < old.stat().st_size
-        for orig, a, b in zip(encoded, ingest_encoded(old), ingest_encoded(new), strict=True):
+        for doc, back in zip(docs, ingest_encoded(path), strict=True):
+            assert back.doc_id == doc.doc_id
             for field in ("token_ids", "token_vecs", "cls_vec"):
-                assert getattr(a, field).tobytes() == getattr(orig, field).tobytes()
-                assert getattr(b, field).tobytes() == getattr(orig, field).tobytes()
+                assert getattr(back, field).dtype == getattr(doc, field).dtype
+                assert getattr(back, field).tobytes() == getattr(doc, field).tobytes()
+            assert back.token_vecs.shape == doc.token_vecs.shape
+
+    @pytest.mark.parametrize("n_c", [3, 0])
+    def test_readme_producer_writes_what_write_encoded_writes(self, tmp_path, monkeypatch, n_c):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Encoded records") :]
+        producer = section[section.index("```python\n") + 10 : section.index("```\n\n")]
+        cfg, encoded = self._encode_all(n_c=n_c)
+        docs = [(d.doc_id, d.token_ids, d.token_vecs, d.cls_vec) for d in encoded]
+        monkeypatch.chdir(tmp_path)
+        exec(producer, {"json": json, "np": np, "docs": docs, "n_t": cfg.n_t, "n_c": n_c})
+        write_encoded(encoded, tmp_path / "ref.enc", cfg.n_t, n_c)
+        assert (tmp_path / "corpus.enc").read_bytes() == (tmp_path / "ref.enc").read_bytes()
 
     def test_roundtrip_without_cls(self, tmp_path):
         cfg, encoded = self._encode_all(n_c=0)
         path = tmp_path / "enc.jsonl"
         write_encoded(encoded, path, cfg.n_t, 0)
-        record = json.loads(path.read_text().splitlines()[1])
-        assert "cls_vec" not in record
+        header = {"format": "coil-enc", "version": 2, "n_t": cfg.n_t, "n_c": 0}
+        records = [coil_enc_record(d.doc_id, d.token_ids, d.token_vecs) for d in encoded]
+        assert path.read_bytes() == coil_enc_bytes(header, *records)
         assert all(d.cls_vec is None for d in ingest_encoded(path))
 
     def test_header_contents(self, tmp_path):
@@ -489,7 +494,7 @@ class TestEncodedRecordIo:
         write_encoded(encoded, path, cfg.n_t, cfg.n_c)
         header = read_encoded_header(path)
         assert header["format"] == "coil-enc"
-        assert header["version"] == 1
+        assert header["version"] == 2
         assert (header["n_t"], header["n_c"]) == (4, 3)
 
     def test_empty_corpus_header_only(self, tmp_path):
@@ -500,94 +505,102 @@ class TestEncodedRecordIo:
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text('{"format":"other","version":1,"n_t":4,"n_c":3}\n')
+        path.write_text('{"format":"other","version":2,"n_t":4,"n_c":3}\n')
         with pytest.raises(FormatError, match="not a coil-enc file"):
             list(ingest_encoded(path))
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text('{"format":"coil-enc","version":2,"n_t":4,"n_c":3}\n')
-        with pytest.raises(FormatError, match="unsupported version"):
+        path.write_text('{"format":"coil-enc","version":1,"n_t":4,"n_c":3}\n')
+        with pytest.raises(FormatError, match="line 1: unsupported version 1$"):
             list(ingest_encoded(path))
 
-    def test_dimension_mismatch_names_line(self, tmp_path):
+    def _write(self, path, n_c, *records):
+        header = {"format": "coil-enc", "version": 2, "n_t": 2, "n_c": n_c}
+        path.write_bytes(coil_enc_bytes(header, *records))
+
+    # a record written for other dims shifts every frame after it, so it
+    # reads as a truncated record, never as a document with the wrong shape
+    def test_dimension_mismatch_names_record(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text(
-            '{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n'
-            '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5,0.5]]}\n'
-        )
-        with pytest.raises(FormatError, match="line 2"):
+        self._write(path, 0, coil_enc_record("d0", [1], [[0.5, 0.5, 0.5]]))
+        with pytest.raises(FormatError, match="enc.jsonl: record 2: truncated"):
             list(ingest_encoded(path))
 
     def test_token_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text(
-            '{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n'
-            '{"id":"d0","token_ids":[1,2],"token_vecs":[[0.5,0.5]]}\n'
-        )
-        with pytest.raises(FormatError, match="line 2"):
+        self._write(path, 0, coil_enc_record("d0", [1, 2], [[0.5, 0.5]]))
+        with pytest.raises(FormatError, match="record 1: truncated"):
             list(ingest_encoded(path))
 
     def test_unexpected_cls_rejected(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text(
-            '{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n'
-            '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]],"cls_vec":[1.0]}\n'
-        )
-        with pytest.raises(FormatError, match="line 2"):
+        self._write(path, 0, coil_enc_record("d0", [1], [[0.5, 0.5]], [1.0]))
+        with pytest.raises(FormatError, match="record 2: truncated"):
             list(ingest_encoded(path))
 
     def test_missing_cls_rejected(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text(
-            '{"format":"coil-enc","version":1,"n_t":2,"n_c":2}\n'
-            '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]]}\n'
-        )
-        with pytest.raises(FormatError, match="line 2"):
+        self._write(path, 2, coil_enc_record("d0", [1], [[0.5, 0.5]]))
+        with pytest.raises(FormatError, match="record 1: truncated"):
             list(ingest_encoded(path))
 
     @pytest.mark.parametrize(
         "record, message",
         [
-            ('{"id":5,"token_ids":[1],"token_vecs":[[0.5,0.5]]}', "id must be a string"),
-            ('{"id":"","token_ids":[1],"token_vecs":[[0.5,0.5]]}', "non-empty"),
-            ('{"id":"d 0","token_ids":[1],"token_vecs":[[0.5,0.5]]}', "whitespace"),
-            ('{"id":"d0","token_ids":[1],"token_vecs":[[NaN,0.5]]}', "non-finite"),
-            ('{"id":"d0","token_ids":[1],"token_vecs":[["x",0.5]]}', "malformed"),
-            ('{"id":"d0","token_ids":[-3],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
-            ('{"id":"d0","token_ids":[1.7],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
-            ('{"id":"d0","token_ids":[true],"token_vecs":[[0.5,0.5]]}', "non-negative integers"),
-            ('{"id":"d0","token_ids":1,"token_vecs":[[0.5,0.5]]}', "malformed"),
-            ('{"id":"d0","token_ids":[1],"token_vecs":[[1e39,0.5]]}', "non-finite token"),
-            (
-                '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]],"cls_vec":[-1e39]}',
-                "non-finite cls_vec",
-            ),
+            (coil_enc_record("", [1], [[0.5, 0.5]]), "non-empty"),
+            (coil_enc_record("d 0", [1], [[0.5, 0.5]]), "whitespace"),
+            (coil_enc_record("d\x00", [1], [[0.5, 0.5]]), "control characters"),
+            (coil_enc_record(b"d\xff", [1], [[0.5, 0.5]]), r"id: not UTF-8 \(byte 2: invalid start byte\)"),
+            (coil_enc_record("d0", [1], [[np.nan, 0.5]]), "non-finite token"),
+            (coil_enc_record("d0", [-3], [[0.5, 0.5]]), "non-negative integers"),
+            (np.array([2**32 - 1, 0], "<u4").tobytes() + b"d", "truncated"),
+            (np.array([1, 2**32 - 1], "<u4").tobytes() + b"d", "truncated"),
+            (coil_enc_record("d0", [1], [[0.5, 0.5]])[:-1], "truncated"),
+            (b"\x02\x00\x00\x00\x01", "truncated"),
+        ],
+        ids=[
+            "empty-id",
+            "whitespace-id",
+            "nul-id",
+            "non-utf8-id",
+            "nan-token-vector",
+            "negative-token-id",
+            "id-length-past-the-end",
+            "token-count-past-the-end",
+            "body-cut-short",
+            "frame-cut-short",
         ],
     )
-    def test_bad_record_rejected_with_line(self, tmp_path, record, message):
+    def test_bad_record_rejected_with_number(self, tmp_path, record, message):
         path = tmp_path / "enc.jsonl"
-        path.write_text('{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n' + record + "\n")
-        with pytest.raises(FormatError, match=f"line 2: .*{message}"):
+        good = coil_enc_record("a", [1], [[0.5, 0.5]])
+        self._write(path, 0, good, record)
+        with pytest.raises(FormatError, match=f"enc.jsonl: record 2: .*{message}"):
             list(ingest_encoded(path))
 
     def test_non_finite_cls_rejected(self, tmp_path):
         path = tmp_path / "enc.jsonl"
-        path.write_text(
-            '{"format":"coil-enc","version":1,"n_t":2,"n_c":2}\n'
-            '{"id":"d0","token_ids":[1],"token_vecs":[[0.5,0.5]],"cls_vec":[Infinity,0]}\n'
-        )
-        with pytest.raises(FormatError, match="line 2: document 'd0': non-finite cls_vec"):
+        self._write(path, 2, coil_enc_record("d0", [1], [[0.5, 0.5]], [np.inf, 0.0]))
+        with pytest.raises(FormatError, match="record 1: document 'd0': non-finite cls_vec"):
             list(ingest_encoded(path))
 
     @pytest.mark.parametrize(
-        "text", ["", '\n{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\n', "not json\n"]
+        "text", ["", '\n{"format":"coil-enc","version":2,"n_t":2,"n_c":0}\n', "not json\n"]
     )
     def test_header_must_be_line_1(self, tmp_path, text):
         path = tmp_path / "enc.jsonl"
         path.write_text(text)
         with pytest.raises(FormatError, match="line 1: invalid header JSON"):
             list(ingest_encoded(path))
+
+    def test_non_utf8_header_names_line_1(self, tmp_path):
+        path = tmp_path / "enc.jsonl"
+        path.write_bytes(b'{"format":"coil-enc","\xff":1}\n')
+        message = f"{re.escape(str(path))}: line 1: not UTF-8 \\(byte 23: invalid start byte\\)"
+        for read in (read_encoded_header, lambda p: list(ingest_encoded(p))):
+            with pytest.raises(FormatError, match=message):
+                read(path)
 
     @pytest.mark.parametrize(
         "edit, n_c",
@@ -619,18 +632,37 @@ class TestEncodedRecordIo:
         with pytest.raises(ValidationError, match="document 'd0'"):
             write_encoded([record()], tmp_path / "out.jsonl", 2, n_c)
         path = tmp_path / "enc.jsonl"
-        header = {"format": "coil-enc", "version": 1, "n_t": 2, "n_c": n_c}
-        path.write_text(json.dumps(header) + "\n" + json.dumps({"id": "d0", **fields}) + "\n")
-        with pytest.raises(FormatError, match="enc.jsonl: line 2: "):
+        self._write(path, n_c, coil_enc_record("d0", *fields.values()))
+        with pytest.raises(FormatError, match=r"enc.jsonl: record \d: "):
             list(ingest_encoded(path))
 
-    def test_invalid_json_record_names_line(self, tmp_path):
-        path = tmp_path / "enc.jsonl"
-        path.write_text(
-            '{"format":"coil-enc","version":1,"n_t":2,"n_c":0}\nnot json\n'
+    @pytest.mark.parametrize(
+        "token_ids, token_vecs, cls_vec, message",
+        [
+            ([1], [[1e39, 0.5]], None, "token vector entry beyond the float32 range"),
+            ([1], [[0.5, 0.5]], [-1e39, 0.0], "cls_vec entry beyond the float32 range"),
+            ([2**31], [[0.5, 0.5]], None, "token id 2147483648 does not fit in int32"),
+        ],
+        ids=["float64-token-vector", "float64-cls-entry", "token-id-2**31"],
+    )
+    def test_values_past_the_stored_types_rejected(
+        self, tmp_path, token_ids, token_vecs, cls_vec, message
+    ):
+        """Values that the float32 / int32 cast of every writer would turn
+        into inf or wrap raise ValidationError, and no numpy warning."""
+        doc = EncodedDocument(
+            "d0",
+            np.asarray(token_ids, np.int64),
+            np.asarray(token_vecs, np.float64),
+            None if cls_vec is None else np.asarray(cls_vec, np.float64),
         )
-        with pytest.raises(FormatError, match="line 2.*invalid JSON"):
-            list(ingest_encoded(path))
+        n_c = 0 if cls_vec is None else 2
+        match = f"^document 'd0': {message}$"
+        with pytest.raises(ValidationError, match=match):
+            write_encoded([doc], tmp_path / "out.jsonl", 2, n_c)
+        assert not (tmp_path / "out.jsonl").exists()
+        with pytest.raises(ValidationError, match=match):
+            build_index([doc], CoilConfig(n_lm=4, n_t=2, n_c=n_c))
 
 
 class TestEncoderSpec:
@@ -691,7 +723,7 @@ class TestEncoderSpec:
     )
     def test_bad_coil_enc_header_names_line_1(self, tmp_path, edit, message):
         path = tmp_path / "enc.jsonl"
-        header = {"format": "coil-enc", "version": 1, "n_t": 4, "n_c": 0}
+        header = {"format": "coil-enc", "version": 2, "n_t": 4, "n_c": 0}
         header["encoder"] = self._spec().to_meta()
         edit(header)
         path.write_text(json.dumps(header) + "\n")

@@ -1,8 +1,8 @@
 """Property tests: the grouped indexes and the production rankers against
 naive per-occurrence references and the pairwise oracles, the array
 ranker against sorting every (doc id, score) pair, and the index file
-checksums against short error bursts, and the coil-enc float text
-against every finite float32.
+checksums against short error bursts, and the coil-enc records against
+every finite float32.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -276,7 +276,7 @@ def enc_path(tmp_path_factory):
 )
 @example(rows=[[-0.0, SUBNORMALS[0], F32_MAX]], cls_vec=[-F32_MAX, -SUBNORMALS[1], -0.0, 0.0])
 @example(rows=[[-SUBNORMALS[0], 1.0, -F32_MAX]], cls_vec=[SUBNORMALS[1], -0.0, 0.1, -1.0])
-def test_coil_enc_float_text_round_trips_bit_exact(enc_path, rows, cls_vec):
+def test_coil_enc_floats_round_trip_bit_exact(enc_path, rows, cls_vec):
     doc = EncodedDocument(
         "d",
         np.arange(len(rows), dtype=np.int32),
@@ -290,8 +290,8 @@ def test_coil_enc_float_text_round_trips_bit_exact(enc_path, rows, cls_vec):
     assert back.cls_vec.tobytes() == doc.cls_vec.tobytes()
 
 
-# -0.1321048513056169 lies just past a float32 rounding midpoint: its 9-digit
-# text rounds to the float32 on the other side of it
+# -0.1321048513056169 lies just past a float32 rounding midpoint, so it must
+# be rounded once, by the float32 cast
 F64_IN_F32_RANGE = st.floats(-F32_MAX, F32_MAX, allow_nan=False)
 
 
