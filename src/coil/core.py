@@ -396,15 +396,16 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
     removed and ``path`` keeps its earlier contents, or stays absent.  A
     target that exists but is not a regular file, such as ``/dev/stdout`` or
     a pipe, is a stream that a replace would destroy, so it is written in
-    place.  A symlink is followed, so the file it points to is replaced and
-    the link stays.
+    place; this is checked before ``path`` is resolved, as ``/dev/stdout``
+    on a pipe resolves to a name that does not exist.  A symlink is
+    followed, so the file it points to is replaced and the link stays.
     """
     open_args = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8", "newline": "\n"}
-    path = Path(os.path.realpath(path))
-    if path.exists() and not path.is_file():
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, **open_args) as fh:
             yield fh
         return
+    path = Path(os.path.realpath(path))
     temp = path.parent / f".{path.name}.tmp{os.getpid()}"
     try:
         with open(temp, **open_args) as fh:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import stat
 import string
 import struct
 from dataclasses import asdict, dataclass, field
@@ -438,7 +439,11 @@ def write_encoded(
 
 def _parse_header(path: str | Path, fh: BinaryIO) -> dict:
     """:func:`read_encoded_header` on the first line of ``fh``, which the
-    caller may go on reading."""
+    caller may go on reading.  A file that is not regular, such as a pipe,
+    is refused: it cannot be read again for the records after its header,
+    nor sized for their truncation check."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        raise FormatError(f"{path}: not a regular file")
     where = f"{path}: line 1"
     try:
         header = json.loads(fh.readline().decode("utf-8"))

@@ -59,11 +59,8 @@ def read_qrels(path: str | Path) -> Qrels:
         if len(fields) != 4:
             raise FormatError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
         qid, _, doc_id, rel_str = fields
-        try:
-            check_id("query", qid)
-            check_id("document", doc_id)
-        except ValidationError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not (qid + doc_id).isprintable():
+            _check_row_ids(path, lineno, qid, doc_id)
         try:
             rel = int(rel_str)
         except ValueError:
@@ -82,9 +79,14 @@ def read_qrels(path: str | Path) -> Qrels:
 
 
 def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil") -> None:
-    """Write ``run`` in TREC format; ``tag`` must pass the id rule, as
-    :func:`read_run` reads it as one field."""
+    """Write ``run`` in TREC format.  The query ids (the keys), the doc ids
+    and ``tag`` must pass the id rule, as :func:`read_run` reads each as one
+    field; they are checked before ``path`` is opened."""
     check_id("run tag", tag)
+    for qid, ranked in run.items():
+        check_id("query", qid)
+        for doc_id, _ in ranked.entries:
+            check_id("document", doc_id)
     with atomic_writer(path) as fh:
         for qid, ranked in run.items():
             for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
@@ -92,8 +94,9 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil"
 
 
 def read_run(path: str | Path) -> Run:
-    """Read a run file; every query and document id must pass the id rule."""
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
+    """Read a run file in one pass; every query and document id must pass
+    the id rule, and each query's rows must make a valid RankedList."""
+    per_query: dict[str, list[tuple[int, str, float, int]]] = {}
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 6:
@@ -106,47 +109,34 @@ def read_run(path: str | Path) -> Run:
             raise FormatError(
                 f"{path}: line {lineno}: bad rank or score ({rank_str!r}, {score_str!r})"
             ) from None
-        per_query.setdefault(qid, []).append((rank, doc_id, score))
+        per_query.setdefault(qid, []).append((rank, doc_id, score, lineno))
 
-    # split() already rules out empty ids and whitespace, so printable ids
-    # pass the id rule
-    for qid in per_query:
-        if not qid.isprintable():
-            _check_run_ids(path, qid, ())
+    # every id before any rank sequence: a bad query id splits its query in two
+    for qid, rows in per_query.items():
+        if not (qid + "".join(map(itemgetter(1), rows))).isprintable():
+            for _, doc_id, _, lineno in rows:
+                _check_row_ids(path, lineno, qid, doc_id)
     run: Run = {}
     for qid, rows in per_query.items():
         rows.sort(key=itemgetter(0))
-        doc_ids = [r[1] for r in rows]
-        if not "".join(doc_ids).isprintable():
-            _check_run_ids(path, qid, doc_ids)
         if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
             raise FormatError(f"{path}: query {qid!r}: ranks are not 1..{len(rows)}")
-        run[qid] = RankedList(qid, [(doc_id, score) for _, doc_id, score in rows])
+        try:
+            run[qid] = RankedList(qid, [(doc_id, score) for _, doc_id, score, _ in rows])
+        except ValidationError as exc:
+            raise FormatError(f"{path}: query {qid!r}: {exc}") from exc
     return run
 
 
-def _check_run_ids(path: str | Path, qid: str, doc_ids: Sequence[str]) -> None:
-    """The id rule for one query's id and the given doc ids; the error
-    names the first offending line of that query.
-
-    Valid runs get here only when an id holds a character that is not
-    printable yet allowed by the rule (such as U+200B), so reading the file
-    again to find the line costs nothing on the common path.
-    """
+def _check_row_ids(path: str | Path, lineno: int, qid: str, doc_id: str) -> None:
+    """The id rule for one row of a run or qrels file, raised as FormatError
+    naming its line.  ``split()`` already rules out empty ids and whitespace,
+    so callers need this only for ids that are not printable."""
     try:
         check_id("query", qid)
-        for doc_id in doc_ids:
-            check_id("document", doc_id)
+        check_id("document", doc_id)
     except ValidationError as exc:
-        for lineno, line in read_lines(path):
-            fields = line.split()
-            if fields[0] == qid:
-                try:
-                    check_id("query", qid)
-                    check_id("document", fields[2])
-                except ValidationError as line_exc:
-                    raise FormatError(f"{path}: line {lineno}: {line_exc}") from line_exc
-        raise FormatError(f"{path}: query {qid!r}: {exc}") from exc
+        raise FormatError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def _check_k(k: int) -> None:

@@ -26,6 +26,7 @@ from coil.cli import main
 from coil.core import EncodedQuery, atomic_writer
 from coil.encoding import read_encoded_header
 import numpy as np
+from streams import fed_stream, returns_within
 from synth import coil_enc_bytes, coil_enc_record
 
 CORPUS = [
@@ -319,6 +320,33 @@ class TestEvalCli:
         bad.write_text("q0 d0 1\n")
         assert main(["eval", str(bad), str(workdir / "qrels.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["q0 Q0 d1 1 2.0 t", "q0 Q0 d1 2 1.0 t"],
+            ["q0 Q0 d0 1 1.0 t", "q0 Q0 d1 2 2.0 t"],
+            ["q0 Q0 d1 1 nan t"],
+            ["q0 Q0 d1 1 inf t"],
+        ],
+        ids=["duplicate-doc-id", "rising-scores", "nan-score", "inf-score"],
+    )
+    def test_malformed_ranked_list_exits_2_naming_the_file(self, workdir, capsys, rows):
+        run = workdir / "run.txt"
+        run.write_text("".join(row + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["eval", str(run), str(workdir / "qrels.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run}: query 'q0': ")
+
+    @pytest.mark.parametrize("stream", ["fifo", "pipe"])
+    def test_run_from_a_stream_error_names_the_line(self, workdir, capsys, stream):
+        data = b"q0 Q0 d0 1 2.0 t\nq0 Q0 d\x002 2 1.0 t\n"
+        qrels = str(workdir / "qrels.txt")
+        capsys.readouterr()
+        with fed_stream(stream, workdir, data) as run:
+            code = returns_within(lambda: main(["eval", run, qrels]))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {run}: line 2: document id ")
+
 
 class TestSampleNegsCli:
     def test_deterministic_and_excludes_positives(self, workdir):
@@ -570,6 +598,19 @@ class TestInterruptedWrites:
         assert not reader.is_alive() and got == ["q0 Q0 d0 1 0.5 t\n"]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
+    def test_dev_fd_of_a_pipe_is_written_in_place(self):
+        # /dev/fd/<n> of a pipe resolves to "pipe:[<inode>]", which is no file name
+        read_fd, write_fd = os.pipe()
+        try:
+            target = f"/dev/fd/{write_fd}"
+            returns_within(
+                lambda: write_run({"q0": RankedList("q0", [("d0", 0.5)])}, target, tag="t")
+            )
+        finally:
+            os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as fh:
+            assert fh.read() == b"q0 Q0 d0 1 0.5 t\n"
+
     def test_encode_failing_part_way_keeps_the_earlier_file(self, workdir, monkeypatch):
         enc, _ = _encode_and_build(workdir)
         before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
@@ -665,6 +706,17 @@ class TestCorruptedInputs:
             text = data.split(b"\n", 1)[0] if name == "enc.jsonl" else data
             if not name.endswith(".bin") and not _is_utf8(text):
                 assert code == 2 and str(path) in err, variant
+
+    @pytest.mark.parametrize("stream", ["fifo", "pipe"])
+    def test_coil_enc_from_a_stream_exits_2(self, workdir, capsys, stream):
+        enc, _ = _encode_and_build(workdir)
+        data = enc.read_bytes()
+        idx = str(workdir / "idx2")
+        capsys.readouterr()
+        with fed_stream(stream, workdir, data) as source:
+            code = returns_within(lambda: main(["build", source, idx]))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {source}: not a regular file\n"
 
     def test_non_utf8_coil_enc_header_exits_2(self, workdir, capsys):
         enc, _ = _encode_and_build(workdir)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from coil import (
     recall_at_k,
     write_run,
 )
+from streams import fed_stream, returns_within
 
 
 def _run(**lists):
@@ -142,6 +144,38 @@ class TestRunIo:
         path = tmp_path / "run.txt"
         path.write_text("q​1 Q0 d​1 1 0.9 t\n")
         assert read_run(path)["q​1"].doc_ids() == ["d​1"]
+
+    @pytest.mark.parametrize("stream", ["fifo", "pipe"])
+    def test_stream_is_read_once_and_error_names_line(self, tmp_path, stream):
+        data = b"q1 Q0 d1 1 0.9 t\nq1 Q0 d\x002 2 0.8 t\n"
+        with fed_stream(stream, tmp_path, data) as path, pytest.raises(
+            FormatError, match="line 2: document id .* control characters"
+        ):
+            returns_within(lambda: read_run(path))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {"q 1": RankedList("q 1", [("d0", 1.0)])},
+            {"q1": RankedList("q1", [("d0", 1.0), ("d 0", 0.5)])},
+            {"q1": RankedList("q1", [("d\x00", 1.0)])},
+            {"q1": RankedList("q1", [("", 1.0)])},
+            {"q1": RankedList("q1", [(5, 1.0)])},
+        ],
+        ids=["space-in-query-id", "space-in-doc-id", "nul-in-doc-id", "empty-doc-id", "int-doc-id"],
+    )
+    def test_write_checks_ids_before_opening(self, tmp_path, run):
+        path = tmp_path / "run.txt"
+        path.write_text("earlier\n")
+        with pytest.raises(ValidationError, match="id"):
+            write_run(run, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+        assert path.read_text() == "earlier\n"
+        # a FIFO without a reader blocks its opener, so it shows that no open happens
+        fifo = tmp_path / "run.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(ValidationError, match="id"):
+            returns_within(lambda: write_run(run, fifo))
 
 
 class TestMrr:

@@ -1,8 +1,8 @@
 """Property tests: the grouped indexes and the production rankers against
 naive per-occurrence references and the pairwise oracles, the array
 ranker against sorting every (doc id, score) pair, and the index file
-checksums against short error bursts, and the coil-enc records against
-every finite float32.
+checksums against short error bursts, the coil-enc records against
+every finite float32, and run files against any ids the id rule allows.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -38,12 +38,14 @@ from coil import (
     build_vocab,
     ingest_encoded,
     load_index,
+    read_run,
     save_index,
     search,
     tokenize,
     write_encoded,
+    write_run,
 )
-from coil.core import as_score, ranked_list_from_arrays
+from coil.core import as_score, check_id, ranked_list_from_arrays
 from synth import make_instance
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -312,3 +314,67 @@ def test_coil_enc_float64_input_reads_back_as_its_float32_cast(enc_path, rows, c
     (back,) = ingest_encoded(enc_path)
     assert back.token_vecs.tobytes() == doc.token_vecs.astype(np.float32).tobytes()
     assert back.cls_vec.tobytes() == doc.cls_vec.astype(np.float32).tobytes()
+
+
+def _passes_id_rule(value: str) -> bool:
+    try:
+        check_id("any", value)
+    except ValidationError:
+        return False
+    return True
+
+
+RULE_IDS = st.text(min_size=1, max_size=5).filter(_passes_id_rule)
+# whitespace, control characters and a lone surrogate, inside any text
+ID_BREAKERS = [" ", "\t", "\n", "\x85", "\u2028", "\x00", "\x7f", "\ud800"]
+BAD_IDS = st.one_of(
+    st.just(""),
+    st.integers(),
+    st.builds(
+        lambda head, breaker, tail: head + breaker + tail,
+        st.text(max_size=2), st.sampled_from(ID_BREAKERS), st.text(max_size=2),
+    ),
+)
+
+
+@st.composite
+def runs_and_one_broken(draw):
+    """A run whose ids pass the id rule and finite float32 scores, and the
+    same run with one query id or doc id replaced by one that breaks it."""
+    run = {}
+    for qid in draw(st.lists(RULE_IDS, min_size=1, max_size=4, unique=True)):
+        doc_ids = draw(st.lists(RULE_IDS, min_size=1, max_size=5, unique=True))
+        scores = draw(st.lists(F32, min_size=len(doc_ids), max_size=len(doc_ids)))
+        run[qid] = RankedList(qid, list(zip(doc_ids, sorted(scores, reverse=True))))
+    bad = draw(BAD_IDS)
+    target = draw(st.sampled_from(list(run)))
+    broken = dict(run)
+    entries = run[target].entries
+    at = draw(st.integers(-1, len(entries) - 1))  # -1: the query id
+    if at < 0:
+        broken = {bad if qid == target else qid: ranked for qid, ranked in run.items()}
+    else:
+        entries = entries[:at] + [(bad, entries[at][1])] + entries[at + 1 :]
+        broken[target] = RankedList(target, entries)
+    return run, broken
+
+
+@pytest.fixture(scope="module")
+def run_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("run") / "run.txt"
+
+
+@PROPERTY
+@given(runs_and_one_broken())
+def test_run_file_round_trip_and_broken_ids_raise_before_writing(run_path, case):
+    run, broken = case
+    write_run(run, run_path, tag="t")
+    back = read_run(run_path)
+    assert list(back) == list(run)
+    for qid, ranked in run.items():
+        assert back[qid].doc_ids() == ranked.doc_ids()
+        assert [s for _, s in back[qid].entries] == [float(f"{s:.6g}") for _, s in ranked.entries]
+    written = run_path.read_bytes()
+    with pytest.raises(ValidationError):
+        write_run(broken, run_path, tag="t")
+    assert run_path.read_bytes() == written
