@@ -114,7 +114,11 @@ def tokenize(text: str, cfg: TokenizerConfig) -> TokenSeq:
 
 
 def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over raw bytes."""
+    """64-bit FNV-1a over raw bytes.
+
+    It seeds only the stub encoder's token vectors (:func:`hash64`) and the
+    projection streams; changing it would change every vector.
+    """
     for byte in data:
         state = ((state ^ byte) * _FNV_PRIME) & _MASK64
     return state

@@ -7,11 +7,11 @@ ordinals are nondecreasing, and query-time scoring can reduce each list
 with a single segmented max.  Document-level vectors are stacked into one
 matrix addressed by ordinal.
 
-On-disk layout, version 3 (all integers little-endian; see README for the
+On-disk layout, version 4 (all integers little-endian; see README for the
 byte-level description):
 
-* ``meta.json``   config, vocabulary, doc table, corpus checksum (FNV-1a
-                  64), per-file CRC-32 checksums stored as ``crc32:%08x``,
+* ``meta.json``   config, vocabulary, doc table, corpus checksum (CRC-32),
+                  per-file CRC-32 checksums stored as ``crc32:%08x``,
                   encoder settings
 * ``postings.bin``  three columns over the N sorted rows: N int32 token ids,
                   N int32 doc ordinals, then N x n_t float32 vectors
@@ -43,10 +43,11 @@ from .core import (
     read_json,
     validate_config,
 )
-from .encoding import fnv1a64, vocab_from_meta
+from .encoding import vocab_from_meta
+from .encoding import fnv1a64  # noqa: F401  (unused here; coilbench/tracing.py wraps this name)
 
 INDEX_FORMAT = "coil-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 META_FILE = "meta.json"
 POSTINGS_FILE = "postings.bin"
@@ -184,10 +185,10 @@ def build_index(
     vecs = np.concatenate(vec_parts)
     cls_matrix = np.concatenate(cls_rows) if n_c >= 1 else None
 
-    checksum = fnv1a64("\n".join(doc_table).encode("utf-8"), fnv1a64(b"coil-corpus"))
+    checksum = zlib.crc32("\n".join(doc_table).encode("utf-8"), zlib.crc32(b"coil-corpus"))
     for column in (counts, tids, vecs, cls_matrix):
         if column is not None:
-            checksum = fnv1a64(column.tobytes(), checksum)
+            checksum = zlib.crc32(column, checksum)
 
     # a stable sort keeps each token's rows in (ordinal, position) order
     order = np.argsort(tids, kind="stable")
@@ -248,7 +249,7 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "config": asdict(index.config),
         "doc_table": index.doc_table,
         "vocab": index.vocab,
-        "corpus_checksum": f"{index.corpus_checksum:016x}",
+        "corpus_checksum": f"{index.corpus_checksum:08x}",
         "checksums": {name: file_checksum(*columns) for name, columns in files.items()},
         "encoder_meta": index.encoder_meta,
     }

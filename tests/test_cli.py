@@ -393,6 +393,7 @@ class TestExitCodes:
             ("search", "idx/meta.json", lambda m: m.pop("checksums")),
             ("search", "idx/meta.json", lambda m: m.update(version=1)),
             ("search", "idx/meta.json", lambda m: m.update(version=2)),
+            ("search", "idx/meta.json", lambda m: m.update(version=3)),
             (
                 "search",
                 "idx/meta.json",
@@ -425,6 +426,7 @@ class TestExitCodes:
             "meta-missing-checksums",
             "meta-version-1",
             "meta-version-2",
+            "meta-version-3",
             "meta-checksum-without-crc32-prefix",
             "header-encoder-projection-seed",
             "header-encoder-disagrees-with-n_t",

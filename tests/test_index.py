@@ -133,6 +133,73 @@ class TestBuild:
         assert index.cls_matrix.shape == (0, 2)
 
 
+def _corpus():
+    """Two documents by hand: ids, token ids per document, the token vectors of
+    the whole corpus in document order, and one CLS row per document."""
+    return {
+        "ids": ["d0", "d1"],
+        "tids": [[1, 2], [3]],
+        "vecs": np.asarray([[0.5, -1.0], [2.0, 0.25], [-3.0, 1.5]], dtype=np.float32),
+        "cls": np.asarray([[0.125, 4.0], [-0.75, 1.0]], dtype=np.float32),
+    }
+
+
+def _build(corpus):
+    doc = _docs_by_hand()
+    docs, start = [], 0
+    for doc_id, tids, cls in zip(corpus["ids"], corpus["tids"], corpus["cls"]):
+        docs.append(doc(doc_id, tids, corpus["vecs"][start : start + len(tids)], cls))
+        start += len(tids)
+    return build_index(docs, CoilConfig(n_lm=4, n_t=2, n_c=2))
+
+
+def _flip_low_bit(array, flat_index):
+    out = array.copy()
+    out.reshape(-1).view(np.uint32)[flat_index] ^= 1
+    return out
+
+
+class TestCorpusChecksum:
+    def test_is_crc32_of_the_documented_bytes(self, tmp_path):
+        index = _build(_corpus())
+        corpus = _corpus()
+        blob = b"".join(
+            (
+                b"coil-corpus",
+                b"d0\nd1",
+                np.asarray([2, 1], dtype="<i4").tobytes(),  # token counts
+                np.asarray([1, 2, 3], dtype="<i4").tobytes(),
+                corpus["vecs"].astype("<f4").tobytes(),
+                corpus["cls"].astype("<f4").tobytes(),
+            )
+        )
+        assert index.corpus_checksum == zlib.crc32(blob)
+        save_index(index, tmp_path / "idx")
+        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
+        assert meta["corpus_checksum"] == f"{zlib.crc32(blob):08x}"
+        assert load_index(tmp_path / "idx").corpus_checksum == zlib.crc32(blob)
+
+    def test_equal_corpora_give_equal_checksums(self):
+        assert _build(_corpus()).corpus_checksum == _build(_corpus()).corpus_checksum
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["ids"].__setitem__(1, "d2"),
+            lambda c: c["tids"].__setitem__(0, [1, 4]),
+            lambda c: c.update(vecs=_flip_low_bit(c["vecs"], 3)),
+            lambda c: c.update(cls=_flip_low_bit(c["cls"], 2)),
+            # token ids, vectors and CLS rows stay as they are; only counts change
+            lambda c: c.update(tids=[[1], [2, 3]]),
+        ],
+        ids=["doc-id", "token-id", "token-vector-bit", "cls-bit", "token-to-next-doc"],
+    )
+    def test_any_one_covered_input_changes_it(self, edit):
+        corpus = _corpus()
+        edit(corpus)
+        assert _build(corpus).corpus_checksum != _build(_corpus()).corpus_checksum
+
+
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
         inst = make_instance(seed=7, num_docs=100, vocab_size=30)
@@ -219,6 +286,16 @@ class TestPersistence:
         meta["version"] = 1
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="unsupported version 1"):
+            load_index(tmp_path / "idx")
+
+    def test_version_3_rejected(self, tmp_path):
+        inst = make_instance(seed=15, num_docs=5)
+        save_index(inst.index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 3
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="unsupported version 3"):
             load_index(tmp_path / "idx")
 
     def test_tok_index_saved_over_full_index_leaves_no_cls(self, tmp_path):

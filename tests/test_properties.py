@@ -1,8 +1,9 @@
 """Property tests: the grouped indexes and the production rankers against
-naive per-occurrence references and the pairwise oracles, the array
-ranker against sorting every (doc id, score) pair, and the index file
-checksums against short error bursts, the coil-enc records against
-every finite float32, and run files against any ids the id rule allows.
+naive per-occurrence references and the pairwise oracles, the corpus
+checksum against the bytes README lists, the array ranker against sorting
+every (doc id, score) pair, and the index file checksums against short
+error bursts, the coil-enc records against every finite float32, and run
+files against any ids the id rule allows.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -14,6 +15,7 @@ reproducible.
 from __future__ import annotations
 
 import tempfile
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -119,6 +121,21 @@ def test_build_index_equals_naive_grouping(case):
             assert lst.vectors.shape == (len(occurrences), config.n_t)
             assert lst.doc_refs.tobytes() == want_refs.tobytes()
             assert lst.vectors.tobytes() == want_vecs.tobytes()
+
+
+@PROPERTY
+@given(coil_cases())
+def test_corpus_checksum_is_crc32_over_the_documented_bytes(case):
+    """README: b"coil-corpus", the doc ids joined by newlines, then each
+    document's token count, all token ids, all token vectors and all CLS rows."""
+    config, docs, _, _ = case
+    blob = b"coil-corpus" + "\n".join(d.doc_id for d in docs).encode("utf-8")
+    blob += np.asarray([len(d.token_ids) for d in docs], dtype="<i4").tobytes()
+    blob += b"".join(np.asarray(d.token_ids, dtype="<i4").tobytes() for d in docs)
+    blob += b"".join(np.asarray(d.token_vecs, dtype="<f4").tobytes() for d in docs)
+    if config.n_c:
+        blob += b"".join(np.asarray(d.cls_vec, dtype="<f4").tobytes() for d in docs)
+    assert build_index(docs, config).corpus_checksum == zlib.crc32(blob)
 
 
 @pytest.fixture(scope="module")
