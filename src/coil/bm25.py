@@ -10,6 +10,9 @@ It also shares the inverted-list machinery: postings are grouped with
 ``index.group_by_key``, and `bm25_search` accumulates per-ordinal float64
 sums and ranks them with ``ranked_list_from_arrays``, the path and tie rule
 (score descending, then doc id ascending) of tok-mode ``retrieval.search``.
+As there, the ranker checks that scores are finite, its sort on the
+score and then the index's ``doc_rank`` gives the order, and ``Bm25Index``
+rejects a duplicate doc id when it is constructed.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Document, RankedList, TokenSeq, ValidationError, as_score
+from .core import Document, RankedList, TokenSeq, ValidationError, as_score, rank_doc_ids
 from .core import ranked_list_from_arrays
 from .encoding import TokenizerConfig, UNKNOWN_TOKEN_ID, tokenize
 from .index import group_by_key, run_bounds
@@ -54,9 +57,11 @@ class Bm25Index:
     avgdl: float
     doc_table: list[str]
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
+    doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
 
     def __post_init__(self) -> None:
         self.doc_ids = np.asarray(self.doc_table, dtype=str)
+        self.doc_rank = rank_doc_ids(self.doc_ids)  # raises on a duplicate doc id
 
     @property
     def num_docs(self) -> int:
@@ -82,18 +87,15 @@ def build_bm25_index(
 
     Document length counts every kept token; postings skip the unknown
     token id, mirroring the lexical scorers' rule that out-of-vocabulary
-    tokens match nothing.
+    tokens match nothing.  A duplicate doc id raises when the index is
+    constructed.
     """
     if max_doc_tokens < 1:
         raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
     doc_table: list[str] = []
-    seen: set[str] = set()
     tid_parts = [np.empty(0, dtype=np.int64)]
     ord_parts = [np.empty(0, dtype=np.int32)]
     for ordinal, doc in enumerate(docs):
-        if doc.id in seen:
-            raise ValidationError(f"duplicate doc id {doc.id!r}")
-        seen.add(doc.id)
         doc_table.append(doc.id)
         ids = tokenize(doc.text, tokenizer).token_ids[:max_doc_tokens]
         tid_parts.append(np.asarray(ids, dtype=np.int64))
@@ -171,7 +173,7 @@ def bm25_search(
         acc[ordinals] += idf * h_q * h_d
         touched[ordinals] = True
     keep = np.flatnonzero(touched)
-    return ranked_list_from_arrays(query_id, index.doc_ids[keep], acc[keep], k)
+    return ranked_list_from_arrays(query_id, index.doc_ids, acc[keep], k, index.doc_rank, keep)
 
 
 def sample_bm25_negatives(

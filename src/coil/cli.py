@@ -119,7 +119,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             print(json.dumps({"qid": ranked.query_id, **asdict(instr)}), file=sys.stderr)
     run = {ranked.query_id: ranked for ranked, _ in results}
     write_run(run, args.out, tag=args.tag or mode)
-    print(f"searched {len(queries)} queries (mode={mode}) -> {args.out}")
+    print(f"searched {len(queries)} queries (mode={mode}) -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -138,7 +138,10 @@ def cmd_bm25(args: argparse.Namespace) -> int:
         for q in queries
     }
     write_run(run, args.out, tag="bm25")
-    print(f"ranked {len(queries)} queries over {index.num_docs} documents -> {args.out}")
+    print(
+        f"ranked {len(queries)} queries over {index.num_docs} documents -> {args.out}",
+        file=sys.stderr,
+    )
     return 0
 
 

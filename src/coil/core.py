@@ -4,16 +4,26 @@ Scores follow one convention system-wide: vectors and scores are 32-bit
 floats at rest, summations accumulate in 64-bit, and the final reported
 score is rounded back to 32-bit.  Ranked results are always ordered by
 score descending with ties broken by doc id ascending.
+
+A ranked list's invariants are each checked in one place.  Every score is
+finite, doc ids are unique, and scores never rise down the list:
+:class:`RankedList` checks all three, as array operations, for a list a
+caller builds (``read_run``, ``from_scores``).  :func:`ranked_list_from_arrays`
+checks finiteness itself and gets its order from its sort, which breaks
+ties on :func:`rank_doc_ids`.  That rank rejects a duplicate doc id: an
+index computes it once, when it is constructed, and the ranker computes it
+for a caller that passes none.  So the ranker builds its list without a
+second check.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -304,25 +314,43 @@ class RankedList:
     Construction through :meth:`from_scores` or
     :func:`ranked_list_from_arrays` guarantees the full ordering rule
     (score descending, ties by doc id ascending).  Direct construction
-    still checks monotone scores and uniqueness, which is the most a
-    precision-lossy source such as a parsed run file can promise.
+    still checks finite, non-increasing scores and unique doc ids, which
+    is the most a precision-lossy source such as a parsed run file can
+    promise.  The first offending entry names the error; within one entry
+    a non-finite score comes before a duplicate id, and that before a
+    rising score.
     """
 
     query_id: str
     entries: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        prev = None
-        for doc_id, score in self.entries:
-            if not math.isfinite(score):
-                raise ValidationError(f"non-finite score for doc {doc_id!r}")
-            if doc_id in seen:
-                raise ValidationError(f"duplicate doc id {doc_id!r} in ranked list")
-            seen.add(doc_id)
-            if prev is not None and score > prev:
-                raise ValidationError("ranked list scores must be non-increasing")
-            prev = score
+        doc_ids = [doc_id for doc_id, _ in self.entries]
+        values = np.fromiter(map(itemgetter(1), self.entries), np.float64, len(doc_ids))
+        faults = []  # (entry, precedence within the entry, message)
+        nonfinite = np.flatnonzero(~np.isfinite(values))
+        if len(nonfinite):
+            at = int(nonfinite[0])
+            faults.append((at, 0, f"non-finite score for doc {doc_ids[at]!r}"))
+        if len(set(doc_ids)) < len(doc_ids):
+            seen: set[str] = set()
+            for at, doc_id in enumerate(doc_ids):
+                if doc_id in seen:
+                    faults.append((at, 1, f"duplicate doc id {doc_id!r} in ranked list"))
+                    break
+                seen.add(doc_id)
+        rising = np.flatnonzero(values[1:] > values[:-1])
+        if len(rising):
+            faults.append((int(rising[0]) + 1, 2, "ranked list scores must be non-increasing"))
+        if faults:
+            raise ValidationError(min(faults)[2])
+
+    @classmethod
+    def _checked_by_caller(cls, query_id: str, entries: list[tuple[str, float]]) -> RankedList:
+        """A list whose caller has already established every invariant."""
+        ranked = cls.__new__(cls)
+        ranked.query_id, ranked.entries = query_id, entries
+        return ranked
 
     @classmethod
     def from_scores(
@@ -337,30 +365,62 @@ class RankedList:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def ranked_list_from_arrays(
-    query_id: str, doc_ids: np.ndarray, scores: np.ndarray, k: int | None = None
-) -> RankedList:
-    """Rank parallel arrays of doc ids and 64-bit scores with the global tie rule.
+def rank_doc_ids(doc_ids: np.ndarray) -> np.ndarray:
+    """The int32 position of each doc id in code-point order, the tie key of
+    :func:`ranked_list_from_arrays`; a duplicate doc id raises."""
+    order = np.argsort(doc_ids, kind="stable")
+    ordered = doc_ids[order]
+    same = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if len(same):
+        raise ValidationError(f"duplicate doc id {str(ordered[same[0]])!r}")
+    rank = np.empty(len(doc_ids), dtype=np.int32)
+    rank[order] = np.arange(len(doc_ids), dtype=np.int32)
+    return rank
 
-    Any non-finite score raises, whether or not it would reach the top k.
-    Only the scores at or above the k-th best (every tie at the cut
-    included) are sorted, so the result equals a sort of all of them.
+
+def ranked_list_from_arrays(
+    query_id: str,
+    doc_ids: np.ndarray,
+    scores: np.ndarray,
+    k: int | None = None,
+    tie_rank: np.ndarray | None = None,
+    ordinals: np.ndarray | None = None,
+) -> RankedList:
+    """Rank doc ids by 64-bit scores with the global tie rule.
+
+    ``scores[i]`` belongs to ``doc_ids[ordinals[i]]``, or to ``doc_ids[i]``
+    when ``ordinals`` is None; so a caller that ranks some documents of an
+    index passes the index's arrays whole, and only the ranked ids are
+    gathered.  Any non-finite score raises, whether or not it would reach
+    the top k.  Only the scores at or above the k-th best (every tie at the
+    cut included) are sorted, so the result equals a sort of all of them.
+    Ties are broken on ``tie_rank``, parallel to ``doc_ids``, which must
+    order them as :func:`rank_doc_ids` does; without it, the rank is
+    computed here, and a duplicate doc id raises.  The list is built
+    without :class:`RankedList`'s per-entry check: its order comes from the
+    sort, and its doc ids are unique.
     """
     with np.errstate(over="ignore"):  # a score past the float32 range raises below
         reported = scores.astype(np.float32)
+    at = np.arange(len(reported)) if ordinals is None else ordinals
     finite = np.isfinite(reported)
     if not finite.all():
-        bad = int(np.argmin(finite))
+        bad = at[np.argmin(finite)]
         raise ValidationError(f"non-finite score for doc {str(doc_ids[bad])!r}")
+    ranks = rank_doc_ids(doc_ids) if tie_rank is None else tie_rank
     n = len(reported)
     if k is not None and 0 < k < n:
         kth = np.partition(reported, n - k)[n - k]
         keep = np.flatnonzero(reported >= kth)
-        doc_ids, reported = doc_ids[keep], reported[keep]
-    order = np.lexsort((doc_ids, -reported))
+        reported, at = reported[keep], at[keep]
+    # by rank, then stably by score: the order of lexsort((ranks[at], -reported)),
+    # in about half its time
+    by_rank = np.argsort(ranks[at])
+    order = by_rank[np.argsort(-reported[by_rank], kind="stable")]
     if k is not None:
         order = order[:k]
-    return RankedList(query_id, list(zip(doc_ids[order].tolist(), reported[order].tolist())))
+    entries = list(zip(doc_ids[at[order]].tolist(), reported[order].tolist()))
+    return RankedList._checked_by_caller(query_id, entries)
 
 
 def utf8_error(where: str, exc: UnicodeDecodeError) -> FormatError:

@@ -85,12 +85,28 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil"
     check_id("run tag", tag)
     for qid, ranked in run.items():
         check_id("query", qid)
-        for doc_id, _ in ranked.entries:
-            check_id("document", doc_id)
+        doc_ids = ranked.doc_ids()
+        if not _all_pass_id_rule(doc_ids):
+            for doc_id in doc_ids:
+                check_id("document", doc_id)
     with atomic_writer(path) as fh:
         for qid, ranked in run.items():
-            for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
-                fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\n")
+            fh.write(
+                "".join(
+                    f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
+                    for rank, (doc_id, score) in enumerate(ranked.entries, start=1)
+                )
+            )
+
+
+def _all_pass_id_rule(ids: list) -> bool:
+    """Whether every id passes the id rule, judged on one joined string;
+    False only tells the caller to run ``check_id`` on each id."""
+    try:
+        joined = "".join(ids)
+    except TypeError:  # an id that is not a string
+        return False
+    return joined.isprintable() and " " not in joined and all(ids)
 
 
 def read_run(path: str | Path) -> Run:

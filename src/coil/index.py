@@ -40,6 +40,7 @@ from .core import (
     check_fields,
     check_id,
     config_from_meta,
+    rank_doc_ids,
     read_json,
     validate_config,
 )
@@ -101,9 +102,11 @@ class CoilIndex:
     corpus_checksum: int
     encoder_meta: dict | None = None  # provenance needed to encode text queries
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
+    doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
 
     def __post_init__(self) -> None:
         self.doc_ids = np.asarray(self.doc_table, dtype=str)
+        self.doc_rank = rank_doc_ids(self.doc_ids)  # raises on a duplicate doc id
 
     @property
     def num_docs(self) -> int:
@@ -156,21 +159,18 @@ def build_index(
     """Group every encoded token occurrence into its token's list.
 
     Documents keep their input order as ordinals; a document with no
-    tokens still occupies an ordinal (and a CLS row when n_c >= 1).
+    tokens still occupies an ordinal (and a CLS row when n_c >= 1).  A
+    duplicate doc id raises when the index is constructed.
     """
     validate_config(config)
     n_t, n_c = config.n_t, config.n_c
     doc_table: list[str] = []
-    seen_ids: set[str] = set()
     lengths: list[int] = []
     tid_parts = [np.empty(0, dtype=np.int32)]
     vec_parts = [np.empty((0, n_t), dtype=np.float32)]
     cls_rows = [np.empty((0, n_c), dtype=np.float32)]
 
     for doc in docs:
-        if doc.doc_id in seen_ids:
-            raise ValidationError(f"duplicate doc id {doc.doc_id!r}")
-        seen_ids.add(doc.doc_id)
         check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
         doc_table.append(doc.doc_id)
         lengths.append(len(doc.token_ids))

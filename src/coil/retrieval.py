@@ -16,6 +16,14 @@ finds the k-th best float32 score with a partition and sorts only the
 scores at or above it, every tie at the cut included, so its entries
 equal those of sorting every score.
 
+Where the ranked-list invariants are checked: the ranker rejects a
+non-finite score and its sort gives the order, breaking ties on the
+index's ``doc_rank``, an int32 rank of each doc id in code-point order.
+Doc ids are unique because ``CoilIndex`` rejects a duplicate when it is
+constructed, so no list is checked a second time, entry by entry.  The
+ranker takes the index's doc ids and ranks whole, with the ordinals of the
+documents a tok-mode query scored, and gathers only the ids it returns.
+
 Query positions with the unknown token id (0) are skipped by the lexical
 scorers: an out-of-vocabulary token matches nothing, not other unknowns.
 """
@@ -244,13 +252,13 @@ def _rank_query(
 
     if mode == "tok":
         keep = np.flatnonzero(touched)
-        doc_ids = index.doc_ids[keep]
         scores = acc[keep]
     else:
-        doc_ids = index.doc_ids
+        keep = None  # every document
         scores = cls_scores if mode == "cls_only" else acc + cls_scores
 
-    return ranked_list_from_arrays(q.query_id, doc_ids, scores, k), instr
+    ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, scores, k, index.doc_rank, keep)
+    return ranked, instr
 
 
 def search(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coil import (
+    Bm25Index,
     Bm25Params,
     Document,
     RankedList,
@@ -69,6 +70,11 @@ class TestBuild:
         tok = build_vocab(["a b"])
         with pytest.raises(ValidationError, match="duplicate"):
             build_bm25_index(docs, tok)
+
+    def test_direct_construction_rejects_a_duplicate_doc_id(self):
+        # the ranker breaks ties on doc_rank and trusts the ids to be unique
+        with pytest.raises(ValidationError, match="duplicate doc id 'd0'"):
+            Bm25Index({}, doc_len=np.ones(3, np.int64), avgdl=1.0, doc_table=["d0", "d1", "d0"])
 
 
 class TestScorePair:

@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import coil
 from coil import (
     EncodedDocument,
     Query,
@@ -112,6 +116,31 @@ class TestPipeline:
                 for (_, gs), (_, ws) in zip(got.entries, want.entries):
                     assert gs == pytest.approx(ws, rel=1e-5)
 
+    @pytest.mark.parametrize("command", ["search", "bm25"])
+    def test_run_on_stdout_pipes_into_eval(self, workdir, capsys, command):
+        _, idx = _encode_and_build(workdir)
+        source = str(idx) if command == "search" else str(workdir / "corpus.jsonl")
+        queries, qrels = str(workdir / "queries.jsonl"), str(workdir / "qrels.txt")
+        assert main([command, source, queries, str(workdir / "run.txt")]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(workdir / "run.txt"), qrels]) == 0
+        want = capsys.readouterr().out
+        env = {**os.environ, "PYTHONPATH": str(Path(coil.__file__).parent.parent)}
+        coil_cli = [sys.executable, "-m", "coil"]
+        producer = subprocess.Popen(
+            [*coil_cli, command, source, queries, "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        consumer = subprocess.run(
+            [*coil_cli, "eval", "/dev/stdin", qrels],
+            stdin=producer.stdout, capture_output=True, text=True, env=env, timeout=120,
+        )
+        producer.stdout.close()
+        _, producer_err = producer.communicate(timeout=120)
+        assert producer.returncode == 0 and consumer.returncode == 0, consumer.stderr
+        assert consumer.stdout == want
+        assert producer_err.decode().startswith(("searched 3 queries", "ranked 3 queries"))
+
     def test_header_roundtrips_through_encoder_spec(self, workdir):
         enc = workdir / "enc.jsonl"
         flags = [*ENCODE_FLAGS, "--layer-norm", "--max-doc-tokens", "4"]
@@ -180,10 +209,10 @@ class TestPipeline:
             ]
         ) == 0
         captured = capsys.readouterr()
-        assert captured.out.splitlines() == [
-            f"searched 3 queries (mode=tok) -> {workdir / 'run.txt'}"
-        ]
-        counters = [json.loads(l) for l in captured.err.splitlines()]
+        assert captured.out == ""
+        *counter_lines, summary = captured.err.splitlines()
+        assert summary == f"searched 3 queries (mode=tok) -> {workdir / 'run.txt'}"
+        counters = [json.loads(l) for l in counter_lines]
         assert [c["qid"] for c in counters] == ["q0", "q1", "q2"]
         assert counters[2]["lists_touched"] == 0  # all-unseen query
         assert all(
@@ -231,7 +260,7 @@ class TestPipeline:
         queries = str(workdir / "queries.jsonl")
         default, explicit = workdir / "default.txt", workdir / "explicit.txt"
         assert main(["search", str(idx), queries, str(default)]) == 0
-        assert f"(mode={mode})" in capsys.readouterr().out
+        assert f"(mode={mode})" in capsys.readouterr().err
         assert main(["search", str(idx), queries, str(explicit), "--mode", mode]) == 0
         lines = default.read_text().splitlines()
         assert lines and all(line.endswith(f" {mode}") for line in lines)

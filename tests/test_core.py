@@ -248,6 +248,38 @@ class TestRankedList:
     def test_empty_list_valid(self):
         assert RankedList("q", []).doc_ids() == []
 
+    NAN, INF = float("nan"), float("inf")
+    DUPLICATE = "duplicate doc id {} in ranked list"
+    RISING = "ranked list scores must be non-increasing"
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([("a", 3.0), ("b", NAN), ("a", 1.0), ("c", 5.0)], "non-finite score for doc 'b'"),
+            ([("a", 3.0), ("a", INF)], "non-finite score for doc 'a'"),
+            ([("x", NAN), ("x", NAN)], "non-finite score for doc 'x'"),
+            ([("a", 1.0), ("a", 2.0)], DUPLICATE.format("'a'")),
+            ([("a", 3.0), ("b", 2.0), ("a", 1.0), ("c", 5.0)], DUPLICATE.format("'a'")),
+            ([("a", 3.0), ("b", 2.0), ("b", 1.0), ("a", -INF)], DUPLICATE.format("'b'")),
+            ([("a", 1.0), ("b", 2.0), ("a", 0.5), ("c", NAN)], RISING),
+            ([("a", 2.0), ("b", 3.0), ("c", -INF)], RISING),
+        ],
+        ids=[
+            "nan-before-duplicate-and-rise",
+            "inf-beats-duplicate-in-one-entry",
+            "nan-first-entry",
+            "duplicate-beats-rise-in-one-entry",
+            "duplicate-before-rise",
+            "first-duplicate-wins",
+            "rise-before-duplicate-and-nan",
+            "rise-before-inf",
+        ],
+    )
+    def test_first_offending_entry_names_the_error(self, entries, message):
+        with pytest.raises(ValidationError) as raised:
+            RankedList("q", entries)
+        assert str(raised.value) == message
+
     def test_array_construction_matches_pairwise_sort(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -309,6 +341,20 @@ class TestRankedListFromArrays:
         got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
         assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
         assert len(got) == 5
+
+    @pytest.mark.parametrize("k", [1, None])
+    def test_ordinals_pick_the_doc_of_each_score(self, k):
+        doc_ids = np.array(["e", "d", "c", "b", "a"])
+        ordinals = np.array([4, 1, 2])
+        got = ranked_list_from_arrays("q", doc_ids, np.array([1.0, 2.0, 1.0]), k, None, ordinals)
+        assert got.entries == [("d", 2.0), ("a", 1.0), ("c", 1.0)][:k]
+        with pytest.raises(ValidationError, match="non-finite score for doc 'c'"):
+            ranked_list_from_arrays("q", doc_ids, np.array([1.0, 2.0, np.inf]), k, None, ordinals)
+
+    def test_duplicate_doc_id_without_a_tie_key_raises(self):
+        doc_ids = np.array(["a", "b", "a"])
+        with pytest.raises(ValidationError, match="duplicate doc id 'a'"):
+            ranked_list_from_arrays("q", doc_ids, np.array([3.0, 2.0, 1.0]), 2)
 
     def test_empty_input(self):
         doc_ids = np.array([], dtype="<U1")

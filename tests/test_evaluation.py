@@ -177,6 +177,43 @@ class TestRunIo:
         with pytest.raises(ValidationError, match="id"):
             returns_within(lambda: write_run(run, fifo))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("d 900", "document id 'd 900' must not contain whitespace"),
+            ("d\x00900", "document id 'd\\x00900' must not contain control characters"),
+            ("", "document id must be non-empty"),
+        ],
+        ids=["space", "nul", "empty"],
+    )
+    @pytest.mark.parametrize("others", ["d{}", "d\u200b{}"], ids=["printable", "format-char"])
+    def test_bad_id_deep_in_a_long_list_raises_before_opening(
+        self, tmp_path, bad, message, others
+    ):
+        # the joined-string check and the per-id fallback give check_id's message;
+        # U+200B makes the joined string unprintable, so every id is checked alone
+        entries = [(others.format(i), 1.0) for i in range(1000)]
+        entries[900] = (bad, 1.0)
+        run = {"q0": RankedList("q0", [("ok", 2.0)]), "q1": RankedList("q1", entries)}
+        fifo = tmp_path / "run.fifo"
+        os.mkfifo(fifo)  # opening it without a reader would block
+        with pytest.raises(ValidationError) as raised:
+            returns_within(lambda: write_run(run, fifo))
+        assert str(raised.value).startswith(message)
+
+    def test_write_makes_the_same_bytes_as_one_line_per_entry(self, tmp_path):
+        entries = [(f"d{i}", 1.0 / (i + 1)) for i in range(1000)]
+        parts = {"q0": entries, "q1": [], "q2": entries[:3]}
+        run = {qid: RankedList(qid, part) for qid, part in parts.items()}
+        path = tmp_path / "run.txt"
+        write_run(run, path, tag="t")
+        want = "".join(
+            f"{qid} Q0 {doc_id} {rank} {score:.6g} t\n"
+            for qid, ranked in run.items()
+            for rank, (doc_id, score) in enumerate(ranked.entries, start=1)
+        )
+        assert path.read_bytes() == want.encode()
+
 
 class TestMrr:
     def test_first_relevant_at_rank_three(self):

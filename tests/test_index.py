@@ -13,6 +13,7 @@ import coil.core
 from coil import (
     ChecksumError,
     CoilConfig,
+    CoilIndex,
     EncodedDocument,
     FormatError,
     ValidationError,
@@ -104,6 +105,19 @@ class TestBuild:
                 ],
                 cfg,
             )
+
+    def test_direct_construction_rejects_a_duplicate_doc_id(self):
+        # the ranker breaks ties on doc_rank and trusts the ids to be unique
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
+        with pytest.raises(ValidationError, match="duplicate doc id 'd1'"):
+            CoilIndex(cfg, {}, None, ["d1", "d0", "d1"], {}, corpus_checksum=0)
+
+    def test_doc_rank_orders_the_ids_by_code_point(self):
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
+        table = ["b", "\U00010000", "a", "\uffff", "ab"]
+        index = CoilIndex(cfg, {}, None, table, {}, corpus_checksum=0)
+        assert index.doc_rank.dtype == np.int32
+        assert [table[o] for o in np.argsort(index.doc_rank)] == sorted(table)
 
     def test_dimension_mismatch_rejected(self):
         doc = _docs_by_hand(n_t=3)

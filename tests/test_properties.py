@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coil import (
+    Bm25Index,
     Bm25Params,
     ChecksumError,
     CoilConfig,
@@ -47,7 +48,7 @@ from coil import (
     write_encoded,
     write_run,
 )
-from coil.core import as_score, check_id, ranked_list_from_arrays
+from coil.core import as_score, check_id, rank_doc_ids, ranked_list_from_arrays
 from synth import make_instance
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -211,6 +212,85 @@ def test_array_ranker_equals_sorting_every_pair(case):
     pairs = [(str(d), as_score(s)) for d, s in zip(doc_ids, scores)]
     want = RankedList.from_scores("q", pairs, k).entries
     assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
+    by_rank = ranked_list_from_arrays("q", doc_ids, scores, k, rank_doc_ids(doc_ids)).entries
+    assert [(d, s.hex()) for d, s in by_rank] == [(d, s.hex()) for d, s in want]
+
+
+# ASCII, Latin-1, BMP and astral-plane characters.  By code point, the order
+# of Python's `<`, U+FFFF sorts before U+10000; in UTF-16 it sorts after.
+ID_CHARS = [
+    "a", "b", "é", "ÿ", "Ā", "中", "\ufb01", "\uffff", "\U00010000", "😀", "\U0010fffd"
+]
+
+
+@st.composite
+def tied_candidates(draw):
+    """An index's unique doc ids, a candidate subset of its ordinals, heavily
+    tied scores and k below, at or above the candidate count (or None)."""
+    ids = draw(st.lists(st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=3), unique=True))
+    kept = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    keep = [o for o, kept_o in enumerate(kept) if kept_o]
+    n = len(keep)
+    scores = draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    where = draw(st.sampled_from(["below", "at", "above", "none"]))
+    if where == "below" and n > 1:
+        k = draw(st.integers(1, n - 1))
+    elif where == "above":
+        k = n + draw(st.integers(1, 3))
+    else:
+        k = None if where == "none" else max(n, 1)
+    return ids, np.asarray(keep, dtype=np.int64), np.asarray(scores, dtype=np.float64), k
+
+
+@PROPERTY
+@given(tied_candidates())
+def test_array_ranker_with_the_index_tie_key_equals_from_scores(case):
+    ids, keep, scores, k = case
+    index = Bm25Index({}, doc_len=np.zeros(len(ids), np.int64), avgdl=0.0, doc_table=ids)
+    assert [ids[o] for o in np.argsort(index.doc_rank)] == sorted(ids)
+    pairs = [(ids[o], as_score(s)) for o, s in zip(keep.tolist(), scores)]
+    want = [(d, s.hex()) for d, s in RankedList.from_scores("q", pairs, k).entries]
+    # as the searches call it: the index's arrays whole, and the candidates' ordinals
+    got = ranked_list_from_arrays("q", index.doc_ids, scores, k, index.doc_rank, keep)
+    assert [(d, s.hex()) for d, s in got.entries] == want
+    gathered = ranked_list_from_arrays("q", index.doc_ids[keep], scores, k, index.doc_rank[keep])
+    assert [(d, s.hex()) for d, s in gathered.entries] == want
+
+
+def _first_fault(entries) -> str | None:
+    """RankedList's rule as one loop over the entries: the first offending entry
+    names the error, a non-finite score before a duplicate id before a rise."""
+    seen, prev = set(), None
+    for doc_id, score in entries:
+        if not np.isfinite(score):
+            return f"non-finite score for doc {doc_id!r}"
+        if doc_id in seen:
+            return f"duplicate doc id {doc_id!r} in ranked list"
+        seen.add(doc_id)
+        if prev is not None and score > prev:
+            return "ranked list scores must be non-increasing"
+        prev = score
+    return None
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "d"]),
+            st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1.0, 2.0]),
+        ),
+        max_size=12,
+    )
+)
+def test_ranked_list_check_names_the_first_fault(entries):
+    want = _first_fault(entries)
+    if want is None:
+        assert RankedList("q", entries).entries == entries
+    else:
+        with pytest.raises(ValidationError) as raised:
+            RankedList("q", entries)
+        assert str(raised.value) == want
 
 
 WORDS = [f"w{i}" for i in range(VOCAB)]
