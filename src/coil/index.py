@@ -72,24 +72,21 @@ class InvertedList:
     ``vectors`` holds one row per occurrence (the transpose of the
     n_t-by-N stacked form), parallel to ``doc_refs``; rows appear in
     (document ordinal, position) order, so ``doc_refs`` is nondecreasing.
+    ``starts`` and ``ordinals`` describe its per-document row runs, the
+    segments of search's segmented max: the offset where each run begins
+    and the document it belongs to.  In a list where no document holds the
+    token twice every run is one row, so ``starts`` is None and
+    ``ordinals`` is ``doc_refs``.
     """
 
     token_id: int
     vectors: np.ndarray  # (n_occurrences, n_t) float32
     doc_refs: np.ndarray  # (n_occurrences,) int32, nondecreasing
-    # (starts, ordinals), set by one assignment so threads never see half of it
-    _segments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    starts: np.ndarray | None = field(repr=False)  # (n_runs,) int32 offsets, ascending
+    ordinals: np.ndarray = field(repr=False)  # (n_runs,) int32, doc_refs[starts]
 
     def __len__(self) -> int:
         return len(self.doc_refs)
-
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start offsets and document ordinals of the per-document row runs."""
-        segments = self._segments
-        if segments is None:
-            starts, _ = run_bounds(self.doc_refs)
-            segments = self._segments = (starts, self.doc_refs[starts])
-        return segments
 
 
 @dataclass
@@ -103,10 +100,16 @@ class CoilIndex:
     encoder_meta: dict | None = None  # provenance needed to encode text queries
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
     doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
+    # float64 Euclidean norm of each CLS row, for the CLS scan's error bound
+    cls_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.doc_ids = np.asarray(self.doc_table, dtype=str)
         self.doc_rank = rank_doc_ids(self.doc_ids)  # raises on a duplicate doc id
+        self.cls_norms = None
+        if self.cls_matrix is not None:
+            cls = self.cls_matrix
+            self.cls_norms = np.sqrt(np.einsum("ij,ij->i", cls, cls, dtype=np.float64))
 
     @property
     def num_docs(self) -> int:
@@ -142,12 +145,43 @@ def group_by_key(keys: np.ndarray, *columns: np.ndarray) -> Iterator[tuple]:
 def _lists_from_rows(
     tids: np.ndarray, refs: np.ndarray, vecs: np.ndarray
 ) -> dict[int, InvertedList]:
-    """One InvertedList per token id from rows sorted by (token id, ordinal, position)."""
+    """One InvertedList per token id from rows sorted by (token id, ordinal, position).
+
+    The per-document runs of every list come from one pass over all rows.
+    """
     starts, ends = run_bounds(tids)
-    return {
-        tid: InvertedList(tid, vecs[start:end], refs[start:end])
-        for tid, start, end in zip(tids[starts].tolist(), starts.tolist(), ends.tolist())
-    }
+    # a run begins at each list's first row and wherever the ordinal changes
+    is_start = np.empty(len(tids), dtype=bool)
+    np.not_equal(refs[1:], refs[:-1], out=is_start[1:])
+    is_start[starts] = True
+    run_starts = np.flatnonzero(is_start)
+    runs = np.diff(np.searchsorted(run_starts, np.append(starts, len(tids))))
+    # a list in which no document holds its token twice needs no runs
+    repeats = runs < ends - starts
+    run_starts = run_starts[np.repeat(repeats, runs)]
+    ordinals = refs[run_starts]
+    local_starts = run_starts - np.repeat(starts[repeats], runs[repeats])
+    if len(tids) < 2**31:  # int32 offsets hold a third less and reduce no slower
+        local_starts = local_starts.astype(np.int32)
+    bounds = np.concatenate(([0], np.cumsum(runs * repeats)))
+    lists = {}
+    for tid, start, end, a, b, repeated in zip(
+        tids[starts].tolist(),
+        starts.tolist(),
+        ends.tolist(),
+        bounds[:-1].tolist(),
+        bounds[1:].tolist(),
+        repeats.tolist(),
+    ):
+        doc_refs = refs[start:end]
+        lists[tid] = InvertedList(
+            tid,
+            vecs[start:end],
+            doc_refs,
+            local_starts[a:b] if repeated else None,
+            ordinals[a:b] if repeated else doc_refs,
+        )
+    return lists
 
 
 def build_index(

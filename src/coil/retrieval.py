@@ -9,12 +9,38 @@ routes; the reported float32 cast then cannot disagree either.
 
 Both hot steps are exact.  `einsum` casts each float32 entry to float64
 as it multiplies, so no float64 copy of a matrix is built.  `search_many`
-scores the CLS term for a block of up to `_QUERY_BLOCK` queries in one
-pass over the CLS matrix, then scores the inverted lists and ranks each
-query on its own; `search` is a block of one.  `ranked_list_from_arrays`
-finds the k-th best float32 score with a partition and sorts only the
-scores at or above it, every tie at the cut included, so its entries
-equal those of sorting every score.
+cuts its queries into blocks of up to `_QUERY_BLOCK`, then scores the
+inverted lists and ranks each query on its own; `search` is a block of one.
+`ranked_list_from_arrays` finds the k-th best float32 score with a
+partition and sorts only the scores at or above it, every tie at the cut
+included, so its entries equal those of sorting every score.
+
+The CLS scan is bounded, then rescored.  One float32 BLAS product scores a
+block's queries against every CLS row.  For a CLS row d and a query's cls
+vector q, both n = n_c float32 entries, that product differs from `_dots`
+by at most
+
+    2 (g(2**-24) + g(2**-53)) |d| |q|  +  2n 2**-126 (|d| + |q| + 1),
+    g(u) = n u / (1 - n u),
+
+in any summation order, with or without FMA and with flush-to-zero.  The
+float32 dot makes n products and n - 1 sums; each rounds with relative
+error at most 2**-24 or, where it underflows, absolute error below 2**-126,
+and flushing a subnormal entry moves its product by less than 2**-126
+times the other vector's norm.  `_dots` rounds only its sums, because the
+float64 product of two float32 numbers is exact.  The factor 2 covers the
+rounding of the float64 norms (``CoilIndex.cls_norms``).  So a document's
+score lies in an interval around its token sum plus its float32 product,
+widened by a few float64 ulps for the arithmetic that builds it.  Rounding
+to float32 keeps order, so a document whose upper end, as float32, lies
+below the k-th largest lower end, as float32, scores below the k-th best
+and cannot reach the top k.  Every other document, every tie at the cut
+included, gets its `_dots` value, and the ranker ranks those rows as it
+ranks a tok query's.  Only `_dots` values are ranked, so the entries equal
+those of an exact scan of every row.  A query scans every row exactly when
+k >= num_docs, when its cls vector is not float32, and when an interval end
+is non-finite or at least the float32 maximum in magnitude; the ranker then
+still rejects a non-finite score for any document.
 
 Where the ranked-list invariants are checked: the ranker rejects a
 non-finite score and its sort gives the order, breaking ties on the
@@ -29,6 +55,7 @@ scorers: an out-of-vocabulary token matches nothing, not other unknowns.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,14 +82,22 @@ class SearchInstrumentation:
     lists_touched   distinct query token ids that have an inverted list
     postings_scanned  total occurrences stored in those lists
     candidates      distinct documents receiving a token score
+    cls_scored      documents whose CLS dot went through `_dots`; 0 in tok mode
+
+    ``cls_scored`` counts the documents the float32 CLS product could not
+    rule out.  That product may round differently for another block size,
+    so a document whose bound lies within a rounding of the cut may be
+    counted in one block and not in another; the ranked lists are the same.
     """
 
     lists_touched: int
     postings_scanned: int
     candidates: int
+    cls_scored: int
 
 
-_QUERY_BLOCK = 32  # queries per CLS scan: bounds its scores at 32 x num_docs float64
+_QUERY_BLOCK = 32  # queries per float32 CLS product: bounds it at 32 x num_docs float32
+_GATHER_ROWS = 64  # CLS rows copied per `_dots` call: as fast as 256, a quarter of the copy
 
 
 def _dots(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -73,6 +108,51 @@ def _dots(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     path and the oracles, which share this helper, agree bit for bit.
     """
     return np.einsum("ij,kj->ki", matrix, queries, dtype=np.float64)
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Relative error bound of an n-term dot product in any order, at unit roundoff ``unit``."""
+    return n * unit / (1 - n * unit) if n * unit < 1 else math.inf
+
+
+def _cls_candidates(
+    index: CoilIndex, q: EncodedQuery, k: int, acc: np.ndarray, approx: np.ndarray
+) -> np.ndarray | None:
+    """Ordinals, ascending, of every document whose score can reach the k-th
+    best, from the float32 CLS products ``approx``; None for every document.
+
+    See the module docstring for the bound and when every document is kept.
+    """
+    if k >= index.num_docs or q.cls_vec.dtype != np.float32:
+        return None
+    n = index.config.n_c
+    rel = 2 * (_gamma(n, 2.0**-24) + _gamma(n, 2.0**-53))
+    tiny = 2 * n * 2.0**-126
+    q_norm = math.sqrt(_dots(q.cls_vec[None, :], q.cls_vec[None, :])[0, 0])
+    big = float(np.finfo(np.float32).max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = index.cls_norms * (rel * q_norm + tiny) + tiny * (q_norm + 1)
+        centre = acc + approx
+        width = bound + 2.0**-50 * (np.abs(centre) + bound)
+        lo = centre - width
+        hi = centre + width
+        if not ((np.abs(lo) < big).all() and (np.abs(hi) < big).all()):  # NaN too
+            return None
+    cut = np.float32(np.partition(lo, len(lo) - k)[len(lo) - k])
+    return np.flatnonzero(hi.astype(np.float32) >= cut)
+
+
+def _cls_dots(index: CoilIndex, q: EncodedQuery, rows: np.ndarray | None) -> np.ndarray:
+    """`_dots` of ``q``'s cls vector with the CLS rows ``rows`` (None: every row),
+    copying at most `_GATHER_ROWS` rows at a time."""
+    vec = q.cls_vec[None, :]
+    if rows is None:
+        return _dots(index.cls_matrix, vec)[0]
+    out = np.empty(len(rows), dtype=np.float64)
+    for start in range(0, len(rows), _GATHER_ROWS):
+        part = rows[start : start + _GATHER_ROWS]
+        out[start : start + len(part)] = _dots(index.cls_matrix[part], vec)[0]
+    return out
 
 
 def _check_token_dims(q: EncodedQuery, d: EncodedDocument) -> None:
@@ -195,7 +275,7 @@ def _validate_query(index: CoilIndex, q: EncodedQuery, k: int, mode: str) -> Non
 def _search_block(
     index: CoilIndex, queries: Sequence[EncodedQuery], k: int, mode: str | None
 ) -> list[tuple[RankedList, SearchInstrumentation]]:
-    """Rank a block of queries in order, with one CLS scan for the whole block.
+    """Rank a block of queries in order, with one float32 CLS product for the whole block.
 
     An invalid query ends the block: the queries before it are ranked, so
     their errors come first, and then its own error is raised, in the
@@ -209,11 +289,15 @@ def _search_block(
         except ValidationError as exc:
             queries, error = queries[:n], exc
             break
-    cls_scores = None
+    approx = None
     if mode != "tok" and len(queries):
-        cls_scores = _dots(index.cls_matrix, np.stack([q.cls_vec for q in queries]))
+        # an overflow here leaves its query to the exact scan (`_cls_candidates`);
+        # this orientation packs less and ran faster than block @ cls_matrix.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = np.stack([q.cls_vec for q in queries]).astype(np.float32)
+            approx = (index.cls_matrix @ block.T).T
     results = [
-        _rank_query(index, q, k, mode, None if cls_scores is None else cls_scores[n])
+        _rank_query(index, q, k, mode, None if approx is None else approx[n])
         for n, q in enumerate(queries)
     ]
     if error is not None:
@@ -222,9 +306,10 @@ def _search_block(
 
 
 def _rank_query(
-    index: CoilIndex, q: EncodedQuery, k: int, mode: str, cls_scores: np.ndarray | None
+    index: CoilIndex, q: EncodedQuery, k: int, mode: str, approx: np.ndarray | None
 ) -> tuple[RankedList, SearchInstrumentation]:
-    """Score one query's inverted lists, add its CLS scores and rank."""
+    """Score one query's inverted lists, add the exact CLS dots of the
+    documents its float32 CLS products ``approx`` cannot rule out, and rank."""
     num_docs = index.num_docs
     acc = np.zeros(num_docs, dtype=np.float64)
     touched = np.zeros(num_docs, dtype=bool)
@@ -239,24 +324,27 @@ def _rank_query(
                 continue
             touched_tids.add(tid)
             products = _dots(lst.vectors, q.token_vecs[i : i + 1])[0]
-            starts, ordinals = lst.segments()
-            seg_max = np.maximum.reduceat(products, starts)
-            acc[ordinals] += seg_max
-            touched[ordinals] = True
+            if lst.starts is not None:  # some document holds the token twice
+                products = np.maximum.reduceat(products, lst.starts)
+            acc[lst.ordinals] += products
+            touched[lst.ordinals] = True
+
+    if mode == "tok":
+        keep = np.flatnonzero(touched)
+        scores = acc[keep]
+        cls_scored = 0
+    else:
+        keep = _cls_candidates(index, q, k, acc, approx)  # None: every document
+        cls = _cls_dots(index, q, keep)
+        scores = cls if mode == "cls_only" else (acc if keep is None else acc[keep]) + cls
+        cls_scored = len(cls)
 
     instr = SearchInstrumentation(
         lists_touched=len(touched_tids),
         postings_scanned=sum(len(index.lists[t]) for t in touched_tids),
         candidates=int(np.count_nonzero(touched)),
+        cls_scored=cls_scored,
     )
-
-    if mode == "tok":
-        keep = np.flatnonzero(touched)
-        scores = acc[keep]
-    else:
-        keep = None  # every document
-        scores = cls_scores if mode == "cls_only" else acc + cls_scores
-
     ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, scores, k, index.doc_rank, keep)
     return ranked, instr
 
@@ -269,8 +357,9 @@ def search(
     Per query position, score its token's whole list with one `_dots`
     pass, reduce to per-document maxima with a segmented max, and add
     into float64 accumulators; full and cls_only modes add the CLS dot of
-    every document.  tok mode ranks only documents that share at least one
-    token with the query.  ``mode`` defaults to the index's own mode.
+    every document that can reach the top k, which a float32 scan with a
+    proven error bound picks.  tok mode ranks only documents that share at
+    least one token with the query.  ``mode`` defaults to the index's own mode.
     This is `search_many` over a block of one query.
     """
     return _search_block(index, [q], k, mode)[0]
@@ -309,8 +398,8 @@ def search_many(
     """Rank many queries in blocks, optionally in a thread pool.
 
     The queries are cut into blocks of at most `_QUERY_BLOCK`, fewer when
-    that gives every thread a block, and each block makes one pass over
-    the CLS matrix.  Results keep query order and equal those of `search`
+    that gives every thread a block, and each block makes one float32 pass
+    over the CLS matrix.  Results keep query order and equal those of `search`
     for any thread count: every score cell is computed the same way
     whatever block it falls in.  The first invalid query, in query order,
     raises the error `search` would.

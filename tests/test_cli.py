@@ -216,9 +216,11 @@ class TestPipeline:
         assert [c["qid"] for c in counters] == ["q0", "q1", "q2"]
         assert counters[2]["lists_touched"] == 0  # all-unseen query
         assert all(
-            set(c) == {"qid", "lists_touched", "postings_scanned", "candidates"}
+            set(c)
+            == {"qid", "lists_touched", "postings_scanned", "candidates", "cls_scored"}
             for c in counters
         )
+        assert all(c["cls_scored"] == 0 for c in counters)  # tok mode scores no CLS dot
 
     def test_encode_record_count_printed(self, workdir, capsys):
         assert main(["encode", str(workdir / "corpus.jsonl"), str(workdir / "e.jsonl"), *ENCODE_FLAGS]) == 0

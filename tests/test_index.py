@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import threading
 import zlib
 
 import numpy as np
@@ -22,7 +20,7 @@ from coil import (
     load_index,
     save_index,
 )
-from coil.index import InvertedList, file_checksum
+from coil.index import InvertedList, file_checksum, run_bounds
 from synth import make_instance
 
 
@@ -515,42 +513,39 @@ class TestStats:
         assert stats.list_size_histogram == {}
 
 
+def _segments(lst: InvertedList) -> tuple[np.ndarray, np.ndarray]:
+    """A list's run starts and ordinals, with every row a run when ``starts`` is None."""
+    if lst.starts is None:
+        assert lst.ordinals is lst.doc_refs
+        return np.arange(len(lst)), lst.ordinals
+    assert len(lst.starts) < len(lst)  # some document holds the token twice
+    return lst.starts, lst.ordinals
+
+
 class TestSegments:
     def test_matches_naive_grouping(self):
         inst = make_instance(seed=18, num_docs=50, vocab_size=12)
         for lst in inst.index.lists.values():
-            starts, ordinals = lst.segments()
             naive_starts, naive_ords, prev = [], [], None
             for row, ref in enumerate(lst.doc_refs.tolist()):
                 if ref != prev:
                     naive_starts.append(row)
                     naive_ords.append(ref)
                     prev = ref
+            starts, ordinals = _segments(lst)
             np.testing.assert_array_equal(starts, naive_starts)
             np.testing.assert_array_equal(ordinals, naive_ords)
 
-    def test_concurrent_first_calls_get_the_whole_pair(self):
-        # search_many's threads may all reach a list's first segments() call;
-        # a thread switch inside the lazy fill must not expose half a cache
-        rng = np.random.default_rng(19)
-        refs = np.sort(rng.integers(0, 1000, 5000)).astype(np.int32)
-        vecs = np.zeros((len(refs), 2), dtype=np.float32)
-        saved = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(2000):
-                lst = InvertedList(1, vecs, refs)
-                results = []
-                workers = [
-                    threading.Thread(target=lambda: results.append(lst.segments()))
-                    for _ in range(4)
-                ]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join(timeout=10)
-                    assert not worker.is_alive()
-                assert len(results) == 4
-                assert all(ordinals is not None for _, ordinals in results)
-        finally:
-            sys.setswitchinterval(saved)
+    @pytest.mark.parametrize("n_c", [0, 3])
+    def test_equal_run_bounds_after_build_and_load(self, tmp_path, n_c):
+        # every list gets its segments when the index is made, not on first use
+        inst = make_instance(seed=19, num_docs=80, vocab_size=200, max_doc_len=8, n_c=n_c)
+        save_index(inst.index, tmp_path / "idx")
+        for index in (inst.index, load_index(tmp_path / "idx")):
+            repeated = [lst for lst in index.lists.values() if lst.starts is not None]
+            assert 0 < len(repeated) < len(index.lists)  # both kinds of list occur
+            for lst in index.lists.values():
+                run_starts, _ = run_bounds(lst.doc_refs)
+                starts, ordinals = _segments(lst)
+                np.testing.assert_array_equal(starts, run_starts)
+                np.testing.assert_array_equal(ordinals, lst.doc_refs[run_starts])

@@ -43,12 +43,15 @@ from coil import (
     load_index,
     read_run,
     save_index,
+    score_full_pair,
     search,
+    search_many,
     tokenize,
     write_encoded,
     write_run,
 )
 from coil.core import as_score, check_id, rank_doc_ids, ranked_list_from_arrays
+from coil.retrieval import _cls_dot_f64
 from synth import make_instance
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -177,6 +180,81 @@ def test_search_equals_brute_force_in_every_served_mode(case):
         for q in queries:
             ranked, _ = search(index, q, k, mode)
             assert ranked.entries == brute_force_search(docs, q, k, mode).entries
+
+
+@st.composite
+def pruned_scan_cases(draw):
+    """Indexes that stress the CLS scan's bound: documents that copy a few
+    CLS rows and token vectors (float32 ties across the k-th score), vector
+    scales from subnormal products to about 1e18, and k from 1 past the
+    number of documents."""
+    n_t, n_c = draw(st.sampled_from([(3, 1), (3, 4), (0, 3), (2, 33)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = draw(st.booleans())
+    scales = st.sampled_from([1e-44, 1e-30, 1e-20, 1e-3, 1.0, 1.0, 1e9, 1e17, 4e18])
+    doc_scale = draw(scales)
+    query_scale = draw(st.one_of(st.just(doc_scale), scales))  # 1e-20 twice: subnormal products
+    num_docs = draw(st.integers(1, 60))
+
+    def copies(count, width, scale):
+        """``count`` rows, each a copy of one of a few random rows."""
+        protos = random_vectors(rng, (draw(st.sampled_from([1, 2, 3, 4, 40])), width), ties)
+        return (protos[rng.integers(len(protos), size=count)] * np.float32(scale)).astype(
+            np.float32
+        )
+
+    cls_rows = copies(num_docs, n_c, doc_scale)
+    docs = []
+    for i, tokens in enumerate(rng.integers(0, 3, (num_docs, draw(st.integers(0, 3))))):
+        docs.append(
+            EncodedDocument(f"d{i}", tokens, copies(len(tokens), n_t, doc_scale), cls_rows[i])
+        )
+    queries = []
+    for i in range(draw(st.integers(1, 4))):
+        tokens = rng.integers(0, 4, draw(st.integers(0, 3)))
+        cls = copies(1, n_c, query_scale)[0]
+        queries.append(EncodedQuery(f"q{i}", tokens, copies(len(tokens), n_t, query_scale), cls))
+    config = CoilConfig(n_lm=max(n_t, n_c), n_t=n_t, n_c=n_c)
+    return config, docs, queries, draw(st.integers(1, num_docs + 2))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(pruned_scan_cases())
+def test_pruned_cls_scan_equals_brute_force(case):
+    """Where an exact score overflows float32, every route raises for the
+    first such document; otherwise every route equals the oracle."""
+    config, docs, queries, k = case
+    index = build_index(docs, config)
+    for mode in SERVED[config.mode]:
+        if mode == "tok":
+            continue
+        wants = []
+        for q in queries:
+            with np.errstate(over="ignore"):
+                scores = [
+                    score_full_pair(q, d) if mode == "full" else as_score(_cls_dot_f64(q, d))
+                    for d in docs
+                ]
+            bad = [d.doc_id for d, s in zip(docs, scores) if not np.isfinite(s)]
+            wants.append(
+                f"non-finite score for doc '{bad[0]}'"
+                if bad
+                else brute_force_search(docs, q, k, mode).entries
+            )
+        for q, want in zip(queries, wants):
+            if isinstance(want, str):
+                with pytest.raises(ValidationError, match=want):
+                    search(index, q, k, mode)
+            else:
+                assert search(index, q, k, mode)[0].entries == want
+        first_error = next((w for w in wants if isinstance(w, str)), None)
+        for threads in (1, 2, 3):
+            if first_error is not None:
+                with pytest.raises(ValidationError, match=first_error):
+                    search_many(index, queries, k, mode, threads)
+            else:
+                results = search_many(index, queries, k, mode, threads)
+                assert [ranked.entries for ranked, _ in results] == wants
 
 
 @st.composite

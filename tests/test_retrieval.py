@@ -320,7 +320,8 @@ class TestInstrumentation:
     def test_cls_only_touches_no_lists(self):
         inst = make_instance(seed=29, num_docs=10)
         _, instr = search(inst.index, inst.enc_queries[0], k=5, mode="cls_only")
-        assert instr == type(instr)(0, 0, 0)
+        assert (instr.lists_touched, instr.postings_scanned, instr.candidates) == (0, 0, 0)
+        assert 5 <= instr.cls_scored <= 10
 
 
 class TestSearchValidation:
@@ -457,6 +458,59 @@ class TestSearchManyBlocks:
             search(inst.index, queries[20], k=self.K, mode="cls_only")
         with pytest.raises(ValidationError, match="non-finite score"):
             search_many(inst.index, queries, k=self.K, mode="cls_only", threads=threads)
+
+    @pytest.mark.parametrize("mode", ["full", "cls_only"])
+    def test_an_overflowing_score_raises_even_where_the_bound_would_prune_it(self, mode):
+        # one document's score overflows float32 downwards: far below the k-th
+        # best, so only the fallback to the exact scan lets the ranker see it
+        rng = np.random.default_rng(43)
+        n_t, n_c = 2, 3
+        q_cls = np.full(n_c, 1e19, dtype=np.float32)
+        q = _query([1], [[1e19, 1e19]], q_cls, n_t=n_t)
+        docs = [
+            _doc([1], rng.standard_normal(n_t), rng.standard_normal(n_c), n_t, f"d{i:02d}")
+            for i in range(30)
+        ]
+        if mode == "full":  # the token sum overflows; the CLS product stays finite
+            docs[7] = _doc([1], [-1e20, -1e20], np.ones(n_c), n_t, "neg")
+        else:  # the CLS dot overflows
+            docs[7] = _doc([1], [0, 0], np.full(n_c, -1e20), n_t, "neg")
+        index = build_index(docs, CoilConfig(n_lm=4, n_t=n_t, n_c=n_c))
+        for k in (1, 3, 29):
+            with pytest.raises(ValidationError, match="non-finite score for doc 'neg'"):
+                search(index, q, k=k, mode=mode)
+            for threads in (1, 2):
+                with pytest.raises(ValidationError, match="non-finite score for doc 'neg'"):
+                    search_many(index, [q, q, q], k=k, mode=mode, threads=threads)
+
+    @pytest.mark.parametrize("mode", ["full", "cls_only"])
+    def test_the_scan_rescores_few_documents(self, mode):
+        # guards against a silent fall-back to scoring every CLS row exactly
+        rng = np.random.default_rng(44)
+        n_t, n_c = 4, 16
+
+        def vecs(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        docs = []
+        for i in range(2000):
+            ids = rng.integers(1, 200, rng.integers(1, 10))
+            docs.append(_doc(ids, vecs((len(ids), n_t)), vecs(n_c), n_t, f"d{i:04d}"))
+        index = build_index(docs, CoilConfig(n_lm=n_c, n_t=n_t, n_c=n_c))
+        queries = [
+            _query(ids, vecs((len(ids), n_t)), vecs(n_c), n_t, f"q{j}")
+            for j, ids in enumerate(rng.integers(1, 200, (8, 3)))
+        ]
+        for q, (ranked, instr) in zip(queries, search_many(index, queries, k=50, mode=mode)):
+            assert 50 <= instr.cls_scored < 200
+            assert ranked.entries == brute_force_search(docs, q, k=50, mode=mode).entries
+
+    def test_a_float64_query_scores_every_row(self, inst):
+        q = inst.enc_queries[0]
+        wide = EncodedQuery("wide", q.token_ids, q.token_vecs, q.cls_vec.astype(np.float64) / 3)
+        ranked, instr = search(inst.index, wide, k=self.K, mode="full")
+        assert instr.cls_scored == inst.index.num_docs
+        assert ranked.entries == brute_force_search(inst.enc_docs, wide, k=self.K).entries
 
     def test_k_is_checked_at_the_first_query(self, inst):
         with pytest.raises(ValidationError, match="k must be >= 1"):
