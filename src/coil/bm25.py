@@ -6,13 +6,17 @@ pipeline so comparisons isolate the scoring model, and it uses the
 Robertson and Sparck Jones smoothed idf ln((N - df + 0.5)/(df + 0.5) + 1),
 which is nonnegative.
 
-It also shares the inverted-list machinery: postings are grouped with
-``index.group_by_key``, and `bm25_search` accumulates per-ordinal float64
-sums and ranks them with ``ranked_list_from_arrays``, the path and tie rule
-(score descending, then doc id ascending) of tok-mode ``retrieval.search``.
-As there, the ranker checks that scores are finite, its sort on the
-score and then the index's ``doc_rank`` gives the order, and ``Bm25Index``
-rejects a duplicate doc id when it is constructed.
+The index is built in two steps.  `build_bm25_index` reads the corpus once and
+tokenizes it into two flat columns, one (token id, doc ordinal) row per kept
+token.  `bm25_index_from_rows` turns such columns into the index: one stable
+sort by token id, as for the contextualized index's lists, then one pass over
+the runs of equal (token id, ordinal) rows, whose lengths are the tfs.
+`bm25_search` accumulates per-ordinal float64 sums and ranks them with
+``ranked_list_from_arrays``, the path and tie rule (score descending, then
+doc id ascending) of tok-mode ``retrieval.search``.  As there, the ranker
+checks that scores are finite, its sort on the score and then the index's
+``doc_rank`` gives the order, and ``Bm25Index`` rejects a duplicate doc id
+when it is constructed.
 """
 from __future__ import annotations
 
@@ -20,14 +24,15 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import Document, RankedList, TokenSeq, ValidationError, as_score, rank_doc_ids
 from .core import ranked_list_from_arrays
-from .encoding import TokenizerConfig, UNKNOWN_TOKEN_ID, tokenize
-from .index import group_by_key, run_bounds
+from .encoding import TokenizerConfig, UNKNOWN_TOKEN_ID, split_text
+from .index import run_bounds
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,11 @@ class Bm25Params:
 
 @dataclass
 class Bm25Index:
-    """Immutable after build; postings are parallel arrays per token id."""
+    """Immutable after build; postings are parallel arrays per token id.
+
+    ``norms`` caches, per value of b, each document's length norm
+    ``1 - b + b * dl / avgdl``; it is derived, filled on first use.
+    """
 
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (ordinals, tfs)
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
@@ -58,10 +67,12 @@ class Bm25Index:
     doc_table: list[str]
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
     doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
+    norms: dict[float, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.doc_ids = np.asarray(self.doc_table, dtype=str)
         self.doc_rank = rank_doc_ids(self.doc_ids)  # raises on a duplicate doc id
+        self.norms = {}
 
     @property
     def num_docs(self) -> int:
@@ -85,29 +96,52 @@ def build_bm25_index(
 ) -> Bm25Index:
     """Count term statistics over the tokenized, truncated corpus.
 
-    Document length counts every kept token; postings skip the unknown
-    token id, mirroring the lexical scorers' rule that out-of-vocabulary
-    tokens match nothing.  A duplicate doc id raises when the index is
-    constructed.
+    Reads ``docs`` once, keeping only one flat token-id column, which
+    :func:`bm25_index_from_rows` turns into the index.
     """
     if max_doc_tokens < 1:
         raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
     doc_table: list[str] = []
-    tid_parts = [np.empty(0, dtype=np.int64)]
-    ord_parts = [np.empty(0, dtype=np.int32)]
-    for ordinal, doc in enumerate(docs):
-        doc_table.append(doc.id)
-        ids = tokenize(doc.text, tokenizer).token_ids[:max_doc_tokens]
-        tid_parts.append(np.asarray(ids, dtype=np.int64))
-        ord_parts.append(np.full(len(ids), ordinal, dtype=np.int32))
+    lengths: list[int] = []
+    lookup, lowercase = tokenizer.vocab.get, tokenizer.lowercase
 
-    tids, ords = np.concatenate(tid_parts), np.concatenate(ord_parts)
-    known = tids != UNKNOWN_TOKEN_ID
-    postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for tid, ordinals in group_by_key(tids[known], ords[known]):
-        starts, ends = run_bounds(ordinals)  # one run per document; its length is the tf
-        postings[tid] = (ordinals[starts], ends - starts)
+    def doc_token_ids():
+        for doc in docs:
+            doc_table.append(doc.id)
+            tokens = split_text(doc.text, lowercase)[:max_doc_tokens]
+            lengths.append(len(tokens))
+            yield map(lookup, tokens, repeat(UNKNOWN_TOKEN_ID))
+
+    tids = np.fromiter(chain.from_iterable(doc_token_ids()), dtype=np.int64)
+    ords = np.repeat(np.arange(len(doc_table), dtype=np.int32), lengths)
+    return bm25_index_from_rows(tids, ords, doc_table)
+
+
+def bm25_index_from_rows(tids: np.ndarray, ords: np.ndarray, doc_table: list[str]) -> Bm25Index:
+    """The index of the token occurrences ``(tids[i], ords[i])``.
+
+    The rows of each token id must come in ascending ordinal order.
+    Document length counts every row; postings skip the unknown token id,
+    mirroring the lexical scorers' rule that out-of-vocabulary tokens match
+    nothing.  A duplicate doc id raises when the index is constructed.
+    """
     doc_len = np.bincount(ords, minlength=len(doc_table))
+    known = tids != UNKNOWN_TOKEN_ID
+    tids, ords = tids[known], ords[known]
+    keys = tids
+    if len(keys) and 0 <= keys.min() and keys.max() < 2**16:
+        keys = keys.astype(np.uint16)  # numpy's stable sort is a radix sort for these
+    # a stable sort keeps each token's rows in ordinal order
+    order = np.argsort(keys, kind="stable")
+    tids, ords = tids[order], ords[order]
+    # one run per (token id, document); its length is the tf
+    run_starts, run_ends = run_bounds(tids, ords)
+    run_tids, run_ords, tfs = tids[run_starts], ords[run_starts], run_ends - run_starts
+    starts, ends = run_bounds(run_tids)
+    postings = {
+        tid: (run_ords[start:end], tfs[start:end])
+        for tid, start, end in zip(run_tids[starts].tolist(), starts.tolist(), ends.tolist())
+    }
     return Bm25Index(
         postings=postings,
         doc_len=doc_len,
@@ -125,9 +159,24 @@ def _h_q(tf_q: int, params: Bm25Params) -> float:
     return tf_q * (1.0 + params.k2) / (tf_q + params.k2)
 
 
-def _h_d(tf, dl, index: Bm25Index, params: Bm25Params):
-    """Document-side saturating tf, for scalars or arrays of (tf, doc length)."""
-    norm = 1.0 - params.b + params.b * dl / index.avgdl
+def _length_norm(dl, index: Bm25Index, b: float):
+    """Document length norm, for a scalar or an array of doc lengths."""
+    return 1.0 - b + b * dl / index.avgdl
+
+
+def _norm_table(index: Bm25Index, b: float) -> np.ndarray:
+    """Every document's length norm for ``b``, computed once per index.
+
+    Threads that race to fill it store equal tables.
+    """
+    table = index.norms.get(b)
+    if table is None:
+        table = index.norms[b] = _length_norm(index.doc_len, index, b)
+    return table
+
+
+def _h_d(tf, norm, params: Bm25Params):
+    """Document-side saturating tf, for scalars or arrays of (tf, length norm)."""
     return tf * (1.0 + params.k1) / (tf + params.k1 * norm)
 
 
@@ -146,7 +195,7 @@ def bm25_score_pair(
         pos = int(np.searchsorted(ordinals, ordinal))
         if pos == len(ordinals) or ordinals[pos] != ordinal:
             continue
-        h_d = _h_d(float(tfs[pos]), dl, index, params)
+        h_d = _h_d(float(tfs[pos]), _length_norm(dl, index, params.b), params)
         score += _idf(index, tid) * _h_q(tf_q, params) * h_d
     return as_score(score)
 
@@ -169,7 +218,7 @@ def bm25_search(
         idf = _idf(index, tid)
         h_q = _h_q(tf_q, params)
         ordinals, tf_d = index.postings[tid]
-        h_d = _h_d(tf_d, index.doc_len[ordinals], index, params)
+        h_d = _h_d(tf_d, _norm_table(index, params.b)[ordinals], params)
         acc[ordinals] += idf * h_q * h_d
         touched[ordinals] = True
     keep = np.flatnonzero(touched)

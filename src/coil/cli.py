@@ -175,7 +175,7 @@ def cmd_sample_negs(args: argparse.Namespace) -> int:
         for pos in positives:
             examples.append(TrainingExample(query.id, pos, tuple(negatives)))
     count = write_training_examples(examples, args.out)
-    print(f"wrote {count} training examples -> {args.out}")
+    print(f"wrote {count} training examples -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import stat
 import string
 import struct
@@ -54,7 +55,11 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
 
-_PUNCT = set(string.punctuation)
+_P = re.escape(string.punctuation)
+_PUNCT = re.compile(f"[{_P}]")
+# one ASCII punctuation character, or a run of non-space characters that
+# neither starts nor ends with one
+_TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
 
 # ---------------------------------------------------------------------------
@@ -71,40 +76,28 @@ class TokenizerConfig:
 
 
 def split_text(text: str, lowercase: bool = True) -> list[str]:
-    """Split on Unicode whitespace, then peel leading/trailing ASCII punctuation."""
+    """Split on Unicode whitespace, then peel leading/trailing ASCII punctuation.
+
+    Equivalently: every token is either one ASCII punctuation character or a
+    maximal whitespace-free run that neither starts nor ends with one.
+    """
     if lowercase:
         text = text.lower()
-    out: list[str] = []
-    for chunk in text.split():
-        lead: list[str] = []
-        while chunk and chunk[0] in _PUNCT:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail: list[str] = []
-        while chunk and chunk[-1] in _PUNCT:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        out.extend(lead)
-        if chunk:
-            out.append(chunk)
-        out.extend(reversed(trail))
-    return out
+    if _PUNCT.search(text) is None:
+        return text.split()
+    return _TOKEN.findall(text)
 
 
 def build_vocab(texts: Iterable[str], lowercase: bool = True) -> TokenizerConfig:
     """Assign ids 1, 2, ... in first-occurrence order over one corpus pass."""
-    vocab: dict[str, int] = {}
-    for text in texts:
-        for token in split_text(text, lowercase):
-            if token not in vocab:
-                vocab[token] = len(vocab) + 1
-    return TokenizerConfig(lowercase=lowercase, vocab=vocab)
+    tokens = dict.fromkeys(itertools.chain.from_iterable(split_text(t, lowercase) for t in texts))
+    return TokenizerConfig(lowercase=lowercase, vocab=dict(zip(tokens, itertools.count(1))))
 
 
 def tokenize(text: str, cfg: TokenizerConfig) -> TokenSeq:
     """Tokenize deterministically; tokens absent from the vocab map to id 0."""
     tokens = split_text(text, cfg.lowercase)
-    ids = tuple(cfg.vocab.get(tok, UNKNOWN_TOKEN_ID) for tok in tokens)
+    ids = tuple(map(cfg.vocab.get, tokens, itertools.repeat(UNKNOWN_TOKEN_ID)))
     return TokenSeq(tuple(tokens), ids)
 
 

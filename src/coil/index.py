@@ -26,7 +26,7 @@ import zlib
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -125,21 +125,16 @@ class IndexStats:
     list_size_histogram: dict[int, int]  # occurrences-per-list -> lists, ascending
 
 
-def run_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the runs of equal values in a sorted array."""
-    if len(sorted_keys) == 0:
+def run_bounds(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the runs of equal rows in parallel key columns
+    sorted so that equal rows are adjacent."""
+    if len(sorted_keys[0]) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    changes = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    return np.concatenate(([0], changes)), np.concatenate((changes, [len(sorted_keys)]))
-
-
-def group_by_key(keys: np.ndarray, *columns: np.ndarray) -> Iterator[tuple]:
-    """Yield ``(key, *column slices)`` per distinct key, ascending; rows keep input order."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    columns = tuple(column[order] for column in columns)
-    for start, end in zip(*run_bounds(keys)):
-        yield (int(keys[start]), *(column[start:end] for column in columns))
+    change = sorted_keys[0][1:] != sorted_keys[0][:-1]
+    for keys in sorted_keys[1:]:
+        change |= keys[1:] != keys[:-1]
+    changes = np.flatnonzero(change) + 1
+    return np.concatenate(([0], changes)), np.concatenate((changes, [len(sorted_keys[0])]))
 
 
 def _lists_from_rows(
@@ -150,11 +145,7 @@ def _lists_from_rows(
     The per-document runs of every list come from one pass over all rows.
     """
     starts, ends = run_bounds(tids)
-    # a run begins at each list's first row and wherever the ordinal changes
-    is_start = np.empty(len(tids), dtype=bool)
-    np.not_equal(refs[1:], refs[:-1], out=is_start[1:])
-    is_start[starts] = True
-    run_starts = np.flatnonzero(is_start)
+    run_starts, _ = run_bounds(tids, refs)  # one run per (token id, ordinal)
     runs = np.diff(np.searchsorted(run_starts, np.append(starts, len(tids))))
     # a list in which no document holds its token twice needs no runs
     repeats = runs < ends - starts

@@ -10,6 +10,7 @@ from coil import (
     Bm25Params,
     Document,
     RankedList,
+    TokenizerConfig,
     ValidationError,
     bm25_score_pair,
     bm25_search,
@@ -64,6 +65,15 @@ class TestBuild:
         index, _ = _index(["x " * 100], max_doc_tokens=10)
         assert index.doc_len[0] == 10
         assert index.postings[1][1][0] == 10
+
+    def test_token_ids_past_16_bits_keep_their_order(self):
+        tok = TokenizerConfig(True, {"a": 2**16 - 1, "b": 2**16, "c": 3, "d": 2**31 - 1})
+        docs = [Document("d0", "a b c d b"), Document("d1", "b d"), Document("d2", "zz")]
+        index = build_bm25_index(docs, tok)
+        assert list(index.postings) == [3, 2**16 - 1, 2**16, 2**31 - 1]
+        got = {tid: (o.tolist(), tf.tolist()) for tid, (o, tf) in index.postings.items()}
+        assert got[2**16] == ([0, 1], [2, 1]) and got[2**31 - 1] == ([0, 1], [1, 1])
+        assert index.doc_len.tolist() == [5, 2, 1]
 
     def test_duplicate_doc_id_rejected(self):
         docs = [Document("d", "a"), Document("d", "b")]
@@ -157,6 +167,26 @@ class TestSearch:
                         pairs.append((index.doc_table[o], s))
                 want = RankedList.from_scores("", pairs, k=40)
                 assert got.entries == want.entries
+
+    @pytest.mark.parametrize("params", [Bm25Params(), Bm25Params(k1=2.0, b=0.3)])
+    def test_scores_equal_the_pair_scores(self, params):
+        rng = np.random.default_rng(45)
+        texts = random_texts(rng, 30, 12, 20)
+        index, tok = _index(texts)
+        query = tokenize("w0 w1 w1 w5 w9 unseen", tok)
+        got = bm25_search(index, query, k=30, params=params)
+        assert len(got.entries) > 10
+        for doc_id, score in got.entries:
+            assert score == bm25_score_pair(query, index.ordinal_of(doc_id), index, params)
+
+    def test_each_b_gets_its_own_length_norms(self):
+        index, tok = _index(["f x x x x x x x", "f y", "f"])
+        query = tokenize("f", tok)
+        for params in (Bm25Params(), Bm25Params(b=0.2), Bm25Params()):
+            got = bm25_search(index, query, k=3, params=params)
+            for doc_id, score in got.entries:
+                assert score == bm25_score_pair(query, index.ordinal_of(doc_id), index, params)
+        assert sorted(index.norms) == [0.2, 0.75]
 
     def test_zero_overlap_query_empty(self):
         index, tok = _index(["a b", "c d"])

@@ -22,6 +22,7 @@ from coil import (
     encode_query,
     ingest_encoded,
     read_run,
+    read_training_examples,
     write_encoded,
     write_run,
     write_training_examples,
@@ -395,6 +396,22 @@ class TestSampleNegsCli:
         for line in outs[0].decode().splitlines():
             record = json.loads(line)
             assert record["pos"] not in record["negs"]
+
+    def test_examples_on_stdout_are_the_whole_stream(self, workdir):
+        inputs = [str(workdir / n) for n in ("corpus.jsonl", "queries.jsonl", "qrels.txt")]
+        flags = ["--depth", "5", "--count", "2"]
+        assert main(["sample-negs", *inputs, str(workdir / "negs.jsonl"), *flags]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(coil.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "coil", "sample-negs", *inputs, "/dev/stdout", *flags],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        (workdir / "stdout.jsonl").write_bytes(done.stdout)
+        examples = read_training_examples(workdir / "stdout.jsonl")
+        assert len(examples) == len(done.stdout.splitlines()) == 5
+        assert done.stdout == (workdir / "negs.jsonl").read_bytes()
+        assert done.stderr.decode() == "wrote 5 training examples -> /dev/stdout\n"
 
 
 class TestExitCodes:

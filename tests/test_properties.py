@@ -3,7 +3,8 @@ naive per-occurrence references and the pairwise oracles, the corpus
 checksum against the bytes README lists, the array ranker against sorting
 every (doc id, score) pair, and the index file checksums against short
 error bursts, the coil-enc records against every finite float32, and run
-files against any ids the id rule allows.
+files against any ids the id rule allows.  The tokenizer, the vocabulary and
+the BM25 index are checked against per-character and per-document loops.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -14,6 +15,8 @@ reproducible.
 """
 from __future__ import annotations
 
+import string
+import sys
 import tempfile
 import zlib
 from collections import Counter
@@ -31,6 +34,7 @@ from coil import (
     EncodedDocument,
     EncodedQuery,
     RankedList,
+    TokenizerConfig,
     UNKNOWN_TOKEN_ID,
     ValidationError,
     bm25_score_pair,
@@ -51,6 +55,7 @@ from coil import (
     write_run,
 )
 from coil.core import as_score, check_id, rank_doc_ids, ranked_list_from_arrays
+from coil.encoding import _TOKEN, split_text
 from coil.retrieval import _cls_dot_f64
 from synth import make_instance
 
@@ -434,6 +439,146 @@ def test_bm25_search_equals_ranking_every_document_by_pair_score(case):
         ]
         want = RankedList.from_scores("q", pairs, k=5)
         assert bm25_search(index, query, 5, params, query_id="q").entries == want.entries
+
+
+# -- the tokenizer and the set-up passes against their per-token references ---
+
+PUNCTUATION = set(string.punctuation)
+# every character str.split() splits on: 29 in all
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def reference_split_text(text: str, lowercase: bool = True) -> list[str]:
+    """The split rule as a per-character loop: split on whitespace, then
+    peel leading and trailing ASCII punctuation one character at a time."""
+    if lowercase:
+        text = text.lower()
+    out: list[str] = []
+    for chunk in text.split():
+        lead: list[str] = []
+        while chunk and chunk[0] in PUNCTUATION:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        trail: list[str] = []
+        while chunk and chunk[-1] in PUNCTUATION:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        out.extend(lead)
+        if chunk:
+            out.append(chunk)
+        out.extend(reversed(trail))
+    return out
+
+
+def reference_build_vocab(texts, lowercase: bool = True) -> dict[str, int]:
+    vocab: dict[str, int] = {}
+    for text in texts:
+        for token in reference_split_text(text, lowercase):
+            if token not in vocab:
+                vocab[token] = len(vocab) + 1
+    return vocab
+
+
+def reference_run_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if len(sorted_keys) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    changes = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.concatenate(([0], changes)), np.concatenate((changes, [len(sorted_keys)]))
+
+
+def reference_group_by_key(keys: np.ndarray, *columns: np.ndarray):
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    columns = tuple(column[order] for column in columns)
+    for start, end in zip(*reference_run_bounds(keys)):
+        yield (int(keys[start]), *(column[start:end] for column in columns))
+
+
+def reference_bm25_index(docs, tokenizer, max_doc_tokens):
+    """(postings, doc_len, avgdl) built one document and one token at a time."""
+    tid_parts = [np.empty(0, dtype=np.int64)]
+    ord_parts = [np.empty(0, dtype=np.int32)]
+    for ordinal, doc in enumerate(docs):
+        ids = tokenize(doc.text, tokenizer).token_ids[:max_doc_tokens]
+        tid_parts.append(np.asarray(ids, dtype=np.int64))
+        ord_parts.append(np.full(len(ids), ordinal, dtype=np.int32))
+    tids, ords = np.concatenate(tid_parts), np.concatenate(ord_parts)
+    known = tids != UNKNOWN_TOKEN_ID
+    postings = {}
+    for tid, ordinals in reference_group_by_key(tids[known], ords[known]):
+        starts, ends = reference_run_bounds(ordinals)
+        postings[tid] = (ordinals[starts], ends - starts)
+    doc_len = np.bincount(ords, minlength=len(docs))
+    return postings, doc_len, float(doc_len.mean()) if len(doc_len) else 0.0
+
+
+# letters that change length or case class when lowercased: İ -> i̇, ẞ -> ß, ǅ -> ǆ
+TOKEN_CHARS = string.punctuation + "abAB" + WHITESPACE + "İßẞǅΣ"
+token_texts = st.text(alphabet=TOKEN_CHARS, max_size=40)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(token_texts, st.booleans())
+@example("  ..a.b,  ,İ! ,,", True)
+@example("\u2028(x)\x1c\x85'", False)
+def test_split_text_equals_the_per_character_loop(text, lowercase):
+    assert split_text(text, lowercase) == reference_split_text(text, lowercase)
+
+
+def test_the_token_regex_splits_on_the_whitespace_of_str_split():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    by_split = set(every) - set("".join(every.split()))
+    by_regex = set(every) - set("".join(_TOKEN.findall(every)))
+    assert by_regex == by_split == set(WHITESPACE)
+    assert len(WHITESPACE) == 29
+
+
+@PROPERTY
+@given(st.lists(token_texts, max_size=6), st.booleans())
+def test_build_vocab_equals_the_per_token_reference(corpus, lowercase):
+    got = build_vocab(iter(corpus), lowercase)
+    want = reference_build_vocab(corpus, lowercase)
+    assert got.lowercase == lowercase
+    assert list(got.vocab.items()) == list(want.items())
+
+
+@st.composite
+def set_up_cases(draw):
+    words = st.sampled_from(["a", "b", "c", "A", "b.", "(c", "zz", "!", "İ"])
+    corpus = draw(
+        st.lists(
+            st.one_of(
+                st.just(""),
+                st.just("zz qq"),  # made of unknown tokens only
+                st.lists(words, max_size=14).map(" ".join),
+                token_texts,
+            ),
+            max_size=8,
+        )
+    )
+    docs = [Document(d, t) for d, t in zip(draw(shuffled_ids(corpus)), corpus)]
+    seen = draw(st.lists(st.sampled_from(["a b", "c", "A b. (c", "! ,", "İ"]), max_size=3))
+    tokenizer = build_vocab(seen, lowercase=draw(st.booleans()))
+    # ids that cross 2**16, and ids past it, take the index's general sort
+    offset = draw(st.sampled_from([0, 2**16 - 2, 2**16 - 2, 2**31 - 100]))
+    vocab = {token: tid + offset for token, tid in tokenizer.vocab.items()}
+    return docs, TokenizerConfig(tokenizer.lowercase, vocab), draw(st.integers(1, 16))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(set_up_cases())
+def test_build_bm25_index_equals_the_per_document_reference(case):
+    docs, tokenizer, max_doc_tokens = case
+    postings, doc_len, avgdl = reference_bm25_index(docs, tokenizer, max_doc_tokens)
+    index = build_bm25_index((d for d in docs), tokenizer, max_doc_tokens)
+    assert list(index.postings) == list(postings)
+    for tid, (ordinals, tfs) in postings.items():
+        got_ordinals, got_tfs = index.postings[tid]
+        assert got_ordinals.dtype == ordinals.dtype and got_tfs.dtype == tfs.dtype
+        assert np.array_equal(got_ordinals, ordinals) and np.array_equal(got_tfs, tfs)
+    assert index.doc_len.dtype == doc_len.dtype and np.array_equal(index.doc_len, doc_len)
+    assert index.avgdl == avgdl
+    assert index.doc_table == [d.id for d in docs]
 
 
 F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
