@@ -6,7 +6,11 @@ each position blends its base with the mean of its windowed neighbours so
 that the same surface token receives different vectors in different
 contexts.  Determinism is bit-exact: 64-bit FNV-1a seeds a SplitMix64
 stream, both defined over little-endian 8-byte words, so the same
-(seed, token sequence) pair reproduces identical vectors everywhere.
+(seed, token sequence) pair reproduces identical vectors everywhere.  The
+blend's floating-point order is fixed too: the left-neighbour sum runs from
+the farthest neighbour to the nearest, the right-neighbour sum from the
+nearest to the farthest, then left + right, the division by the neighbour
+count, the mix, and one division per row by ``sqrt(np.dot(row, row))``.
 
 Externally produced encodings (e.g. from a real trained model) enter
 through :func:`ingest_encoded`, which reads the ``coil-enc`` format
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 import re
 import stat
@@ -164,17 +169,39 @@ def token_base_vector(seed: int, token_id: int, n_lm: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StubContextualizerConfig:
-    """Settings for the deterministic reference contextualizer."""
+    """Settings for the deterministic reference contextualizer.
+
+    ``seed`` and ``window`` are ints (not bools), ``mix_weight`` a real
+    number (not a bool); the types are checked here, as
+    :meth:`EncoderSpec.from_meta` checks stored settings.
+    """
 
     seed: int = 0
     window: int = 2
     mix_weight: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("seed", "window"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int, not {type(value).__name__}")
+        if not isinstance(self.mix_weight, numbers.Real) or isinstance(self.mix_weight, bool):
+            raise ValidationError(
+                f"mix_weight must be a real number, not {type(self.mix_weight).__name__}"
+            )
         if self.window < 0:
             raise ValidationError("window must be >= 0")
         if not 0.0 <= self.mix_weight <= 1.0:
             raise ValidationError("mix_weight must be in [0, 1]")
+
+
+@lru_cache(maxsize=1024)
+def _neighbour_counts(m: int, w: int) -> np.ndarray:
+    """Column of each position's neighbour count in a window of w, self excluded."""
+    pos = np.arange(m)
+    counts = (np.minimum(pos + w, m - 1) - np.maximum(pos - w, 0)).astype(np.float64)
+    counts.flags.writeable = False
+    return counts[:, None]
 
 
 def contextualize(
@@ -184,28 +211,53 @@ def contextualize(
 
     Position i blends its token's base direction with the mean of the
     base directions within ``window`` positions (self excluded), then
-    renormalizes; positions with no neighbours keep their base exactly.
-    The CLS slot is the normalized mean of all position outputs, or the
-    zero vector for an empty sequence.
+    renormalizes; positions with no neighbours, and every position when
+    ``mix_weight`` is 0, keep their base exactly.  The CLS slot is the
+    normalized mean of all position outputs, or the zero vector for an
+    empty sequence.
+
+    The floating-point steps, in this order, are part of the bit-exact
+    contract: the left-neighbour sum adds bases from the farthest to the
+    nearest (``0 + b[i-w] + ... + b[i-1]``), the right-neighbour sum from
+    the nearest to the farthest (``0 + b[i+1] + ... + b[i+w]``); then
+    ``(left + right) / n_nbrs``, then ``(1 - mix_weight) * b[i] +
+    mix_weight * mean``, then one division by the row's norm
+    ``sqrt(np.dot(row, row))``, skipped for a zero row.  Each step runs on
+    the whole matrix at once, as shifted slices of the stacked bases.
     """
     if n_lm < 1:
         raise ValidationError("n_lm must be >= 1")
     m = len(seq)
-    out = np.empty((m, n_lm), dtype=np.float64)
     if m == 0:
-        return out, np.zeros(n_lm, dtype=np.float64)
-    bases = np.stack([token_base_vector(cfg.seed, tid, n_lm) for tid in seq.token_ids])
-    w, mw = cfg.window, cfg.mix_weight
-    for i in range(m):
-        lo, hi = max(0, i - w), min(m - 1, i + w)
-        n_nbrs = hi - lo  # window span minus self
-        if n_nbrs == 0 or mw == 0.0:
-            out[i] = bases[i]
-            continue
-        nbr_mean = (bases[lo:i].sum(axis=0) + bases[i + 1 : hi + 1].sum(axis=0)) / n_nbrs
-        out[i] = _unit((1.0 - mw) * bases[i] + mw * nbr_mean)
-    cls_slot = _unit(out.mean(axis=0))
-    return out, cls_slot
+        return np.empty((0, n_lm), dtype=np.float64), np.zeros(n_lm, dtype=np.float64)
+    bases = np.array([token_base_vector(cfg.seed, tid, n_lm) for tid in seq.token_ids])
+    w, mw = min(cfg.window, m - 1), cfg.mix_weight
+    if w == 0 or mw == 0.0:
+        return bases, _unit(bases.mean(axis=0))
+    # Both neighbour sums add bases in ascending position order, so both read
+    # one table of window sums, sums[k] = b[k] + ... + b[min(k + w, m) - 1]:
+    # right(i) = sums[i + 1], and left(i) = sums[i - w] or, for i < w, the
+    # prefix sum b[0] + ... + b[i - 1].  The rows of q are 0, the w - 1 prefix
+    # sums, the m window sums and 0, so left = q[:m] and right = q[w + 1:].
+    # Starting a sum at b[k] rather than 0 + b[k] changes no bit, because no
+    # base entry is -0.0 (1.0 - 1.0 is +0.0 in round-to-nearest).
+    q = np.empty((m + w + 1, n_lm), dtype=np.float64)
+    q[0] = q[-1] = 0.0
+    np.cumsum(bases[: w - 1], axis=0, out=q[1:w])
+    sums = q[w:-1]
+    sums[:] = bases
+    for t in range(1, w):
+        sums[: m - t] += bases[t:]
+    out = q[:m]
+    out += q[w + 1 :]  # left + right, in place over the left rows
+    out /= _neighbour_counts(m, w)
+    out *= mw
+    bases *= 1.0 - mw
+    bases += out
+    norms = np.sqrt([np.dot(row, row) for row in bases])
+    norms[norms == 0.0] = 1.0  # x / 1.0 == x: a zero row stays undivided
+    bases /= norms[:, None]
+    return bases, _unit(bases.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------

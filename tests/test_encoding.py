@@ -231,11 +231,30 @@ class TestContextualize:
         np.testing.assert_array_equal(ca, cb)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(window=-1), dict(mix_weight=-0.1), dict(mix_weight=1.1)]
+        "kwargs",
+        [
+            dict(window=-1),
+            dict(mix_weight=-0.1),
+            dict(mix_weight=1.1),
+            dict(window=2.0),
+            dict(window=True),
+            dict(window="2"),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(seed=None),
+            dict(mix_weight=True),
+            dict(mix_weight="0.5"),
+            dict(mix_weight=None),
+            dict(mix_weight=float("nan")),
+        ],
     )
     def test_config_range_validation(self, kwargs):
         with pytest.raises(ValidationError):
-            StubContextualizerConfig(seed=0, **kwargs)
+            StubContextualizerConfig(**{"seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("mix_weight", [0, 1, 0.25, np.float64(0.25)])
+    def test_real_mix_weights_are_accepted(self, mix_weight):
+        assert StubContextualizerConfig(mix_weight=mix_weight).mix_weight == mix_weight
 
 
 class TestProjections:
@@ -408,6 +427,29 @@ class TestEncode:
             ):
                 assert enc.token_vecs.tobytes() == token_vecs.tobytes()
                 assert enc.cls_vec.tobytes() == cls_vec.tobytes()
+
+
+    def test_encoders_call_contextualize_through_the_module_attribute(self, monkeypatch):
+        # coilbench's tracer counts encoding.contextualize_s and
+        # encoding.tokens_encoded by replacing this attribute
+        import coil.encoding
+
+        lengths = []
+        original = coil.encoding.contextualize
+
+        def counting(seq, cfg, n_lm):
+            lengths.append(len(seq))
+            return original(seq, cfg, n_lm)
+
+        monkeypatch.setattr(coil.encoding, "contextualize", counting)
+        docs, cfg, tok, stub, params = _setup(
+            max_doc_tokens=3, texts=("apple pie", "a b c d e", "")
+        )
+        for doc in docs:
+            encode_document(doc, tok, stub, params, cfg)
+        encode_query(Query("q1", "a b c d e pie"), tok, stub, params, cfg)
+        encode_query(Query("q2", ""), tok, stub, params, cfg)
+        assert lengths == [2, 3, 0, 6, 0]
 
 
 class TestEncodedRecordIo:

@@ -4,7 +4,8 @@ checksum against the bytes README lists, the array ranker against sorting
 every (doc id, score) pair, and the index file checksums against short
 error bursts, the coil-enc records against every finite float32, and run
 files against any ids the id rule allows.  The tokenizer, the vocabulary and
-the BM25 index are checked against per-character and per-document loops.
+the BM25 index are checked against per-character and per-document loops,
+and the contextualizer against its per-position loop.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -34,6 +35,7 @@ from coil import (
     EncodedDocument,
     EncodedQuery,
     RankedList,
+    StubContextualizerConfig,
     TokenizerConfig,
     UNKNOWN_TOKEN_ID,
     ValidationError,
@@ -43,6 +45,7 @@ from coil import (
     build_bm25_index,
     build_index,
     build_vocab,
+    contextualize,
     ingest_encoded,
     load_index,
     read_run,
@@ -54,8 +57,8 @@ from coil import (
     write_encoded,
     write_run,
 )
-from coil.core import as_score, check_id, rank_doc_ids, ranked_list_from_arrays
-from coil.encoding import _TOKEN, split_text
+from coil.core import TokenSeq, as_score, check_id, rank_doc_ids, ranked_list_from_arrays
+from coil.encoding import _TOKEN, split_text, token_base_vector
 from coil.retrieval import _cls_dot_f64
 from synth import make_instance
 
@@ -579,6 +582,53 @@ def test_build_bm25_index_equals_the_per_document_reference(case):
     assert index.doc_len.dtype == doc_len.dtype and np.array_equal(index.doc_len, doc_len)
     assert index.avgdl == avgdl
     assert index.doc_table == [d.id for d in docs]
+
+
+def reference_contextualize(seq, cfg, n_lm):
+    """The per-position loop that defined the contextualizer's vectors."""
+
+    def unit(vec):
+        norm = float(np.sqrt(np.dot(vec, vec)))
+        return vec if norm == 0.0 else vec / norm
+
+    m = len(seq)
+    out = np.empty((m, n_lm), dtype=np.float64)
+    if m == 0:
+        return out, np.zeros(n_lm, dtype=np.float64)
+    bases = np.stack([token_base_vector(cfg.seed, tid, n_lm) for tid in seq.token_ids])
+    w, mw = cfg.window, cfg.mix_weight
+    for i in range(m):
+        lo, hi = max(0, i - w), min(m - 1, i + w)
+        n_nbrs = hi - lo  # window span minus self
+        if n_nbrs == 0 or mw == 0.0:
+            out[i] = bases[i]
+            continue
+        nbr_mean = (bases[lo:i].sum(axis=0) + bases[i + 1 : hi + 1].sum(axis=0)) / n_nbrs
+        out[i] = unit((1.0 - mw) * bases[i] + mw * nbr_mean)
+    return out, unit(out.mean(axis=0))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    token_ids=st.lists(st.one_of(st.integers(0, 5), st.integers(0, 2**31 - 1)), max_size=40),
+    seed=st.integers(0, 2**64 - 1),
+    window=st.integers(0, 45),
+    mix_weight=st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    ),
+    n_lm=st.sampled_from([1, 2, 768]),
+)
+# with n_lm = 1 every base is +-1, so ids 0 and 1 (seed 0) blend to exact zero rows
+@example(token_ids=[0, 1], seed=0, window=1, mix_weight=0.5, n_lm=1)
+@example(token_ids=[0, 1, 2], seed=0, window=1, mix_weight=0.5, n_lm=1)
+def test_contextualize_equals_the_per_position_loop(token_ids, seed, window, mix_weight, n_lm):
+    seq = TokenSeq(tuple(f"t{t}" for t in token_ids), tuple(token_ids))
+    cfg = StubContextualizerConfig(seed=seed, window=window, mix_weight=mix_weight)
+    out, cls_slot = contextualize(seq, cfg, n_lm)
+    want_out, want_cls = reference_contextualize(seq, cfg, n_lm)
+    assert out.shape == want_out.shape and out.dtype == want_out.dtype
+    assert out.tobytes() == want_out.tobytes()
+    assert cls_slot.tobytes() == want_cls.tobytes()
 
 
 F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
