@@ -4,13 +4,17 @@ The contextualizer is a fully specified stand-in for a trained language
 model: every token id maps to a fixed pseudo-random base direction, and
 each position blends its base with the mean of its windowed neighbours so
 that the same surface token receives different vectors in different
-contexts.  Determinism is bit-exact: 64-bit FNV-1a seeds a SplitMix64
+contexts.  Its output is bit-exact: 64-bit FNV-1a seeds a SplitMix64
 stream, both defined over little-endian 8-byte words, so the same
-(seed, token sequence) pair reproduces identical vectors everywhere.  The
-blend's floating-point order is fixed too: the left-neighbour sum runs from
-the farthest neighbour to the nearest, the right-neighbour sum from the
-nearest to the farthest, then left + right, the division by the neighbour
-count, the mix, and one division per row by ``sqrt(np.dot(row, row))``.
+(seed, token sequence) pair reproduces identical contextualizer vectors
+everywhere.  The blend's floating-point order is fixed too: the
+left-neighbour sum runs from the farthest neighbour to the nearest, the
+right-neighbour sum from the nearest to the farthest, then left + right, the
+division by the neighbour count, the mix, and one division per row by
+``sqrt(np.dot(row, row))``.  The projections that follow are BLAS products,
+so their float64 bits depend on the BLAS kernel, which an OpenBLAS built
+with ``DYNAMIC_ARCH`` picks for each CPU; 1 and 2 BLAS threads gave the
+same bits.
 
 Externally produced encodings (e.g. from a real trained model) enter
 through :func:`ingest_encoded`, which reads the ``coil-enc`` format
@@ -151,15 +155,12 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=65536)
-def _base_vector_cached(seed: int, token_id: int, n_lm: int) -> np.ndarray:
+def token_base_vector(seed: int, token_id: int, n_lm: int) -> np.ndarray:
+    """Unit-norm base direction for a token id; depends only on (seed, id, n_lm).
+    Cached, so read-only."""
     vec = _unit(splitmix64_unit_floats(hash64(seed, token_id), n_lm))
     vec.flags.writeable = False
     return vec
-
-
-def token_base_vector(seed: int, token_id: int, n_lm: int) -> np.ndarray:
-    """Unit-norm base direction for a token id; depends only on (seed, id, n_lm)."""
-    return _base_vector_cached(seed, token_id, n_lm)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ def read_qrels(path: str | Path) -> Qrels:
                 f"{path}: line {lineno}: duplicate judgment for ({qid!r}, {doc_id!r})"
             )
         per_query[doc_id] = rel
+    if not judgments:
+        raise FormatError(f"{path}: no judgments")
     return Qrels(judgments)
 
 
@@ -208,19 +210,22 @@ def recall_at_k(
 
 
 def ndcg_at_k(run: Mapping[str, RankedList], qrels: Qrels, k: int) -> float:
-    """Mean NDCG with gain 2^rel - 1; zero-relevant queries are excluded."""
+    """Mean NDCG with gain 2^rel - 1; zero-relevant queries are excluded.  Each
+    query's gains are scaled by 2^-max_grade, which keeps any grade finite and,
+    up to grade 53, every bit of the unscaled ratio."""
 
     def ndcg(top, judged, relevant):
-        ideal_gains = sorted((rel for rel in judged.values() if rel > 0), reverse=True)
-        idcg = sum(
-            (2.0**rel - 1.0) / math.log2(rank + 1)
-            for rank, rel in enumerate(ideal_gains[:k], start=1)
-        )
+        grades = sorted((rel for rel in judged.values() if rel > 0), reverse=True)
+
+        def gain(rel: int) -> float:
+            return math.ldexp(1.0, rel - grades[0]) - math.ldexp(1.0, -grades[0])
+
+        idcg = sum(gain(rel) / math.log2(rank + 1) for rank, rel in enumerate(grades[:k], 1))
         dcg = 0.0
         for rank, (doc_id, _) in enumerate(top, start=1):
             rel = judged.get(doc_id, 0)
             if rel > 0:
-                dcg += (2.0**rel - 1.0) / math.log2(rank + 1)
+                dcg += gain(rel) / math.log2(rank + 1)
         return dcg / idcg
 
     return _mean_over_judged(run, qrels, k, ndcg)

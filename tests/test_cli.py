@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -369,6 +372,23 @@ class TestEvalCli:
         assert main(["eval", str(run), str(workdir / "qrels.txt")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {run}: query 'q0': ")
 
+    def test_empty_qrels_exits_2_naming_the_file(self, workdir, capsys):
+        run, qrels = workdir / "run.txt", workdir / "empty_qrels.txt"
+        run.write_text("q0 Q0 d0 1 1.0 t\n")
+        qrels.write_text("")
+        capsys.readouterr()
+        assert main(["eval", str(run), str(qrels)]) == 2
+        assert capsys.readouterr().err == f"error: {qrels}: no judgments\n"
+
+    @pytest.mark.parametrize("grade", [1023, 1024, 10**6])
+    def test_large_grades_exit_0(self, workdir, capsys, grade):
+        run, qrels = workdir / "run.txt", workdir / "graded_qrels.txt"
+        run.write_text("q1 Q0 d1 1 1.0 t\n")
+        qrels.write_text(f"q1 0 d1 {grade}\n")
+        capsys.readouterr()
+        assert main(["eval", str(run), str(qrels), "--metrics", "ndcg@10"]) == 0
+        assert capsys.readouterr().out == "ndcg@10\t1.000000\n"
+
     @pytest.mark.parametrize("stream", ["fifo", "pipe"])
     def test_run_from_a_stream_error_names_the_line(self, workdir, capsys, stream):
         data = b"q0 Q0 d0 1 2.0 t\nq0 Q0 d\x002 2 1.0 t\n"
@@ -378,6 +398,75 @@ class TestEvalCli:
             code = returns_within(lambda: main(["eval", run, qrels]))
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {run}: line 2: document id ")
+
+
+EVAL_RUN = "".join(
+    f"{qid} Q0 {doc} {rank} {score} t\n"
+    for qid, ranked in {
+        "q0": [("d2", "3.5"), ("d0", "3.5"), ("d4", "1.25"), ("d1", "-0.5")],
+        "q1": [("d1", "12"), ("d3", "7.0625"), ("d0", "0"), ("d2", "-0")],
+        "q2": [("d4", "0.001"), ("d3", "1e-07")],
+    }.items()
+    for rank, (doc, score) in enumerate(ranked, start=1)
+)
+EVAL_QRELS = "q0 0 d0 1\nq0 0 d2 0\nq1 0 d1 12\nq1 0 d3 3\nq2 0 d4 1\nq3 0 d0 2\n"
+
+
+def _mutations(data: bytes, count: int, seed: int):
+    """Yield ``(name, bytes)`` for ``count`` mutations of ``data``.  The first
+    cut it at each line start and duplicate each field in place; the rest are
+    seeded, in turn a bit flip, a truncation, and a span of 1-16 bytes
+    deleted, inserted (copied from another offset) or duplicated in place."""
+    cuts = [0, *(m.end() for m in re.finditer(rb"\n", data[:-1]))]
+    fields = list(re.finditer(rb"\S+", data))
+    for at in cuts:
+        yield f"cut-at-{at}", data[:at]
+    for field in fields:
+        yield f"field-at-{field.start()}", data[: field.end()] + field[0] + data[field.end() :]
+    rng = random.Random(seed)
+    kinds = ("flip", "truncate", "delete", "insert", "duplicate")
+    for i in range(count - len(cuts) - len(fields)):
+        kind, at, span = kinds[i % len(kinds)], rng.randrange(len(data)), rng.randint(1, 16)
+        if kind == "flip":
+            mutated = bytearray(data)
+            mutated[at] ^= 1 << rng.randrange(8)
+        elif kind == "truncate":
+            mutated = data[:at]
+        elif kind == "delete":
+            mutated = data[:at] + data[at + span :]
+        elif kind == "insert":
+            source = rng.randrange(len(data))
+            mutated = data[:at] + data[source : source + span] + data[at:]
+        else:
+            mutated = data[:at] + data[at : at + span] + data[at:]
+        yield f"{kind}-{i}-at-{at}", bytes(mutated)
+
+
+class TestEvalInputMutations:
+    """`coil eval` under seeded damage to a valid run or qrels file: no exception
+    escapes, the exit code is 0 or 2, and an exit-2 message names the file."""
+
+    @pytest.mark.parametrize("target, seed", [("run.txt", 1), ("qrels.txt", 2)])
+    def test_exits_0_or_2_naming_the_mutated_file(self, tmp_path, capsys, target, seed):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text(EVAL_RUN)
+        qrels.write_text(EVAL_QRELS)
+        assert main(["eval", str(run), str(qrels)]) == 0
+        path = tmp_path / target
+        codes = Counter()
+        for variant, data in _mutations(path.read_bytes(), 300, seed):
+            path.write_bytes(data)
+            capsys.readouterr()
+            try:
+                code = main(["eval", str(run), str(qrels)])
+            except Exception as exc:
+                pytest.fail(f"{variant}: {exc!r} escaped main")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (variant, err)
+            if code == 2:
+                assert err.startswith(f"error: {path}: "), (variant, err)
+            codes[code] += 1
+        assert sum(codes.values()) == 300 and codes[0] and codes[2], codes
 
 
 class TestSampleNegsCli:

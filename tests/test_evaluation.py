@@ -69,8 +69,11 @@ class TestQrelsIo:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "qrels.txt"
-        path.write_text("")
-        assert read_qrels(path).judgments == {}
+        for text in ("", "\n \n"):
+            path.write_text(text)
+            with pytest.raises(FormatError) as raised:
+                read_qrels(path)
+            assert str(raised.value) == f"{path}: no judgments"
 
     def test_negative_relevance_rejected_in_constructor(self):
         with pytest.raises(ValidationError, match="negative"):
@@ -303,6 +306,25 @@ class TestNdcg:
         dcg = (2**1 - 1) / math.log2(2) + (2**3 - 1) / math.log2(3)
         idcg = (2**3 - 1) / math.log2(2) + (2**1 - 1) / math.log2(3)
         assert ndcg_at_k(run, qrels, 10) == pytest.approx(dcg / idcg, abs=1e-12)
+
+    def test_gains_are_the_unscaled_ones_bit_for_bit(self):
+        run = _run(q1=[("a", 3.0), ("b", 2.0), ("c", 1.0), ("d", 0.5)])
+        for grades in ({"a": 1, "b": 53, "d": 2}, {"a": 3, "c": 1, "e": 40}):
+            dcg = sum(
+                (2.0 ** grades[d] - 1.0) / math.log2(rank + 1)
+                for rank, d in enumerate("abcd", start=1)
+                if d in grades
+            )
+            ideal = sorted(grades.values(), reverse=True)
+            idcg = sum((2.0**rel - 1.0) / math.log2(rank + 1) for rank, rel in enumerate(ideal, 1))
+            assert ndcg_at_k(run, Qrels({"q1": grades}), 10) == dcg / idcg
+
+    @pytest.mark.parametrize("grade", [1024, 10**6, 10**400], ids=["1024", "1e6", "1e400"])
+    def test_large_grades_give_a_finite_ndcg(self, grade):
+        run = _run(q1=[("a", 2.0), ("b", 1.0)])
+        assert ndcg_at_k(run, Qrels({"q1": {"a": grade}}), 10) == 1.0
+        got = ndcg_at_k(run, Qrels({"q1": {"a": 1, "b": grade}}), 10)
+        assert math.isfinite(got) and 0.0 < got < 1.0
 
     def test_improving_rank_never_decreases(self):
         qrels = Qrels({"q1": {"a": 1}})

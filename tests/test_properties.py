@@ -343,6 +343,38 @@ def test_array_ranker_with_the_index_tie_key_equals_from_scores(case):
     assert [(d, s.hex()) for d, s in gathered.entries] == want
 
 
+def _two_argsort_entries(doc_ids, scores, k, ordinals):
+    """The ranker's order as it was built before ``np.lexsort``, over every
+    score: an argsort by doc-id rank, then a stable argsort by score."""
+    reported = scores.astype(np.float32)
+    at = np.arange(len(reported)) if ordinals is None else ordinals
+    by_rank = np.argsort(rank_doc_ids(doc_ids)[at])
+    order = by_rank[np.argsort(-reported[by_rank], kind="stable")][:k]
+    return [(str(doc_ids[at[o]]), reported[o].item().hex()) for o in order]
+
+
+# 1e-46 rounds to a float32 zero of its sign, and 1 +- 2**-40 to 1.0
+FLOAT32_TIES = [-0.0, 0.0, 1e-46, -1e-46, 0.5, 1.0, 1.0 + 2**-40, 1.0 - 2**-40, 2.0, -3.0]
+
+
+@PROPERTY
+@given(tied_candidates(), st.data())
+def test_lexsort_order_equals_the_two_argsort_order(case, data):
+    ids, keep, _, k = case
+    n = len(keep)
+    scores = np.asarray(
+        data.draw(st.lists(st.sampled_from(FLOAT32_TIES), min_size=n, max_size=n)), np.float64
+    )
+    doc_ids = np.array(ids, dtype=str)
+    want = _two_argsort_entries(doc_ids, scores, k, keep)
+    assert want == _two_argsort_entries(doc_ids[keep], scores, k, None)
+    for got in (
+        ranked_list_from_arrays("q", doc_ids, scores, k, rank_doc_ids(doc_ids), keep),
+        ranked_list_from_arrays("q", doc_ids[keep], scores, k),
+    ):
+        assert [(d, s.hex()) for d, s in got.entries] == want
+
+
 def _first_fault(entries) -> str | None:
     """RankedList's rule as one loop over the entries: the first offending entry
     names the error, a non-finite score before a duplicate id before a rise."""
