@@ -246,7 +246,7 @@ def sample_bm25_negatives(
     candidates: list[str] = []
     if depth >= 1:
         ranked = bm25_search(index, query, k=depth)
-        candidates = [d for d, _ in ranked.entries if d not in positives]
+        candidates = [d for d in ranked.ids if d not in positives]
     if len(candidates) <= count:
         return candidates
     return random.Random(seed).sample(candidates, count)

@@ -8,12 +8,14 @@ score descending with ties broken by doc id ascending.
 A ranked list's invariants are each checked in one place.  Every score is
 finite, doc ids are unique, and scores never rise down the list:
 :class:`RankedList` checks all three, in one loop over the entries, for a
-list a caller builds (``read_run``, ``from_scores``).
-:func:`ranked_list_from_arrays` checks finiteness itself and gets its order
-from one ``np.lexsort`` on score, then on :func:`rank_doc_ids`.  That rank
-rejects a duplicate doc id: an index computes it once, when it is
-constructed, and the ranker computes it for a caller that passes none.  So
-the ranker builds its list without a second check.
+list a caller builds from ``(doc_id, score)`` pairs (``from_scores``, and
+``read_run`` on its per-line path).  :func:`ranked_list_from_arrays` checks
+finiteness itself and gets its order from one ``np.lexsort`` on score, then
+on :func:`rank_doc_ids`.  That rank rejects a duplicate doc id: an index
+computes it once, when it is constructed, and the ranker computes it for a
+caller that passes none.  So the ranker builds its list from its columns
+without a second check, as ``read_run``'s column path does after checking
+the columns itself.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import math
 import os
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -307,27 +309,26 @@ def check_encoded_dims(
                     raise ValidationError(f"{name}: {kind} entry beyond the float32 range")
 
 
-@dataclass
 class RankedList:
-    """Retrieval output: (doc_id, score) pairs, best first.
+    """Retrieval output: a doc-id column and a float64 score column, best first.
 
-    Construction through :meth:`from_scores` or
-    :func:`ranked_list_from_arrays` guarantees the full ordering rule
-    (score descending, ties by doc id ascending).  Direct construction
-    still checks finite, non-increasing scores and unique doc ids, which
-    is the most a precision-lossy source such as a parsed run file can
-    promise.  The first offending entry names the error; within one entry
-    a non-finite score comes before a duplicate id, and that before a
-    rising score.
+    ``RankedList(query_id, entries)`` takes ``(doc_id, score)`` pairs and
+    stores them as the two columns ``ids`` (a list) and ``scores`` (an
+    array); ``entries`` builds the pairs again when asked for.  Construction
+    through :meth:`from_scores` or :func:`ranked_list_from_arrays`
+    guarantees the full ordering rule (score descending, ties by doc id
+    ascending).  Direct construction still checks finite, non-increasing
+    scores and unique doc ids, which is the most a precision-lossy source
+    such as a parsed run file can promise.  The first offending entry names
+    the error; within one entry a non-finite score comes before a duplicate
+    id, and that before a rising score.
     """
 
-    query_id: str
-    entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self, query_id: str, entries: Iterable[tuple[str, float]] = ()) -> None:
+        ids, scores = [], []
         seen: set[str] = set()
         previous = math.inf
-        for doc_id, score in self.entries:
+        for doc_id, score in entries:
             if not math.isfinite(score):
                 raise ValidationError(f"non-finite score for doc {doc_id!r}")
             if doc_id in seen:
@@ -335,13 +336,19 @@ class RankedList:
             if score > previous:
                 raise ValidationError("ranked list scores must be non-increasing")
             seen.add(doc_id)
+            ids.append(doc_id)
+            scores.append(score)
             previous = score
+        self.query_id = query_id
+        self.ids: list[str] = ids
+        self.scores: np.ndarray = np.array(scores, dtype=np.float64)
 
     @classmethod
-    def _checked_by_caller(cls, query_id: str, entries: list[tuple[str, float]]) -> RankedList:
-        """A list whose caller has already established every invariant."""
+    def from_columns(cls, query_id: str, ids: list[str], scores: np.ndarray) -> RankedList:
+        """A list whose caller has already established every invariant;
+        ``scores`` is a float64 array as long as ``ids``."""
         ranked = cls.__new__(cls)
-        ranked.query_id, ranked.entries = query_id, entries
+        ranked.query_id, ranked.ids, ranked.scores = query_id, ids, scores
         return ranked
 
     @classmethod
@@ -353,8 +360,25 @@ class RankedList:
             ordered = ordered[:k]
         return cls(query_id, ordered)
 
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        """The ``(doc_id, score)`` pairs, a new list on each call."""
+        return list(zip(self.ids, self.scores.tolist()))
+
     def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.entries]
+        return list(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (
+            self.query_id == other.query_id
+            and self.ids == other.ids
+            and np.array_equal(self.scores, other.scores)
+        )
+
+    def __repr__(self) -> str:
+        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
 
 
 def rank_doc_ids(doc_ids: np.ndarray) -> np.ndarray:
@@ -388,9 +412,9 @@ def ranked_list_from_arrays(
     cut included) are sorted, so the result equals a sort of all of them.
     Ties are broken on ``tie_rank``, parallel to ``doc_ids``, which must
     order them as :func:`rank_doc_ids` does; without it, the rank is
-    computed here, and a duplicate doc id raises.  The list is built
-    without :class:`RankedList`'s per-entry check: its order comes from the
-    sort, and its doc ids are unique.
+    computed here, and a duplicate doc id raises.  The list is built from
+    its columns, without :class:`RankedList`'s per-entry check: its order
+    comes from the sort, and its doc ids are unique.
     """
     with np.errstate(over="ignore"):  # a score past the float32 range raises below
         reported = scores.astype(np.float32)
@@ -408,8 +432,9 @@ def ranked_list_from_arrays(
     order = np.lexsort((ranks[at], -reported))
     if k is not None:
         order = order[:k]
-    entries = list(zip(doc_ids[at[order]].tolist(), reported[order].tolist()))
-    return RankedList._checked_by_caller(query_id, entries)
+    return RankedList.from_columns(
+        query_id, doc_ids[at[order]].tolist(), reported[order].astype(np.float64)
+    )
 
 
 def utf8_error(where: str, exc: UnicodeDecodeError) -> FormatError:
@@ -425,13 +450,19 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     UTF-8 raises FormatError naming the file and the line.
     """
     with open(path, "rb") as raw_lines:
-        for lineno, raw in enumerate(raw_lines, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise utf8_error(f"{path}: line {lineno}", exc) from None
-            if not line.isspace():
-                yield lineno, line
+        yield from decode_lines(raw_lines, path)
+
+
+def decode_lines(raw_lines: Iterable[bytes], path: str | Path) -> Iterator[tuple[int, str]]:
+    """:func:`read_lines` over lines of bytes already opened or read, such as
+    ``io.BytesIO(data)``; ``path`` names them in errors."""
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise utf8_error(f"{path}: line {lineno}", exc) from None
+        if not line.isspace():
+            yield lineno, line
 
 
 @contextmanager

@@ -12,11 +12,15 @@ discount and excludes queries with no positively judged document.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     FormatError,
@@ -24,6 +28,7 @@ from .core import (
     ValidationError,
     atomic_writer,
     check_id,
+    decode_lines,
     read_lines,
 )
 
@@ -39,6 +44,10 @@ class Qrels:
     def __post_init__(self) -> None:
         for qid, docs in self.judgments.items():
             for doc_id, rel in docs.items():
+                if isinstance(rel, bool) or not isinstance(rel, int):
+                    raise ValidationError(
+                        f"relevance {rel!r} for ({qid!r}, {doc_id!r}) is not an int"
+                    )
                 if rel < 0:
                     raise ValidationError(
                         f"negative relevance {rel} for ({qid!r}, {doc_id!r})"
@@ -87,18 +96,22 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil"
     check_id("run tag", tag)
     for qid, ranked in run.items():
         check_id("query", qid)
-        doc_ids = ranked.doc_ids()
-        if not _all_pass_id_rule(doc_ids):
-            for doc_id in doc_ids:
+        if not _all_pass_id_rule(ranked.ids):
+            for doc_id in ranked.ids:
                 check_id("document", doc_id)
     with atomic_writer(path) as fh:
         for qid, ranked in run.items():
-            fh.write(
-                "".join(
-                    f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
-                    for rank, (doc_id, score) in enumerate(ranked.entries, start=1)
-                )
-            )
+            fh.write(_query_lines(qid, ranked, tag))
+
+
+def _query_lines(qid: str, ranked: RankedList, tag: str) -> str:
+    """The run lines of one query, ``f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\\n"``
+    each, made by one ``%`` over all of them; a ``%`` in ``qid`` or ``tag`` is
+    escaped."""
+    line = qid.replace("%", "%%") + " Q0 %s %d %.6g " + tag.replace("%", "%%") + "\n"
+    n = len(ranked.ids)
+    rows = zip(ranked.ids, range(1, n + 1), ranked.scores.tolist())
+    return (line * n) % tuple(chain.from_iterable(rows))
 
 
 def _all_pass_id_rule(ids: list) -> bool:
@@ -112,10 +125,78 @@ def _all_pass_id_rule(ids: list) -> bool:
 
 
 def read_run(path: str | Path) -> Run:
-    """Read a run file in one pass; every query and document id must pass
-    the id rule, and each query's rows must make a valid RankedList."""
+    """Read a run file; every query and document id must pass the id rule,
+    and each query's rows must make a valid RankedList.
+
+    The file is read once.  A file in the form :func:`write_run` writes is
+    read by columns, from one ``split()`` of the whole text.  Any other file,
+    and any file that fails a check there, is read again from the same bytes
+    one line at a time, which raises the error naming the bad line or query;
+    where both read a file, they give equal runs.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    run = _run_from_columns(data)
+    return _run_from_lines(data, path) if run is None else run
+
+
+def _run_from_columns(data: bytes) -> Run | None:
+    """The run in ``data``, or None when a check fails.
+
+    The checks: one ASCII space between fields and one newline after every
+    sixth field, so every line has six fields; ids that are printable as one
+    joined string; each query's rows contiguous, with rank fields exactly
+    ``1``..``n``; finite scores that never rise within a query; and distinct
+    doc ids within a query.  Every run passing them is one that
+    :func:`_run_from_lines` reads without an error, and to an equal run.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    fields = text.split()
+    # a 5-field line beside a 7-field one, a tab, a "\r", a blank line or
+    # whitespace inside an id each make the rebuilt text differ
+    if not fields or text != "\n".join(map(" ".join, zip(*[iter(fields)] * 6))) + "\n":
+        return None
+    qids, doc_ids, ranks = fields[0::6], fields[2::6], fields[3::6]
+    if not ("".join(qids) + "".join(doc_ids)).isprintable():
+        return None
+    try:
+        scores = np.fromiter(map(float, fields[4::6]), np.float64, len(qids))
+    except ValueError:
+        return None
+    if not np.isfinite(scores).all():
+        return None
+    distinct = list(dict.fromkeys(qids))
+    starts = [0]
+    for qid in distinct[1:]:
+        starts.append(qids.index(qid, starts[-1]))
+    ends = starts[1:] + [len(qids)]
+    numerals = list(map(str, range(1, max(e - s for s, e in zip(starts, ends)) + 1)))
+    rises = scores[1:] > scores[:-1]
+    rises[np.array(starts[1:], dtype=np.intp) - 1] = False  # a new query may start higher
+    if rises.any():
+        return None
+    run: Run = {}
+    for qid, start, end in zip(distinct, starts, ends):
+        ids = doc_ids[start:end]
+        size = end - start
+        if (
+            qids[start:end].count(qid) != size
+            or ranks[start:end] != numerals[:size]
+            or len(set(ids)) != size
+        ):
+            return None
+        run[qid] = RankedList.from_columns(qid, ids, scores[start:end])
+    return run
+
+
+def _run_from_lines(data: bytes, path: str | Path) -> Run:
+    """The run in ``data``, read one line at a time; the first bad line or
+    query raises FormatError naming ``path``."""
     per_query: dict[str, list[tuple[int, str, float, int]]] = {}
-    for lineno, line in read_lines(path):
+    for lineno, line in decode_lines(io.BytesIO(data), path):
         fields = line.split()
         if len(fields) != 6:
             raise FormatError(f"{path}: line {lineno}: expected 6 fields, got {len(fields)}")
@@ -169,7 +250,7 @@ def _mean_over_judged(
     per_query: Callable[..., float],
     min_rel: int = 1,
 ) -> float:
-    """Mean of ``per_query(top_k_entries, judgments, relevant_ids)`` over the
+    """Mean of ``per_query(top_k_doc_ids, judgments, relevant_ids)`` over the
     judged queries with a document at or above ``min_rel``; a judged query
     missing from the run gets an empty top k."""
     _check_k(k)
@@ -181,7 +262,7 @@ def _mean_over_judged(
         if not relevant:
             continue
         ranked = run.get(qid)
-        top = ranked.entries[:k] if ranked is not None else []
+        top = ranked.ids[:k] if ranked is not None else []
         totals.append(per_query(top, judged, relevant))
     return float(sum(totals) / len(totals)) if totals else 0.0
 
@@ -190,7 +271,7 @@ def mrr_at_k(run: Mapping[str, RankedList], qrels: Qrels, k: int, min_rel: int =
     """Mean over judged queries of 1/rank of the first relevant in top k."""
 
     def reciprocal_rank(top, judged, relevant):
-        for rank, (doc_id, _) in enumerate(top, start=1):
+        for rank, doc_id in enumerate(top, start=1):
             if doc_id in relevant:
                 return 1.0 / rank
         return 0.0
@@ -204,7 +285,7 @@ def recall_at_k(
     """Mean over judged queries of the fraction of relevant in the top k."""
 
     def recall(top, judged, relevant):
-        return sum(1 for doc_id, _ in top if doc_id in relevant) / len(relevant)
+        return sum(1 for doc_id in top if doc_id in relevant) / len(relevant)
 
     return _mean_over_judged(run, qrels, k, recall, min_rel)
 
@@ -222,7 +303,7 @@ def ndcg_at_k(run: Mapping[str, RankedList], qrels: Qrels, k: int) -> float:
 
         idcg = sum(gain(rel) / math.log2(rank + 1) for rank, rel in enumerate(grades[:k], 1))
         dcg = 0.0
-        for rank, (doc_id, _) in enumerate(top, start=1):
+        for rank, doc_id in enumerate(top, start=1):
             rel = judged.get(doc_id, 0)
             if rel > 0:
                 dcg += gain(rel) / math.log2(rank + 1)

@@ -248,6 +248,29 @@ class TestRankedList:
     def test_empty_list_valid(self):
         assert RankedList("q", []).doc_ids() == []
 
+    def test_entries_are_stored_as_two_columns(self):
+        ranked = RankedList("q", [("a", 2), ("b", 1.5)])
+        assert ranked.ids == ["a", "b"]
+        assert ranked.scores.dtype == np.float64 and ranked.scores.tolist() == [2.0, 1.5]
+        assert ranked.entries == [("a", 2.0), ("b", 1.5)]
+        ranked.entries.append(("c", 1.0))  # a new list on each call
+        assert ranked.doc_ids() == ["a", "b"]
+
+    def test_equality_compares_query_id_and_both_columns(self):
+        ranked = RankedList("q", [("a", 2.0), ("b", 1.0)])
+        assert ranked == RankedList.from_columns("q", ["a", "b"], np.array([2.0, 1.0]))
+        assert ranked != RankedList("r", [("a", 2.0), ("b", 1.0)])
+        assert ranked != RankedList("q", [("b", 2.0), ("a", 1.0)])
+        assert ranked != RankedList("q", [("a", 2.0), ("b", 0.5)])
+        assert ranked != RankedList("q", [("a", 2.0)])
+        assert ranked != [("a", 2.0), ("b", 1.0)]
+
+    def test_array_ranker_stores_its_float32_scores_as_float64(self):
+        scores = np.array([0.1, 1 / 3, 2.0])
+        ranked = ranked_list_from_arrays("q", np.array(["a", "b", "c"]), scores)
+        assert ranked.scores.dtype == np.float64
+        assert ranked.scores.tolist() == scores[::-1].astype(np.float32).tolist()
+
     NAN, INF = float("nan"), float("inf")
     DUPLICATE = "duplicate doc id {} in ranked list"
     RISING = "ranked list scores must be non-increasing"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
 import pytest
 
 from coil import (
@@ -18,6 +19,7 @@ from coil import (
     recall_at_k,
     write_run,
 )
+from coil.evaluation import _run_from_columns, _run_from_lines
 from streams import fed_stream, returns_within
 
 
@@ -78,6 +80,12 @@ class TestQrelsIo:
     def test_negative_relevance_rejected_in_constructor(self):
         with pytest.raises(ValidationError, match="negative"):
             Qrels({"q": {"d": -1}})
+
+    @pytest.mark.parametrize("grade", [1.5, 1.0, True, False, "1", None, np.int64(1)])
+    def test_grade_that_is_not_an_int_rejected_in_constructor(self, grade):
+        with pytest.raises(ValidationError) as raised:
+            Qrels({"q": {"d": grade}})
+        assert str(raised.value) == f"relevance {grade!r} for ('q', 'd') is not an int"
 
 
 class TestRunIo:
@@ -203,6 +211,53 @@ class TestRunIo:
         with pytest.raises(ValidationError) as raised:
             returns_within(lambda: write_run(run, fifo))
         assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize("stream", ["fifo", "pipe"])
+    def test_stream_that_fails_the_column_check_is_read_once_per_line(self, tmp_path, stream):
+        # the blank line fails the column path's structure proof
+        data = b"q1 Q0 d1 1 0.9 t\n\nq1 Q0 d2 2 0.8 t\nq2 Q0 d1 1 5 t\n"
+        assert _run_from_columns(data) is None
+        with fed_stream(stream, tmp_path, data) as path:
+            run = returns_within(lambda: read_run(path))
+        assert run == {
+            "q1": RankedList("q1", [("d1", 0.9), ("d2", 0.8)]),
+            "q2": RankedList("q2", [("d1", 5.0)]),
+        }
+
+    @pytest.mark.parametrize("stream", ["fifo", "pipe"])
+    def test_stream_in_written_form_is_read_once_by_columns(self, tmp_path, stream):
+        data = b"q1 Q0 d1 1 0.9 t\nq1 Q0 d2 2 0.8 t\nq2 Q0 d1 1 5 t\n"
+        assert _run_from_columns(data) is not None
+        with fed_stream(stream, tmp_path, data) as path:
+            run = returns_within(lambda: read_run(path))
+        assert run == _run_from_columns(data) == _run_from_lines(data, path)
+
+    # %.6g edge cases: signed zeros, float64 and float32 subnormals, the
+    # float32 extremes, and exact binary values on a 6-digit rounding tie
+    EDGE_SCORES = [
+        3.4028234663852886e38, 3.4e38, 1e300, 1234565.0, 1234575.0, 9999995.0, 999999.5,
+        2.5, 1.0000005, 0.1234565, 1e-7, 1.1754943508222875e-38, 1e-300, 1.401298464324817e-45,
+        5e-324, 0.0, -0.0, -5e-324, -1e-7, -1234565.0, -3.4e38, -3.4028234663852886e38,
+    ]
+
+    def test_write_from_columns_makes_the_bytes_of_the_tuple_formatting(self, tmp_path):
+        scores = sorted(self.EDGE_SCORES, reverse=True)
+        f32_max = float(np.finfo(np.float32).max)
+        float32 = sorted({float(np.float32(s)) for s in scores if abs(s) <= f32_max}, reverse=True)
+        run = {
+            "q%d": RankedList("q%d", [(f"d{i}%s", s) for i, s in enumerate(scores)]),
+            "q2": RankedList("q2", [(f"d{i}", s) for i, s in enumerate(float32)]),
+            "q3": RankedList("q3", []),
+        }
+        path = tmp_path / "run.txt"
+        write_run(run, path, tag="t%%")
+        want = "".join(
+            f"{qid} Q0 {doc_id} {rank} {score:.6g} t%%\n"
+            for qid, ranked in run.items()
+            for rank, (doc_id, score) in enumerate(ranked.entries, start=1)
+        )
+        assert path.read_bytes() == want.encode()
+        assert "1.23456e+06" in want and "-0 " in want and "4.94066e-324" in want
 
     def test_write_makes_the_same_bytes_as_one_line_per_entry(self, tmp_path):
         entries = [(f"d{i}", 1.0 / (i + 1)) for i in range(1000)]

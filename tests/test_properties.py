@@ -34,6 +34,7 @@ from coil import (
     Document,
     EncodedDocument,
     EncodedQuery,
+    FormatError,
     RankedList,
     StubContextualizerConfig,
     TokenizerConfig,
@@ -57,8 +58,16 @@ from coil import (
     write_encoded,
     write_run,
 )
-from coil.core import TokenSeq, as_score, check_id, rank_doc_ids, ranked_list_from_arrays
+from coil.core import (
+    TokenSeq,
+    as_score,
+    check_id,
+    rank_doc_ids,
+    ranked_list_from_arrays,
+    read_lines,
+)
 from coil.encoding import _TOKEN, split_text, token_base_vector
+from coil.evaluation import _run_from_columns
 from coil.retrieval import _cls_dot_f64
 from synth import make_instance
 
@@ -780,3 +789,145 @@ def test_run_file_round_trip_and_broken_ids_raise_before_writing(run_path, case)
     with pytest.raises(ValidationError):
         write_run(broken, run_path, tag="t")
     assert run_path.read_bytes() == written
+
+
+def reference_read_run(path):
+    """The per-line run reader, as ``read_run`` read every file before its
+    column path: the reference for both of its paths."""
+    per_query = {}
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise FormatError(f"{path}: line {lineno}: expected 6 fields, got {len(fields)}")
+        qid, _, doc_id, rank_str, score_str, _ = fields
+        try:
+            rank = int(rank_str)
+            score = float(score_str)
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: bad rank or score ({rank_str!r}, {score_str!r})"
+            ) from None
+        per_query.setdefault(qid, []).append((rank, doc_id, score, lineno))
+    for qid, rows in per_query.items():
+        for _, doc_id, _, lineno in rows:
+            try:
+                check_id("query", qid)
+                check_id("document", doc_id)
+            except ValidationError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    run = {}
+    for qid, rows in per_query.items():
+        rows.sort(key=lambda row: row[0])
+        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
+            raise FormatError(f"{path}: query {qid!r}: ranks are not 1..{len(rows)}")
+        try:
+            run[qid] = RankedList(qid, [(doc_id, score) for _, doc_id, score, _ in rows])
+        except ValidationError as exc:
+            raise FormatError(f"{path}: query {qid!r}: {exc}") from exc
+    return run
+
+
+def _read_outcome(read, path):
+    """What ``read(path)`` gives: each query's entries, scores as bit
+    patterns, in file order, or the message of the FormatError it raised."""
+    try:
+        run = read(path)
+    except FormatError as exc:
+        return str(exc)
+    assert all(ranked.query_id == qid for qid, ranked in run.items())
+    return [(qid, [(d, s.hex()) for d, s in ranked.entries]) for qid, ranked in run.items()]
+
+
+# ids mostly in the form the column path reads, some of any form the rule allows
+READER_IDS = st.one_of(st.text("aq01%é", min_size=1, max_size=3), RULE_IDS)
+# what a splice inserts: whitespace a line split or a whole-file split treats
+# differently, numerals the rank and score fields parse, and a line end
+SPLICES = [" ", "\t", "\r", "\n", "\r\n", "\n\n", "\xa0", "\x1c", "01", "+", "nan", "-inf", "é"]
+
+
+@settings(PROPERTY, max_examples=500)
+@given(
+    queries=st.lists(
+        st.tuples(READER_IDS, st.lists(st.tuples(READER_IDS, F32), max_size=5)),
+        min_size=1, max_size=3,
+    ),
+    data=st.data(),
+)
+def test_read_run_equals_the_per_line_reader_on_damaged_files(run_path, queries, data):
+    run = {}
+    for qid, rows in queries:
+        doc_ids = list(dict.fromkeys(doc_id for doc_id, _ in rows))
+        scores = sorted((score for _, score in rows[: len(doc_ids)]), reverse=True)
+        run[qid] = RankedList(qid, list(zip(doc_ids, scores)))
+    write_run(run, run_path, tag="t")
+    written = run_path.read_bytes()
+    kind = data.draw(
+        st.sampled_from(["none", "flip", "truncate", "delete", "insert", "duplicate", "splice"])
+    )
+    at = data.draw(st.integers(0, len(written)))
+    span = data.draw(st.integers(1, 16))
+    if kind == "flip" and at < len(written):
+        mutated = bytearray(written)
+        mutated[at] ^= 1 << data.draw(st.integers(0, 7))
+        mutated = bytes(mutated)
+    elif kind == "truncate":
+        mutated = written[:at]
+    elif kind == "delete":
+        mutated = written[:at] + written[at + span :]
+    elif kind == "insert":
+        source = data.draw(st.integers(0, len(written)))
+        mutated = written[:at] + written[source : source + span] + written[at:]
+    elif kind == "duplicate":
+        mutated = written[:at] + written[at : at + span] + written[at:]
+    elif kind == "splice":
+        mutated = written[:at] + data.draw(st.sampled_from(SPLICES)).encode() + written[at:]
+    else:
+        mutated = written
+    run_path.write_bytes(mutated)
+    assert _read_outcome(read_run, run_path) == _read_outcome(reference_read_run, run_path)
+
+
+READER_BASE = "q1 Q0 d1 1 2.5 t\nq1 Q0 d2 2 0.5 t\nq2 Q0 d1 1 7 t\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q1 Q0 d1 1 2.5\nt q1 Q0 d2 2 0.5 t\n",  # 5 fields beside 7: twelve in all
+        "q1 Q0 d1 1 2.5 t\nq1 Q0 d2 2 0.5 t x\nq2 Q0 d1 1 7\n",
+        READER_BASE.replace(" ", "\t", 1),
+        READER_BASE.replace("\n", "\r\n"),
+        READER_BASE.replace("\n", "\n\n", 1),
+        "\n" + READER_BASE,
+        READER_BASE.replace("\n", " \n"),
+        READER_BASE[:-1],  # no final line end
+        READER_BASE.replace("d2 2 0.5 t", "d\xa02 0.5 t"),  # 6 fields by a line split
+        READER_BASE.replace("d1", "d\xa01"),
+        "q1 Q0 d1 1 2.5 t\nq2 Q0 d1 1 7 t\nq1 Q0 d2 2 0.5 t\n",  # interleaved
+        "q1 Q0 d2 2 0.5 t\nq1 Q0 d1 1 2.5 t\nq2 Q0 d1 1 7 t\n",  # ranks swapped
+        READER_BASE.replace("d1 1 2.5", "d1 01 2.5"),
+        READER_BASE.replace("d1 1 7", "d1 +1 7"),
+        READER_BASE.replace("2.5", "nan"),
+        READER_BASE.replace("0.5", "-inf"),
+        READER_BASE.replace("0.5", "inf"),
+        READER_BASE.replace("0.5", "1e999"),
+        READER_BASE.replace("0.5", "0x1"),
+        READER_BASE.replace("0.5", "2.6"),  # rising within q1
+        READER_BASE.replace("d2", "d1"),
+        READER_BASE.replace("d2", "d​2"),  # valid, but not printable
+        READER_BASE.replace("d2", "d\x002"),
+        READER_BASE.replace("d2 2", "d2 3"),
+        "",
+        "\n",
+    ],
+)
+def test_read_run_on_files_the_column_path_declines(run_path, text):
+    run_path.write_bytes(text.encode())
+    assert _run_from_columns(text.encode()) is None
+    assert _read_outcome(read_run, run_path) == _read_outcome(reference_read_run, run_path)
+
+
+def test_read_run_reads_written_form_by_columns(run_path):
+    run_path.write_bytes(READER_BASE.encode())
+    assert _run_from_columns(READER_BASE.encode()) == reference_read_run(run_path)
+    assert _read_outcome(read_run, run_path) == _read_outcome(reference_read_run, run_path)
