@@ -17,6 +17,12 @@ doc id ascending) of tok-mode ``retrieval.search``.  As there, the ranker
 checks that scores are finite, its sort on the score and then the index's
 ``doc_rank`` gives the order, and ``Bm25Index`` rejects a duplicate doc id
 when it is constructed.
+
+A term's document weights ``h_d`` depend only on the index, k1 and b, so
+the index keeps each used term's weights per (k1, b), computed on the
+term's first use (precomputed impacts, after Anh and Moffat, SIGIR 2006).
+Each query still adds ``idf * h_q * h_d`` term by term, the same expression
+in the same order, so its scores keep their bits.
 """
 from __future__ import annotations
 
@@ -55,24 +61,34 @@ class Bm25Params:
 
 @dataclass
 class Bm25Index:
-    """Immutable after build; postings are parallel arrays per token id.
+    """Postings are parallel arrays per token id; they do not change after build.
 
-    ``norms`` caches, per value of b, each document's length norm
-    ``1 - b + b * dl / avgdl``; it is derived, filled on first use.
+    Two derived caches, filled on first use, hold what every query would
+    otherwise recompute: ``norms``, per value of b, each document's length
+    norm ``1 - b + b * dl / avgdl``; and ``weights``, per ``(k1, b)``, each
+    used term's float64 document weights ``tf (1 + k1) / (tf + k1 norm)``,
+    parallel to its postings.  Threads that race to fill either store equal
+    arrays.
     """
 
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (ordinals, tfs)
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
     avgdl: float
     doc_table: list[str]
-    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
+    # doc_table's own strings as an object array, so ranking gathers them, not copies
+    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
     doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
     norms: dict[float, np.ndarray] = field(init=False, repr=False, compare=False)
+    weights: dict[tuple[float, float], dict[int, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.doc_ids = np.asarray(self.doc_table, dtype=str)
-        self.doc_rank = rank_doc_ids(self.doc_ids)  # raises on a duplicate doc id
+        self.doc_ids = np.array(self.doc_table, dtype=object)
+        # raises on a duplicate doc id
+        self.doc_rank = rank_doc_ids(np.asarray(self.doc_table, dtype=str))
         self.norms = {}
+        self.weights = {}
 
     @property
     def num_docs(self) -> int:
@@ -212,13 +228,16 @@ def bm25_search(
         raise ValidationError(f"k must be >= 1, got {k}")
     acc = np.zeros(index.num_docs, dtype=np.float64)
     touched = np.zeros(index.num_docs, dtype=bool)
+    weights = index.weights.setdefault((params.k1, params.b), {})  # k2 is query-side only
     for tid, tf_q in sorted(Counter(query.token_ids).items()):
         if tid == UNKNOWN_TOKEN_ID or tid not in index.postings:
             continue
         idf = _idf(index, tid)
         h_q = _h_q(tf_q, params)
         ordinals, tf_d = index.postings[tid]
-        h_d = _h_d(tf_d, _norm_table(index, params.b)[ordinals], params)
+        h_d = weights.get(tid)
+        if h_d is None:
+            h_d = weights[tid] = _h_d(tf_d, _norm_table(index, params.b)[ordinals], params)
         acc[ordinals] += idf * h_q * h_d
         touched[ordinals] = True
     keep = np.flatnonzero(touched)

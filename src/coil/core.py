@@ -407,14 +407,16 @@ def ranked_list_from_arrays(
     ``scores[i]`` belongs to ``doc_ids[ordinals[i]]``, or to ``doc_ids[i]``
     when ``ordinals`` is None; so a caller that ranks some documents of an
     index passes the index's arrays whole, and only the ranked ids are
-    gathered.  Any non-finite score raises, whether or not it would reach
-    the top k.  Only the scores at or above the k-th best (every tie at the
-    cut included) are sorted, so the result equals a sort of all of them.
-    Ties are broken on ``tie_rank``, parallel to ``doc_ids``, which must
-    order them as :func:`rank_doc_ids` does; without it, the rank is
-    computed here, and a duplicate doc id raises.  The list is built from
-    its columns, without :class:`RankedList`'s per-entry check: its order
-    comes from the sort, and its doc ids are unique.
+    gathered.  ``doc_ids`` holds strings, as a ``'U'`` or an object array;
+    the indexes pass object arrays, whose gathered ids are their own string
+    objects, not new ones.  Any non-finite score raises, whether or not it
+    would reach the top k.  Only the scores at or above the k-th best (every
+    tie at the cut included) are sorted, so the result equals a sort of all
+    of them.  Ties are broken on ``tie_rank``, parallel to ``doc_ids``,
+    which must order them as :func:`rank_doc_ids` does; without it, the
+    rank is computed here, and a duplicate doc id raises.  The list is built
+    from its columns, without :class:`RankedList`'s per-entry check: its
+    order comes from the sort, and its doc ids are unique.
     """
     with np.errstate(over="ignore"):  # a score past the float32 range raises below
         reported = scores.astype(np.float32)

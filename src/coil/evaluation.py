@@ -124,15 +124,18 @@ def _all_pass_id_rule(ids: list) -> bool:
     return joined.isprintable() and " " not in joined and all(ids)
 
 
+_RUN_CHUNK = 1 << 16  # characters of run text that one split() takes, at least
+
+
 def read_run(path: str | Path) -> Run:
     """Read a run file; every query and document id must pass the id rule,
     and each query's rows must make a valid RankedList.
 
     The file is read once.  A file in the form :func:`write_run` writes is
-    read by columns, from one ``split()`` of the whole text.  Any other file,
-    and any file that fails a check there, is read again from the same bytes
-    one line at a time, which raises the error naming the bad line or query;
-    where both read a file, they give equal runs.
+    read by columns, split a chunk of whole lines at a time.  Any other
+    file, and any file that fails a check there, is read again from the same
+    bytes one line at a time, which raises the error naming the bad line or
+    query; where both read a file, they give equal runs.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -149,23 +152,41 @@ def _run_from_columns(data: bytes) -> Run | None:
     ``1``..``n``; finite scores that never rise within a query; and distinct
     doc ids within a query.  Every run passing them is one that
     :func:`_run_from_lines` reads without an error, and to an equal run.
+    The text is split in chunks of whole lines, each at least `_RUN_CHUNK`
+    characters but the last, and each chunk passes the field checks on its
+    own; only the query, doc-id, rank and score columns are kept.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    fields = text.split()
-    # a 5-field line beside a 7-field one, a tab, a "\r", a blank line or
-    # whitespace inside an id each make the rebuilt text differ
-    if not fields or text != "\n".join(map(" ".join, zip(*[iter(fields)] * 6))) + "\n":
+    qids: list[str] = []
+    doc_ids: list[str] = []
+    ranks: list[str] = []
+    score_parts = [np.empty(0)]
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _RUN_CHUNK - 1) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        fields = chunk.split()
+        # a 5-field line beside a 7-field one, a tab, a "\r", a blank line or
+        # whitespace inside an id each make the rebuilt text differ
+        if not fields or chunk != "\n".join(map(" ".join, zip(*[iter(fields)] * 6))) + "\n":
+            return None
+        chunk_qids, chunk_doc_ids = fields[0::6], fields[2::6]
+        if not ("".join(chunk_qids) + "".join(chunk_doc_ids)).isprintable():
+            return None
+        try:
+            score_parts.append(np.fromiter(map(float, fields[4::6]), np.float64, len(chunk_qids)))
+        except ValueError:
+            return None
+        qids += chunk_qids
+        doc_ids += chunk_doc_ids
+        ranks += fields[3::6]
+    if not qids:
         return None
-    qids, doc_ids, ranks = fields[0::6], fields[2::6], fields[3::6]
-    if not ("".join(qids) + "".join(doc_ids)).isprintable():
-        return None
-    try:
-        scores = np.fromiter(map(float, fields[4::6]), np.float64, len(qids))
-    except ValueError:
-        return None
+    scores = np.concatenate(score_parts)
     if not np.isfinite(scores).all():
         return None
     distinct = list(dict.fromkeys(qids))

@@ -74,16 +74,22 @@ class InvertedList:
     (document ordinal, position) order, so ``doc_refs`` is nondecreasing.
     ``starts`` and ``ordinals`` describe its per-document row runs, the
     segments of search's segmented max: the offset where each run begins
-    and the document it belongs to.  In a list where no document holds the
-    token twice every run is one row, so ``starts`` is None and
-    ``ordinals`` is ``doc_refs``.
+    and the document it belongs to.  ``later_rows`` holds the offset of
+    every other row, the later occurrences in a document, ascending, and
+    ``later_runs`` the run each one belongs to; search takes each run's
+    first row and folds the later rows in with ``np.maximum.at``.  In a
+    list where no document holds the token twice every run is one row, so
+    ``starts``, ``later_rows`` and ``later_runs`` are None and ``ordinals``
+    is ``doc_refs``.
     """
 
     token_id: int
     vectors: np.ndarray  # (n_occurrences, n_t) float32
     doc_refs: np.ndarray  # (n_occurrences,) int32, nondecreasing
-    starts: np.ndarray | None = field(repr=False)  # (n_runs,) int32 offsets, ascending
+    starts: np.ndarray | None = field(repr=False)  # (n_runs,) intp offsets, ascending
     ordinals: np.ndarray = field(repr=False)  # (n_runs,) int32, doc_refs[starts]
+    later_rows: np.ndarray | None = field(repr=False)  # (n_later,) intp offsets, ascending
+    later_runs: np.ndarray | None = field(repr=False)  # (n_later,) intp, the run of each
 
     def __len__(self) -> int:
         return len(self.doc_refs)
@@ -98,14 +104,16 @@ class CoilIndex:
     vocab: dict[str, int]
     corpus_checksum: int
     encoder_meta: dict | None = None  # provenance needed to encode text queries
-    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)  # doc_table as array
+    # doc_table's own strings as an object array, so ranking gathers them, not copies
+    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
     doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
     # float64 Euclidean norm of each CLS row, for the CLS scan's error bound
     cls_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.doc_ids = np.asarray(self.doc_table, dtype=str)
-        self.doc_rank = rank_doc_ids(self.doc_ids)  # raises on a duplicate doc id
+        self.doc_ids = np.array(self.doc_table, dtype=object)
+        # raises on a duplicate doc id
+        self.doc_rank = rank_doc_ids(np.asarray(self.doc_table, dtype=str))
         self.cls_norms = None
         if self.cls_matrix is not None:
             cls = self.cls_matrix
@@ -142,36 +150,50 @@ def _lists_from_rows(
 ) -> dict[int, InvertedList]:
     """One InvertedList per token id from rows sorted by (token id, ordinal, position).
 
-    The per-document runs of every list come from one pass over all rows.
+    The per-document runs of every list, and its later occurrences, come
+    from one pass over all rows; each list takes slices of those arrays.
     """
     starts, ends = run_bounds(tids)
-    run_starts, _ = run_bounds(tids, refs)  # one run per (token id, ordinal)
-    runs = np.diff(np.searchsorted(run_starts, np.append(starts, len(tids))))
+    # one run per (token id, ordinal); a row that repeats the row before it
+    # is a later occurrence in its run
+    later_row = np.zeros(len(tids), dtype=bool)
+    later_row[1:] = (tids[1:] == tids[:-1]) & (refs[1:] == refs[:-1])
+    run_starts = np.flatnonzero(~later_row)
+    later_rows = np.flatnonzero(later_row)
+    first_runs = np.searchsorted(run_starts, starts)  # each list's first run
+    runs = np.diff(np.append(first_runs, len(run_starts)))
+    later = ends - starts - runs  # later occurrences per list
+    # list-local offsets and run numbers, intp, because numpy converts an
+    # index array of any other dtype on every gather.  Row g, the k-th later
+    # row, is preceded by g - k run starts, so it lies in run g - k - 1.
+    later_runs = later_rows - np.arange(1, len(later_rows) + 1) - np.repeat(first_runs, later)
+    later_rows -= np.repeat(starts, later)
     # a list in which no document holds its token twice needs no runs
-    repeats = runs < ends - starts
+    repeats = later > 0
     run_starts = run_starts[np.repeat(repeats, runs)]
     ordinals = refs[run_starts]
     local_starts = run_starts - np.repeat(starts[repeats], runs[repeats])
-    if len(tids) < 2**31:  # int32 offsets hold a third less and reduce no slower
-        local_starts = local_starts.astype(np.int32)
     bounds = np.concatenate(([0], np.cumsum(runs * repeats)))
+    later_bounds = np.concatenate(([0], np.cumsum(later)))
     lists = {}
-    for tid, start, end, a, b, repeated in zip(
+    for tid, start, end, a, b, c, d, repeated in zip(
         tids[starts].tolist(),
         starts.tolist(),
         ends.tolist(),
         bounds[:-1].tolist(),
         bounds[1:].tolist(),
+        later_bounds[:-1].tolist(),
+        later_bounds[1:].tolist(),
         repeats.tolist(),
     ):
         doc_refs = refs[start:end]
-        lists[tid] = InvertedList(
-            tid,
-            vecs[start:end],
-            doc_refs,
-            local_starts[a:b] if repeated else None,
-            ordinals[a:b] if repeated else doc_refs,
-        )
+        if repeated:
+            lists[tid] = InvertedList(
+                tid, vecs[start:end], doc_refs, local_starts[a:b], ordinals[a:b],
+                later_rows[c:d], later_runs[c:d],
+            )
+        else:
+            lists[tid] = InvertedList(tid, vecs[start:end], doc_refs, None, doc_refs, None, None)
     return lists
 
 
@@ -361,7 +383,7 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     vecs = np.frombuffer(blob, dtype="<f4", count=n * n_t, offset=8 * n).reshape(n, n_t)
     if np.any(tids[1:] < tids[:-1]):
         raise FormatError(f"{postings_path}: token ids decrease")
-    # search's segmented max (np.maximum.reduceat) relies on this order
+    # search's segmented max relies on this order
     decreasing = np.flatnonzero((refs[1:] < refs[:-1]) & (tids[1:] == tids[:-1]))
     if len(decreasing):
         raise FormatError(

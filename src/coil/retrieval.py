@@ -72,7 +72,7 @@ from .core import (
     ranked_list_from_arrays,
 )
 from .encoding import UNKNOWN_TOKEN_ID
-from .index import CoilIndex
+from .index import CoilIndex, InvertedList
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,23 @@ def _dots(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     path and the oracles, which share this helper, agree bit for bit.
     """
     return np.einsum("ij,kj->ki", matrix, queries, dtype=np.float64)
+
+
+def _run_maxima(products: np.ndarray, lst: InvertedList) -> np.ndarray:
+    """The largest of ``products``, one per row of ``lst``, in each of its
+    per-document runs: each run's first row, with its later rows folded in
+    by ``np.maximum.at`` in row order.
+
+    ``max`` is exact, so the maxima equal ``np.maximum.reduceat(products,
+    lst.starts)``.  Only a zero maximum may differ, in its sign: reduceat
+    does not fold every run in row order.  No score sees that sign, because
+    the accumulators start at +0.0 and +0.0 + -0.0 is +0.0.
+    """
+    if lst.starts is None:  # every run is one row
+        return products
+    best = products[lst.starts]
+    np.maximum.at(best, lst.later_runs, products[lst.later_rows])
+    return best
 
 
 def _gamma(n: int, unit: float) -> float:
@@ -323,9 +340,7 @@ def _rank_query(
             if lst is None:
                 continue
             touched_tids.add(tid)
-            products = _dots(lst.vectors, q.token_vecs[i : i + 1])[0]
-            if lst.starts is not None:  # some document holds the token twice
-                products = np.maximum.reduceat(products, lst.starts)
+            products = _run_maxima(_dots(lst.vectors, q.token_vecs[i : i + 1])[0], lst)
             acc[lst.ordinals] += products
             touched[lst.ordinals] = True
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -187,6 +190,42 @@ class TestSearch:
             for doc_id, score in got.entries:
                 assert score == bm25_score_pair(query, index.ordinal_of(doc_id), index, params)
         assert sorted(index.norms) == [0.2, 0.75]
+        # one index serves k1 and b in turn: its term weights are kept per (k1, b)
+        query = tokenize("f x y", tok)
+        settings = [
+            Bm25Params(k1=0.5),
+            Bm25Params(b=0.2),
+            Bm25Params(k1=0.5, b=0.2),
+            Bm25Params(k1=2.0, b=0.2, k2=1.0),
+            Bm25Params(),
+        ]
+        for params in settings * 2:
+            got = bm25_search(index, query, k=3, params=params)
+            assert len(got.entries) == 3
+            for doc_id, score in got.entries:
+                assert score == bm25_score_pair(query, index.ordinal_of(doc_id), index, params)
+        keys = [(0.5, 0.2), (0.5, 0.75), (1.2, 0.2), (1.2, 0.75), (2.0, 0.2)]
+        assert sorted(index.weights) == keys
+
+    def test_threads_that_fill_the_weight_cache_rank_as_one_thread(self):
+        rng = np.random.default_rng(46)
+        texts = random_texts(rng, 60, 12, 20)
+        index, tok = _index(texts)
+        queries = [tokenize(t, tok) for t in ("w0 w1 w2", "w3 w1 w9", "w5 w5 w0", "w2 w7")]
+        settings = [Bm25Params(), Bm25Params(k1=0.7, b=0.3)]
+        jobs = [(q, p) for q in queries for p in settings] * 8
+        want = [bm25_search(index, q, 20, p).entries for q, p in jobs]
+        columns = ([q for q, _ in jobs], repeat(20), [p for _, p in jobs])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # each round starts from empty caches
+                fresh, _ = _index(texts)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    ranked = pool.map(bm25_search, repeat(fresh), *columns, timeout=60)
+                    assert [r.entries for r in ranked] == want
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_zero_overlap_query_empty(self):
         index, tok = _index(["a b", "c d"])

@@ -469,6 +469,42 @@ class TestEvalInputMutations:
         assert sum(codes.values()) == 300 and codes[0] and codes[2], codes
 
 
+class TestTextInputMutations:
+    """`coil encode` under seeded damage to its corpus, and `coil search` to
+    its queries: no exception escapes, the exit code is 0 or 2, an exit-2
+    message names the file, no temporary file is left, and the output is
+    absent or a whole file."""
+
+    @pytest.mark.parametrize("target, seed", [("corpus.jsonl", 3), ("queries.jsonl", 4)])
+    def test_exits_0_or_2_and_leaves_no_partial_output(self, workdir, capsys, target, seed):
+        _, idx = _encode_and_build(workdir)
+        path = workdir / target
+        if target == "corpus.jsonl":
+            out, read_whole = workdir / "out.jsonl", lambda p: list(ingest_encoded(p))
+            argv = ["encode", str(path), str(out), *ENCODE_FLAGS]
+        else:
+            out, read_whole = workdir / "run.txt", read_run
+            argv = ["search", str(idx), str(path), str(out)]
+        codes = Counter()
+        for variant, data in _mutations(path.read_bytes(), 300, seed):
+            path.write_bytes(data)
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{variant}: {exc!r} escaped main")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (variant, err)
+            if code == 2:
+                assert err.startswith(f"error: {path}: "), (variant, err)
+            assert not list(workdir.glob(".*.tmp*")), variant
+            if code == 0 or out.exists():
+                read_whole(out)
+            codes[code] += 1
+        assert sum(codes.values()) == 300 and codes[0] and codes[2], codes
+
+
 class TestSampleNegsCli:
     def test_deterministic_and_excludes_positives(self, workdir):
         outs = []

@@ -549,3 +549,15 @@ class TestSegments:
                 starts, ordinals = _segments(lst)
                 np.testing.assert_array_equal(starts, run_starts)
                 np.testing.assert_array_equal(ordinals, lst.doc_refs[run_starts])
+                # every row that does not begin a run, and the run it belongs to
+                later = np.setdiff1d(np.arange(len(lst)), run_starts)
+                if lst.starts is None:
+                    assert lst.later_rows is None and lst.later_runs is None
+                    assert len(later) == 0
+                    continue
+                for column in (lst.starts, lst.later_rows, lst.later_runs):
+                    assert column.dtype == np.intp
+                np.testing.assert_array_equal(lst.later_rows, later)
+                np.testing.assert_array_equal(
+                    lst.later_runs, np.searchsorted(run_starts, later, side="right") - 1
+                )

@@ -5,7 +5,9 @@ every (doc id, score) pair, and the index file checksums against short
 error bursts, the coil-enc records against every finite float32, and run
 files against any ids the id rule allows.  The tokenizer, the vocabulary and
 the BM25 index are checked against per-character and per-document loops,
-and the contextualizer against its per-position loop.
+and the contextualizer against its per-position loop.  Search's fold of a
+list's dots to per-document maxima is checked against ``reduceat`` and a
+row-order fold, and the run reader's chunks against one chunk.
 
 Generated corpora include empty documents and documents made of one
 repeated token; generated queries include all-out-of-vocabulary ones and
@@ -19,8 +21,10 @@ from __future__ import annotations
 import string
 import sys
 import tempfile
+import unittest.mock
 import zlib
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -58,6 +62,7 @@ from coil import (
     write_encoded,
     write_run,
 )
+from coil import evaluation
 from coil.core import (
     TokenSeq,
     as_score,
@@ -68,7 +73,8 @@ from coil.core import (
 )
 from coil.encoding import _TOKEN, split_text, token_base_vector
 from coil.evaluation import _run_from_columns
-from coil.retrieval import _cls_dot_f64
+from coil.index import _lists_from_rows
+from coil.retrieval import _cls_dot_f64, _run_maxima
 from synth import make_instance
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -142,6 +148,65 @@ def test_build_index_equals_naive_grouping(case):
             assert lst.vectors.shape == (len(occurrences), config.n_t)
             assert lst.doc_refs.tobytes() == want_refs.tobytes()
             assert lst.vectors.tobytes() == want_vecs.tobytes()
+
+
+@st.composite
+def repeated_token_lists(draw):
+    """Rows of three token ids, sorted as an index sorts them, and one dot
+    per row of the middle list.  Its per-document runs mix one-row runs with
+    runs of up to 40 rows and long runs; its dots are signed zeros, a few
+    tied values or normal draws."""
+    lengths = draw(
+        st.lists(
+            st.one_of(st.just(1), st.integers(2, 40), st.integers(100, 300)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zeros", "ties", "normal"]))
+    n = sum(lengths)
+    if kind == "normal":
+        products = rng.standard_normal(n)
+    else:
+        values = [0.0, -0.0] if kind == "zeros" else [0.0, -0.0, 1.0, -1.0, 2.5]
+        products = rng.choice(values, n)
+    before = [1, 3, 3]  # lists on either side put the middle list's rows at an offset
+    run_lengths = [before, lengths, [1, 1]]
+    tids = np.repeat([1, 3, 5], [sum(r) for r in run_lengths]).astype(np.int32)
+    refs = np.concatenate(
+        [np.repeat(2 * np.arange(len(r)), r) for r in run_lengths]
+    ).astype(np.int32)
+    return tids, refs, products
+
+
+def _in_row_order(products: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each run's maximum, folding its rows one at a time in row order."""
+    ends = [*starts[1:].tolist(), len(products)]
+    return np.array(
+        [reduce(np.maximum, products[s:e]) for s, e in zip(starts.tolist(), ends)]
+    )
+
+
+@PROPERTY
+@given(repeated_token_lists())
+# a 9-row run whose third dot is -0.0: reduceat's maximum is -0.0, the row-order one +0.0
+@example((np.full(9, 3, np.int32), np.zeros(9, np.int32), np.array([0.0, 0.0, -0.0] + [0.0] * 6)))
+def test_run_maxima_equal_reduceat_in_value_and_in_every_score(case):
+    tids, refs, products = case
+    lst = _lists_from_rows(tids, refs, np.zeros((len(tids), 1), np.float32))[3]
+    starts = np.arange(len(lst)) if lst.starts is None else lst.starts
+    got = _run_maxima(products, lst)
+    want = np.maximum.reduceat(products, starts)
+    assert got.tobytes() == _in_row_order(products, starts).tobytes()
+    assert np.array_equal(got, want)
+    nonzero = want != 0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    # a zero's sign never reaches the accumulators that search adds into
+    acc_got, acc_want = np.zeros(2 * len(starts)), np.zeros(2 * len(starts))
+    acc_got[lst.ordinals] += got
+    acc_want[lst.ordinals] += want
+    assert acc_got.tobytes() == acc_want.tobytes()
 
 
 @PROPERTY
@@ -931,3 +996,63 @@ def test_read_run_reads_written_form_by_columns(run_path):
     run_path.write_bytes(READER_BASE.encode())
     assert _run_from_columns(READER_BASE.encode()) == reference_read_run(run_path)
     assert _read_outcome(read_run, run_path) == _read_outcome(reference_read_run, run_path)
+
+
+def _long_run(queries: int = 8, rows: int = 1000) -> dict[str, RankedList]:
+    return {
+        f"q{n}": RankedList(f"q{n}", [(f"d{i}", float(rows - i)) for i in range(rows)])
+        for n in range(queries)
+    }
+
+
+# each fault lies in the last query, past the first chunk
+LATE_FAULTS = {
+    "rising score": ("q7 Q0 d900 901 100 t", "q7 Q0 d900 901 1e+06 t"),
+    "tab": ("q7 Q0 d900 901 100 t", "q7\tQ0 d900 901 100 t"),
+    "repeated doc": ("q7 Q0 d900 901 100 t", "q7 Q0 d899 901 100 t"),
+    "rank gap": ("q7 Q0 d900 901 100 t", "q7 Q0 d900 902 100 t"),
+    "nan score": ("q7 Q0 d900 901 100 t", "q7 Q0 d900 901 nan t"),
+    "unprintable id": ("q7 Q0 d900 901 100 t", "q7 Q0 d\u200b900 901 100 t"),
+    "blank line": ("q7 Q0 d900 901 100 t\n", "q7 Q0 d900 901 100 t\n\n"),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *LATE_FAULTS])
+def test_read_run_larger_than_one_chunk(run_path, fault):
+    write_run(_long_run(), run_path, tag="t")
+    text = run_path.read_text()
+    assert len(text) > 2 * evaluation._RUN_CHUNK
+    # the first chunk ends inside a query: the lines on both sides share its id
+    boundary = text.find("\n", evaluation._RUN_CHUNK - 1) + 1
+    assert text[:boundary].splitlines()[-1].split()[0] == text[boundary:].split()[0]
+    if fault is not None:
+        old, new = LATE_FAULTS[fault]
+        assert text.index(old) > boundary
+        text = text.replace(old, new)
+        run_path.write_text(text)
+    got = _run_from_columns(text.encode())
+    assert got is None if fault else got == reference_read_run(run_path)
+    assert _read_outcome(read_run, run_path) == _read_outcome(reference_read_run, run_path)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    queries=st.lists(
+        st.tuples(st.sampled_from(["q1", "q2", "q3"]), st.integers(1, 6)),
+        min_size=1, max_size=4,
+    ),
+    chunk=st.sampled_from([1, 2, 5, 17, 40]),
+    data=st.data(),
+)
+def test_read_run_in_small_chunks_equals_one_chunk(queries, chunk, data):
+    text = "".join(
+        f"{qid} Q0 d{i} {i + 1} {rows - i} t\n" for qid, rows in queries for i in range(rows)
+    )
+    at = data.draw(st.integers(0, len(text)))
+    splice = data.draw(st.sampled_from(["", *SPLICES]))
+    cut = data.draw(st.integers(0, 3))  # characters deleted after the splice
+    blob = (text[:at] + splice + text[at + cut :]).encode()
+    with unittest.mock.patch.object(evaluation, "_RUN_CHUNK", 10**9):
+        whole = _run_from_columns(blob)
+    with unittest.mock.patch.object(evaluation, "_RUN_CHUNK", chunk):
+        assert _run_from_columns(blob) == whole
