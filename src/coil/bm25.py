@@ -20,9 +20,11 @@ when it is constructed.
 
 A term's document weights ``h_d`` depend only on the index, k1 and b, so
 the index keeps each used term's weights per (k1, b), computed on the
-term's first use (precomputed impacts, after Anh and Moffat, SIGIR 2006).
-Each query still adds ``idf * h_q * h_d`` term by term, the same expression
-in the same order, so its scores keep their bits.
+term's first use from its postings' own length norms (precomputed impacts,
+after Anh and Moffat, SIGIR 2006).  The norm is computed element by element,
+so these weights equal, bit for bit, weights gathered from a table of every
+document's norm.  Each query still adds ``idf * h_q * h_d`` term by term,
+the same expression in the same order, so its scores keep their bits.
 """
 from __future__ import annotations
 
@@ -63,31 +65,30 @@ class Bm25Params:
 class Bm25Index:
     """Postings are parallel arrays per token id; they do not change after build.
 
-    Two derived caches, filled on first use, hold what every query would
-    otherwise recompute: ``norms``, per value of b, each document's length
-    norm ``1 - b + b * dl / avgdl``; and ``weights``, per ``(k1, b)``, each
-    used term's float64 document weights ``tf (1 + k1) / (tf + k1 norm)``,
-    parallel to its postings.  Threads that race to fill either store equal
-    arrays.
+    ``avgdl`` is the mean of ``doc_len``, 0.0 for an empty corpus.  One
+    cache, filled on first use, holds what every query would otherwise
+    recompute: ``weights``, per ``(k1, b)``, each used term's float64
+    document weights ``tf (1 + k1) / (tf + k1 norm)``, parallel to its
+    postings, where ``norm = 1 - b + b * dl / avgdl``.  Threads that race to
+    fill it store equal arrays.
     """
 
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (ordinals, tfs)
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
-    avgdl: float
     doc_table: list[str]
+    avgdl: float = field(init=False)
     # doc_table's own strings as an object array, so ranking gathers them, not copies
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
     doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
-    norms: dict[float, np.ndarray] = field(init=False, repr=False, compare=False)
     weights: dict[tuple[float, float], dict[int, np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
+        self.avgdl = float(self.doc_len.mean()) if len(self.doc_len) else 0.0
         self.doc_ids = np.array(self.doc_table, dtype=object)
         # raises on a duplicate doc id
         self.doc_rank = rank_doc_ids(np.asarray(self.doc_table, dtype=str))
-        self.norms = {}
         self.weights = {}
 
     @property
@@ -158,12 +159,7 @@ def bm25_index_from_rows(tids: np.ndarray, ords: np.ndarray, doc_table: list[str
         tid: (run_ords[start:end], tfs[start:end])
         for tid, start, end in zip(run_tids[starts].tolist(), starts.tolist(), ends.tolist())
     }
-    return Bm25Index(
-        postings=postings,
-        doc_len=doc_len,
-        avgdl=float(doc_len.mean()) if len(doc_len) else 0.0,
-        doc_table=doc_table,
-    )
+    return Bm25Index(postings=postings, doc_len=doc_len, doc_table=doc_table)
 
 
 def _idf(index: Bm25Index, tid: int) -> float:
@@ -178,17 +174,6 @@ def _h_q(tf_q: int, params: Bm25Params) -> float:
 def _length_norm(dl, index: Bm25Index, b: float):
     """Document length norm, for a scalar or an array of doc lengths."""
     return 1.0 - b + b * dl / index.avgdl
-
-
-def _norm_table(index: Bm25Index, b: float) -> np.ndarray:
-    """Every document's length norm for ``b``, computed once per index.
-
-    Threads that race to fill it store equal tables.
-    """
-    table = index.norms.get(b)
-    if table is None:
-        table = index.norms[b] = _length_norm(index.doc_len, index, b)
-    return table
 
 
 def _h_d(tf, norm, params: Bm25Params):
@@ -237,7 +222,8 @@ def bm25_search(
         ordinals, tf_d = index.postings[tid]
         h_d = weights.get(tid)
         if h_d is None:
-            h_d = weights[tid] = _h_d(tf_d, _norm_table(index, params.b)[ordinals], params)
+            norm = _length_norm(index.doc_len[ordinals], index, params.b)
+            h_d = weights[tid] = _h_d(tf_d, norm, params)
         acc[ordinals] += idf * h_q * h_d
         touched[ordinals] = True
     keep = np.flatnonzero(touched)

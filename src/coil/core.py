@@ -85,20 +85,12 @@ class Query:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Surface tokens paired position-by-position with vocabulary ids."""
+    """The vocabulary id of each token of a text, in position order."""
 
-    tokens: tuple[str, ...]
     token_ids: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.token_ids):
-            raise ValidationError(
-                f"tokens ({len(self.tokens)}) and token_ids ({len(self.token_ids)}) "
-                "must have equal length"
-            )
-
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.token_ids)
 
 
 @dataclass(frozen=True)
@@ -190,8 +182,16 @@ _CONFIG_TYPES = {
 
 
 def config_from_meta(obj: object, source: str) -> CoilConfig:
-    """Parse and validate the JSON form of a CoilConfig (``dataclasses.asdict``)."""
-    return validate_config(CoilConfig(**check_fields(obj, _CONFIG_TYPES, source)))
+    """Parse and validate the JSON form of a CoilConfig (``dataclasses.asdict``).
+
+    Stored settings that break a config rule are a malformed file, so the
+    ValidationError comes back as a FormatError naming ``source``.
+    """
+    fields = check_fields(obj, _CONFIG_TYPES, source)
+    try:
+        return validate_config(CoilConfig(**fields))
+    except ValidationError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
 
 
 @dataclass

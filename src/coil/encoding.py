@@ -106,8 +106,7 @@ def build_vocab(texts: Iterable[str], lowercase: bool = True) -> TokenizerConfig
 def tokenize(text: str, cfg: TokenizerConfig) -> TokenSeq:
     """Tokenize deterministically; tokens absent from the vocab map to id 0."""
     tokens = split_text(text, cfg.lowercase)
-    ids = tuple(map(cfg.vocab.get, tokens, itertools.repeat(UNKNOWN_TOKEN_ID)))
-    return TokenSeq(tuple(tokens), ids)
+    return TokenSeq(tuple(map(cfg.vocab.get, tokens, itertools.repeat(UNKNOWN_TOKEN_ID))))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +371,18 @@ class EncoderSpec:
 
     @classmethod
     def from_meta(cls, meta: object, source: str) -> EncoderSpec:
-        """Inverse of :meth:`to_meta`; a missing, unknown or ill-typed key
-        raises FormatError naming ``source``."""
+        """Inverse of :meth:`to_meta`; a missing, unknown or ill-typed key,
+        or a setting that breaks its rule, raises FormatError naming ``source``."""
         check_fields(meta, _META_TYPES, source)
         stub = check_fields(meta["stub"], _STUB_TYPES, f"{source}: stub")
+        try:
+            stub = StubContextualizerConfig(**stub)
+        except ValidationError as exc:
+            raise FormatError(f"{source}: stub: {exc}") from exc
         vocab = vocab_from_meta(meta["vocab"], f"{source}: vocab")
         return cls(
             tokenizer=TokenizerConfig(meta["lowercase"], vocab),
-            stub=StubContextualizerConfig(**stub),
+            stub=stub,
             config=config_from_meta(meta["config"], f"{source}: config"),
         )
 
@@ -404,7 +407,7 @@ def _encode(
     """
     seq = tokenize(text, tokenizer)
     if max_tokens is not None and len(seq) > max_tokens:
-        seq = TokenSeq(seq.tokens[:max_tokens], seq.token_ids[:max_tokens])
+        seq = TokenSeq(seq.token_ids[:max_tokens])
     lm_vecs, cls_slot = contextualize(seq, contextualizer, config.n_lm)
     token_vecs = project_tokens(lm_vecs.reshape(len(seq), config.n_lm), params)
     cls_vec = (

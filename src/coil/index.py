@@ -4,8 +4,9 @@ Every stored token occurrence is one row (token id, document ordinal,
 n_t-wide vector).  Rows are kept sorted by (token id, document ordinal,
 position), so each token's rows form one contiguous inverted list whose
 ordinals are nondecreasing, and query-time scoring can reduce each list
-with a single segmented max.  Document-level vectors are stacked into one
-matrix addressed by ordinal.
+with a single segmented max.  The index holds the rows as the three
+columns postings.bin stores, and builds its lists as slices of them.
+Document-level vectors are stacked into one matrix addressed by ordinal.
 
 On-disk layout, version 4 (all integers little-endian; see README for the
 byte-level description):
@@ -83,7 +84,6 @@ class InvertedList:
     is ``doc_refs``.
     """
 
-    token_id: int
     vectors: np.ndarray  # (n_occurrences, n_t) float32
     doc_refs: np.ndarray  # (n_occurrences,) int32, nondecreasing
     starts: np.ndarray | None = field(repr=False)  # (n_runs,) intp offsets, ascending
@@ -97,13 +97,24 @@ class InvertedList:
 
 @dataclass
 class CoilIndex:
+    """An index held as the three postings.bin columns, rows sorted by
+    (token id, document ordinal, position).
+
+    ``lists`` maps each token id to its :class:`InvertedList`, whose
+    ``vectors`` and ``doc_refs`` are slices of the rows; it is built from
+    them on construction, and :func:`save_index` writes the rows as they are.
+    """
+
     config: CoilConfig
-    lists: dict[int, InvertedList]
+    token_ids: np.ndarray  # (N,) int32, nondecreasing
+    doc_refs: np.ndarray  # (N,) int32, nondecreasing within each token id
+    vectors: np.ndarray  # (N, n_t) float32
     cls_matrix: np.ndarray | None  # (num_docs, n_c) float32, row per ordinal
     doc_table: list[str]  # ordinal -> doc_id
     vocab: dict[str, int]
     corpus_checksum: int
     encoder_meta: dict | None = None  # provenance needed to encode text queries
+    lists: dict[int, InvertedList] = field(init=False, repr=False, compare=False)
     # doc_table's own strings as an object array, so ranking gathers them, not copies
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
     doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
@@ -111,6 +122,7 @@ class CoilIndex:
     cls_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.lists = _lists_from_rows(self.token_ids, self.doc_refs, self.vectors)
         self.doc_ids = np.array(self.doc_table, dtype=object)
         # raises on a duplicate doc id
         self.doc_rank = rank_doc_ids(np.asarray(self.doc_table, dtype=str))
@@ -189,11 +201,11 @@ def _lists_from_rows(
         doc_refs = refs[start:end]
         if repeated:
             lists[tid] = InvertedList(
-                tid, vecs[start:end], doc_refs, local_starts[a:b], ordinals[a:b],
+                vecs[start:end], doc_refs, local_starts[a:b], ordinals[a:b],
                 later_rows[c:d], later_runs[c:d],
             )
         else:
-            lists[tid] = InvertedList(tid, vecs[start:end], doc_refs, None, doc_refs, None, None)
+            lists[tid] = InvertedList(vecs[start:end], doc_refs, None, doc_refs, None, None)
     return lists
 
 
@@ -241,7 +253,9 @@ def build_index(
     order = np.argsort(tids, kind="stable")
     return CoilIndex(
         config=config,
-        lists=_lists_from_rows(tids[order], refs[order], vecs[order]),
+        token_ids=tids[order],
+        doc_refs=refs[order],
+        vectors=vecs[order],
         cls_matrix=cls_matrix,
         doc_table=doc_table,
         vocab=dict(vocab) if vocab else {},
@@ -275,18 +289,8 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    lists = [index.lists[tid] for tid in sorted(index.lists)]
-    tids = np.repeat([lst.token_id for lst in lists], [len(lst) for lst in lists])
-    refs = np.concatenate([np.empty(0, np.int32)] + [lst.doc_refs for lst in lists])
-    vecs = np.concatenate(
-        [np.empty((0, index.config.n_t), np.float32)] + [lst.vectors for lst in lists]
-    )
-    files = {
-        POSTINGS_FILE: [
-            np.ascontiguousarray(column, dtype=dtype)
-            for column, dtype in ((tids, "<i4"), (refs, "<i4"), (vecs, "<f4"))
-        ]
-    }
+    rows = ((index.token_ids, "<i4"), (index.doc_refs, "<i4"), (index.vectors, "<f4"))
+    files = {POSTINGS_FILE: [np.ascontiguousarray(column, dtype=dtype) for column, dtype in rows]}
     if index.cls_matrix is not None:
         files[CLS_FILE] = [np.ascontiguousarray(index.cls_matrix, dtype="<f4")]
 
@@ -408,7 +412,9 @@ def load_index(dir_path: str | Path) -> CoilIndex:
 
     return CoilIndex(
         config=cfg,
-        lists=_lists_from_rows(tids, refs, vecs),
+        token_ids=tids,
+        doc_refs=refs,
+        vectors=vecs,
         cls_matrix=cls_matrix,
         doc_table=doc_table,
         vocab=vocab,
@@ -419,7 +425,7 @@ def load_index(dir_path: str | Path) -> CoilIndex:
 
 def index_stats(index: CoilIndex) -> IndexStats:
     """Pure summary; bytes_on_disk is the exact size the binary files occupy."""
-    total = sum(len(lst) for lst in index.lists.values())
+    total = len(index.token_ids)
     histogram: dict[int, int] = {}
     for lst in index.lists.values():
         histogram[len(lst)] = histogram.get(len(lst), 0) + 1

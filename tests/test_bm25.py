@@ -87,7 +87,7 @@ class TestBuild:
     def test_direct_construction_rejects_a_duplicate_doc_id(self):
         # the ranker breaks ties on doc_rank and trusts the ids to be unique
         with pytest.raises(ValidationError, match="duplicate doc id 'd0'"):
-            Bm25Index({}, doc_len=np.ones(3, np.int64), avgdl=1.0, doc_table=["d0", "d1", "d0"])
+            Bm25Index({}, doc_len=np.ones(3, np.int64), doc_table=["d0", "d1", "d0"])
 
 
 class TestScorePair:
@@ -189,7 +189,7 @@ class TestSearch:
             got = bm25_search(index, query, k=3, params=params)
             for doc_id, score in got.entries:
                 assert score == bm25_score_pair(query, index.ordinal_of(doc_id), index, params)
-        assert sorted(index.norms) == [0.2, 0.75]
+        assert sorted(index.weights) == [(1.2, 0.2), (1.2, 0.75)]
         # one index serves k1 and b in turn: its term weights are kept per (k1, b)
         query = tokenize("f x y", tok)
         settings = [

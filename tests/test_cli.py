@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from coil import (
     encode_document,
     encode_query,
     ingest_encoded,
+    load_index,
     read_run,
     read_training_examples,
     write_encoded,
@@ -505,6 +507,47 @@ class TestTextInputMutations:
         assert sum(codes.values()) == 300 and codes[0] and codes[2], codes
 
 
+class TestIndexInputMutations:
+    """`coil build` under seeded damage to its coil-enc file, and `coil search`
+    to each file of its index: no exception escapes, the exit code is 0 or 2,
+    an exit-2 message starts with the coil-enc path or the index directory,
+    no temporary file is left, and the output is absent or a whole file."""
+
+    @pytest.mark.parametrize(
+        "target, seed",
+        [("enc.jsonl", 5), ("idx/meta.json", 6), ("idx/postings.bin", 7), ("idx/cls.bin", 8)],
+    )
+    def test_exits_0_or_2_and_leaves_no_partial_output(self, workdir, capsys, target, seed):
+        enc, idx = _encode_and_build(workdir)
+        path = workdir / target
+        if target == "enc.jsonl":
+            named, out, read_whole = enc, workdir / "idx2", load_index
+            argv = ["build", str(enc), str(out)]
+        else:
+            named, out, read_whole = idx, workdir / "run.txt", read_run
+            argv = ["search", str(idx), str(workdir / "queries.jsonl"), str(out)]
+        codes = Counter()
+        for variant, data in _mutations(path.read_bytes(), 300, seed):
+            path.write_bytes(data)
+            if out.is_dir():
+                shutil.rmtree(out)
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{variant}: {exc!r} escaped main")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (variant, err)
+            if code == 2:
+                assert err.startswith(f"error: {named}"), (variant, err)
+            assert not list(workdir.glob("**/.*.tmp*")), variant
+            if code == 0 or out.exists():
+                read_whole(out)
+            codes[code] += 1
+        assert sum(codes.values()) == 300 and codes[2], codes
+
+
 class TestSampleNegsCli:
     def test_deterministic_and_excludes_positives(self, workdir):
         outs = []
@@ -659,6 +702,47 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         if where:
             assert f"{path}: {where}:" in err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("search", lambda m: m["config"].update(n_lm=4), "config: n_t must be <= n_lm"),
+            ("stats", lambda m: m["config"].update(n_lm=4), "config: n_t must be <= n_lm"),
+            (
+                "search",
+                lambda m: m["encoder_meta"]["stub"].update(window=-1),
+                "encoder_meta: stub: window must be >= 0",
+            ),
+            (
+                "build",
+                lambda h: h["encoder"]["config"].update(n_lm=4),
+                "line 1: encoder: config: n_t must be <= n_lm",
+            ),
+        ],
+        ids=["meta-n_t-above-n_lm", "stats-n_t-above-n_lm", "meta-negative-window",
+             "header-n_t-above-n_lm"],
+    )
+    def test_stored_settings_breaking_a_rule_exit_2_naming_the_file(
+        self, workdir, capsys, command, edit, message
+    ):
+        enc, idx = _encode_and_build(workdir)
+        if command == "build":
+            path = enc
+            header, records = _split_header(path)
+            edit(header)
+            path.write_bytes(coil_enc_bytes(header, records))
+            argv = ["build", str(enc), str(workdir / "idx2")]
+        else:
+            path = idx / "meta.json"
+            meta = json.loads(path.read_text())
+            edit(meta)
+            path.write_text(json.dumps(meta))
+            argv = [command, str(idx)]
+            if command == "search":
+                argv += [str(workdir / "queries.jsonl"), str(workdir / "r.txt")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_version_1_coil_enc_exits_2(self, workdir, capsys):
         """A file in the earlier text form is rejected at its header, not read."""

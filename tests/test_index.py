@@ -36,6 +36,11 @@ def _docs_by_hand(n_t=2, n_c=2):
     return doc
 
 
+def _no_rows(cfg):
+    """The token id, doc ordinal and vector columns of an index without postings."""
+    return np.empty(0, np.int32), np.empty(0, np.int32), np.empty((0, cfg.n_t), np.float32)
+
+
 class TestBuild:
     def test_single_doc_two_lists(self):
         doc = _docs_by_hand()
@@ -108,12 +113,12 @@ class TestBuild:
         # the ranker breaks ties on doc_rank and trusts the ids to be unique
         cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
         with pytest.raises(ValidationError, match="duplicate doc id 'd1'"):
-            CoilIndex(cfg, {}, None, ["d1", "d0", "d1"], {}, corpus_checksum=0)
+            CoilIndex(cfg, *_no_rows(cfg), None, ["d1", "d0", "d1"], {}, corpus_checksum=0)
 
     def test_doc_rank_orders_the_ids_by_code_point(self):
         cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
         table = ["b", "\U00010000", "a", "\uffff", "ab"]
-        index = CoilIndex(cfg, {}, None, table, {}, corpus_checksum=0)
+        index = CoilIndex(cfg, *_no_rows(cfg), None, table, {}, corpus_checksum=0)
         assert index.doc_rank.dtype == np.int32
         assert [table[o] for o in np.argsort(index.doc_rank)] == sorted(table)
 
@@ -439,6 +444,9 @@ class TestPersistence:
             (lambda m: m.update(corpus_checksum="xyz"), "not hexadecimal"),
             (lambda m: m.update(num_docs=5), "unknown key 'num_docs'"),
             (lambda m: m["doc_table"].__setitem__(0, 3), "doc_table entries"),
+            (lambda m: m["config"].update(n_lm=4), "config: n_t must be <= n_lm"),
+            (lambda m: m["config"].update(mode="tok"), "config: mode='tok' disagrees"),
+            (lambda m: m["config"].update(max_doc_tokens=0), "config: max_doc_tokens must be"),
         ],
     )
     def test_malformed_meta_rejected(self, tmp_path, edit, message):
@@ -456,7 +464,7 @@ class TestPersistence:
         tid, lst = next(
             (t, l) for t, l in inst.index.lists.items() if l.doc_refs[0] < l.doc_refs[-1]
         )
-        lst.doc_refs = lst.doc_refs[::-1].copy()
+        lst.doc_refs[:] = lst.doc_refs[::-1].copy()  # a view of the rows save_index writes
         save_index(inst.index, tmp_path / "idx")
         with pytest.raises(FormatError, match=f"decrease in list {tid}"):
             load_index(tmp_path / "idx")

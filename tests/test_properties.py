@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coil import (
     Bm25Index,
@@ -63,6 +63,7 @@ from coil import (
     write_run,
 )
 from coil import evaluation
+from coil.bm25 import _h_d, _length_norm
 from coil.core import (
     TokenSeq,
     as_score,
@@ -143,7 +144,6 @@ def test_build_index_equals_naive_grouping(case):
             lst = got.lists[tid]
             want_refs = np.asarray([o for o, _ in occurrences], dtype=np.int32)
             want_vecs = np.asarray([v for _, v in occurrences], dtype=np.float32)
-            assert lst.token_id == tid
             assert lst.doc_refs.dtype == np.int32 and lst.vectors.dtype == np.float32
             assert lst.vectors.shape == (len(occurrences), config.n_t)
             assert lst.doc_refs.tobytes() == want_refs.tobytes()
@@ -406,7 +406,7 @@ def tied_candidates(draw):
 @given(tied_candidates())
 def test_array_ranker_with_the_index_tie_key_equals_from_scores(case):
     ids, keep, scores, k = case
-    index = Bm25Index({}, doc_len=np.zeros(len(ids), np.int64), avgdl=0.0, doc_table=ids)
+    index = Bm25Index({}, doc_len=np.zeros(len(ids), np.int64), doc_table=ids)
     assert [ids[o] for o in np.argsort(index.doc_rank)] == sorted(ids)
     pairs = [(ids[o], as_score(s)) for o, s in zip(keep.tolist(), scores)]
     want = [(d, s.hex()) for d, s in RankedList.from_scores("q", pairs, k).entries]
@@ -690,6 +690,35 @@ def test_build_bm25_index_equals_the_per_document_reference(case):
     assert index.doc_table == [d.id for d in docs]
 
 
+bm25_settings = st.builds(
+    Bm25Params,
+    k1=st.one_of(st.sampled_from([0.0, 1.2]), st.floats(0.0, 4.0)),
+    b=st.one_of(st.sampled_from([0.0, 1.0, 0.75]), st.floats(0.0, 1.0)),
+    k2=st.sampled_from([0.0, 1.0]),
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(set_up_cases(), st.lists(bm25_settings, min_size=1, max_size=3), st.data())
+def test_bm25_weights_equal_the_whole_table_form_bit_for_bit(case, settings_list, data):
+    """Each term's weights take the norms of its own postings; they must equal,
+    bit for bit, the weights gathered from a table of every document's norm."""
+    index = build_bm25_index(*case)
+    tids = sorted(index.postings)
+    assume(tids)  # without postings no term has weights, and avgdl may be 0
+    for params in settings_list:
+        query = data.draw(st.lists(st.sampled_from(tids)))
+        bm25_search(index, TokenSeq(tuple(query)), k=3, params=params)
+        weights = index.weights[(params.k1, params.b)]
+        assert set(query) <= set(weights)
+        table = _length_norm(index.doc_len, index, params.b)
+        for tid, got in weights.items():
+            ordinals, tfs = index.postings[tid]
+            want = _h_d(tfs, table[ordinals], params)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (tid, params)
+
+
 def reference_contextualize(seq, cfg, n_lm):
     """The per-position loop that defined the contextualizer's vectors."""
 
@@ -728,7 +757,7 @@ def reference_contextualize(seq, cfg, n_lm):
 @example(token_ids=[0, 1], seed=0, window=1, mix_weight=0.5, n_lm=1)
 @example(token_ids=[0, 1, 2], seed=0, window=1, mix_weight=0.5, n_lm=1)
 def test_contextualize_equals_the_per_position_loop(token_ids, seed, window, mix_weight, n_lm):
-    seq = TokenSeq(tuple(f"t{t}" for t in token_ids), tuple(token_ids))
+    seq = TokenSeq(tuple(token_ids))
     cfg = StubContextualizerConfig(seed=seed, window=window, mix_weight=mix_weight)
     out, cls_slot = contextualize(seq, cfg, n_lm)
     want_out, want_cls = reference_contextualize(seq, cfg, n_lm)
