@@ -14,9 +14,10 @@ the runs of equal (token id, ordinal) rows, whose lengths are the tfs.
 `bm25_search` accumulates per-ordinal float64 sums and ranks them with
 ``ranked_list_from_arrays``, the path and tie rule (score descending, then
 doc id ascending) of tok-mode ``retrieval.search``.  As there, the ranker
-checks that scores are finite, its sort on the score and then the index's
-``doc_rank`` gives the order, and ``Bm25Index`` rejects a duplicate doc id
-when it is constructed.
+checks that scores are finite, its sort of one key packing the score and
+then the index's ``doc_rank`` gives the order, and ``Bm25Index`` rejects a
+duplicate doc id when it is constructed.  Postings hold intp ordinals, as
+the inverted lists do, so the scatter-add converts no index array.
 
 A term's document weights ``h_d`` depend only on the index, k1 and b, so
 the index keeps each used term's weights per (k1, b), computed on the
@@ -73,7 +74,7 @@ class Bm25Index:
     fill it store equal arrays.
     """
 
-    postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (ordinals, tfs)
+    postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (intp ordinals, int32 tfs)
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
     doc_table: list[str]
     avgdl: float = field(init=False)
@@ -153,7 +154,10 @@ def bm25_index_from_rows(tids: np.ndarray, ords: np.ndarray, doc_table: list[str
     tids, ords = tids[order], ords[order]
     # one run per (token id, document); its length is the tf
     run_starts, run_ends = run_bounds(tids, ords)
-    run_tids, run_ords, tfs = tids[run_starts], ords[run_starts], run_ends - run_starts
+    # intp ordinals, because numpy converts an index array of any other dtype
+    # on every gather and scatter; int32 tfs, as a tf counts one document's tokens
+    run_tids, run_ords = tids[run_starts], ords[run_starts].astype(np.intp)
+    tfs = np.subtract(run_ends, run_starts, dtype=np.int32)
     starts, ends = run_bounds(run_tids)
     postings = {
         tid: (run_ords[start:end], tfs[start:end])

@@ -10,8 +10,9 @@ finite, doc ids are unique, and scores never rise down the list:
 :class:`RankedList` checks all three, in one loop over the entries, for a
 list a caller builds from ``(doc_id, score)`` pairs (``from_scores``, and
 ``read_run`` on its per-line path).  :func:`ranked_list_from_arrays` checks
-finiteness itself and gets its order from one ``np.lexsort`` on score, then
-on :func:`rank_doc_ids`.  That rank rejects a duplicate doc id: an index
+finiteness itself and gets its order from one ``np.argsort`` of a uint64
+key packing the float32 score and then :func:`rank_doc_ids`.  That rank
+rejects a duplicate doc id, so the keys are unique: an index
 computes it once, when it is constructed, and the ranker computes it for a
 caller that passes none.  So the ranker builds its list from its columns
 without a second check, as ``read_run``'s column path does after checking
@@ -394,6 +395,21 @@ def rank_doc_ids(doc_ids: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _descending_key(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """One uint64 per float32 score whose ascending order is score descending,
+    then ``ranks`` (int32, not negative) ascending.
+
+    The high 32 bits come from ``0.0 - score``, which negates the score and
+    makes both zeros +0.0, so they tie, as they compare equal.  Its bits map
+    onto an unsigned integer in the order of the float: a positive value
+    gets its sign bit set, and a negative value has every bit flipped.  The
+    low 32 bits are the rank.
+    """
+    bits = (0.0 - scores).view(np.int32)
+    high = (bits ^ ((bits >> 31) | -(2**31))).view(np.uint32)
+    return (high.astype(np.uint64) << 32) | ranks.astype(np.uint64)
+
+
 def ranked_list_from_arrays(
     query_id: str,
     doc_ids: np.ndarray,
@@ -416,7 +432,10 @@ def ranked_list_from_arrays(
     which must order them as :func:`rank_doc_ids` does; without it, the
     rank is computed here, and a duplicate doc id raises.  The list is built
     from its columns, without :class:`RankedList`'s per-entry check: its
-    order comes from the sort, and its doc ids are unique.
+    order comes from the sort, and its doc ids are unique.  The sort is of
+    one uint64 key per survivor (:func:`_descending_key`), unique because
+    the ranks are, so any sort algorithm gives this order; -0.0 ties with
+    +0.0 in the key, but its score keeps its sign.
     """
     with np.errstate(over="ignore"):  # a score past the float32 range raises below
         reported = scores.astype(np.float32)
@@ -431,7 +450,7 @@ def ranked_list_from_arrays(
         kth = np.partition(reported, n - k)[n - k]
         keep = np.flatnonzero(reported >= kth)
         reported, at = reported[keep], at[keep]
-    order = np.lexsort((ranks[at], -reported))
+    order = np.argsort(_descending_key(reported, ranks[at]))
     if k is not None:
         order = order[:k]
     return RankedList.from_columns(

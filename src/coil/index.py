@@ -81,13 +81,15 @@ class InvertedList:
     first row and folds the later rows in with ``np.maximum.at``.  In a
     list where no document holds the token twice every run is one row, so
     ``starts``, ``later_rows`` and ``later_runs`` are None and ``ordinals``
-    is ``doc_refs``.
+    equals ``doc_refs``.  Every index column search uses is intp, which
+    numpy indexes with as it is: ``ordinals`` is a slice of one column of
+    run ordinals per index, held beside the int32 ``doc_refs``.
     """
 
     vectors: np.ndarray  # (n_occurrences, n_t) float32
     doc_refs: np.ndarray  # (n_occurrences,) int32, nondecreasing
     starts: np.ndarray | None = field(repr=False)  # (n_runs,) intp offsets, ascending
-    ordinals: np.ndarray = field(repr=False)  # (n_runs,) int32, doc_refs[starts]
+    ordinals: np.ndarray = field(repr=False)  # (n_runs,) intp, doc_refs[starts]
     later_rows: np.ndarray | None = field(repr=False)  # (n_later,) intp offsets, ascending
     later_runs: np.ndarray | None = field(repr=False)  # (n_later,) intp, the run of each
 
@@ -103,6 +105,9 @@ class CoilIndex:
     ``lists`` maps each token id to its :class:`InvertedList`, whose
     ``vectors`` and ``doc_refs`` are slices of the rows; it is built from
     them on construction, and :func:`save_index` writes the rows as they are.
+    Construction first checks the order the lists rely on, raising
+    ValidationError: token ids never decrease, ordinals never decrease
+    within a token id, and every ordinal names a document.
     """
 
     config: CoilConfig
@@ -122,6 +127,7 @@ class CoilIndex:
     cls_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_rows(self.token_ids, self.doc_refs, self.num_docs)
         self.lists = _lists_from_rows(self.token_ids, self.doc_refs, self.vectors)
         self.doc_ids = np.array(self.doc_table, dtype=object)
         # raises on a duplicate doc id
@@ -157,6 +163,20 @@ def run_bounds(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], changes)), np.concatenate((changes, [len(sorted_keys[0])]))
 
 
+def _check_rows(tids: np.ndarray, refs: np.ndarray, num_docs: int) -> None:
+    """Raise ValidationError unless the rows are sorted by (token id, ordinal)
+    and every ordinal is below ``num_docs``."""
+    if np.any(tids[1:] < tids[:-1]):
+        raise ValidationError("token ids decrease")
+    # search's segmented max relies on this order
+    decreasing = np.flatnonzero((refs[1:] < refs[:-1]) & (tids[1:] == tids[:-1]))
+    if len(decreasing):
+        raise ValidationError(f"doc ordinals decrease in list {tids[decreasing[0]]}")
+    outside = np.flatnonzero((refs < 0) | (refs >= num_docs))
+    if len(outside):
+        raise ValidationError(f"doc ordinal out of range in list {tids[outside[0]]}")
+
+
 def _lists_from_rows(
     tids: np.ndarray, refs: np.ndarray, vecs: np.ndarray
 ) -> dict[int, InvertedList]:
@@ -172,40 +192,45 @@ def _lists_from_rows(
     later_row[1:] = (tids[1:] == tids[:-1]) & (refs[1:] == refs[:-1])
     run_starts = np.flatnonzero(~later_row)
     later_rows = np.flatnonzero(later_row)
-    first_runs = np.searchsorted(run_starts, starts)  # each list's first run
-    runs = np.diff(np.append(first_runs, len(run_starts)))
+    # every run's document, and every list-local offset and run number, is
+    # intp, because numpy converts an index array of any other dtype on
+    # every gather and scatter
+    ordinals = refs[run_starts].astype(np.intp)
+    # list i holds runs run_edges[i] up to run_edges[i + 1]
+    run_edges = np.append(np.searchsorted(run_starts, starts), len(run_starts))
+    runs = np.diff(run_edges)
     later = ends - starts - runs  # later occurrences per list
-    # list-local offsets and run numbers, intp, because numpy converts an
-    # index array of any other dtype on every gather.  Row g, the k-th later
-    # row, is preceded by g - k run starts, so it lies in run g - k - 1.
-    later_runs = later_rows - np.arange(1, len(later_rows) + 1) - np.repeat(first_runs, later)
+    # Row g, the k-th later row, is preceded by g - k run starts, so it lies
+    # in run g - k - 1.
+    later_runs = later_rows - np.arange(1, len(later_rows) + 1) - np.repeat(run_edges[:-1], later)
     later_rows -= np.repeat(starts, later)
     # a list in which no document holds its token twice needs no runs
     repeats = later > 0
     run_starts = run_starts[np.repeat(repeats, runs)]
-    ordinals = refs[run_starts]
     local_starts = run_starts - np.repeat(starts[repeats], runs[repeats])
     bounds = np.concatenate(([0], np.cumsum(runs * repeats)))
     later_bounds = np.concatenate(([0], np.cumsum(later)))
     lists = {}
-    for tid, start, end, a, b, c, d, repeated in zip(
+    for tid, start, end, first, last, a, b, c, d, repeated in zip(
         tids[starts].tolist(),
         starts.tolist(),
         ends.tolist(),
+        run_edges[:-1].tolist(),
+        run_edges[1:].tolist(),
         bounds[:-1].tolist(),
         bounds[1:].tolist(),
         later_bounds[:-1].tolist(),
         later_bounds[1:].tolist(),
         repeats.tolist(),
     ):
-        doc_refs = refs[start:end]
+        vectors, doc_refs, list_ordinals = vecs[start:end], refs[start:end], ordinals[first:last]
         if repeated:
             lists[tid] = InvertedList(
-                vecs[start:end], doc_refs, local_starts[a:b], ordinals[a:b],
+                vectors, doc_refs, local_starts[a:b], list_ordinals,
                 later_rows[c:d], later_runs[c:d],
             )
         else:
-            lists[tid] = InvertedList(vecs[start:end], doc_refs, None, doc_refs, None, None)
+            lists[tid] = InvertedList(vectors, doc_refs, None, list_ordinals, None, None)
     return lists
 
 
@@ -385,19 +410,6 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     tids = np.frombuffer(blob, dtype="<i4", count=n)
     refs = np.frombuffer(blob, dtype="<i4", count=n, offset=4 * n)
     vecs = np.frombuffer(blob, dtype="<f4", count=n * n_t, offset=8 * n).reshape(n, n_t)
-    if np.any(tids[1:] < tids[:-1]):
-        raise FormatError(f"{postings_path}: token ids decrease")
-    # search's segmented max relies on this order
-    decreasing = np.flatnonzero((refs[1:] < refs[:-1]) & (tids[1:] == tids[:-1]))
-    if len(decreasing):
-        raise FormatError(
-            f"{postings_path}: doc ordinals decrease in list {tids[decreasing[0]]}"
-        )
-    outside = np.flatnonzero((refs < 0) | (refs >= num_docs))
-    if len(outside):
-        raise FormatError(
-            f"{postings_path}: doc ordinal out of range in list {tids[outside[0]]}"
-        )
 
     cls_matrix = None
     if n_c >= 1:
@@ -410,17 +422,20 @@ def load_index(dir_path: str | Path) -> CoilIndex:
         )
         cls_matrix = np.frombuffer(cls_blob, dtype="<f4").reshape(num_docs, n_c)
 
-    return CoilIndex(
-        config=cfg,
-        token_ids=tids,
-        doc_refs=refs,
-        vectors=vecs,
-        cls_matrix=cls_matrix,
-        doc_table=doc_table,
-        vocab=vocab,
-        corpus_checksum=corpus_checksum,
-        encoder_meta=meta["encoder_meta"],
-    )
+    try:
+        return CoilIndex(
+            config=cfg,
+            token_ids=tids,
+            doc_refs=refs,
+            vectors=vecs,
+            cls_matrix=cls_matrix,
+            doc_table=doc_table,
+            vocab=vocab,
+            corpus_checksum=corpus_checksum,
+            encoder_meta=meta["encoder_meta"],
+        )
+    except ValidationError as exc:  # the rows' order; the doc table is checked above
+        raise FormatError(f"{postings_path}: {exc}") from exc
 
 
 def index_stats(index: CoilIndex) -> IndexStats:

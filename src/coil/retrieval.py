@@ -43,12 +43,15 @@ is non-finite or at least the float32 maximum in magnitude; the ranker then
 still rejects a non-finite score for any document.
 
 Where the ranked-list invariants are checked: the ranker rejects a
-non-finite score and its sort gives the order, breaking ties on the
-index's ``doc_rank``, an int32 rank of each doc id in code-point order.
+non-finite score and its sort gives the order, one uint64 key per score
+whose low half, the tie break, is the index's ``doc_rank``, an int32 rank
+of each doc id in code-point order.
 Doc ids are unique because ``CoilIndex`` rejects a duplicate when it is
 constructed, so no list is checked a second time, entry by entry.  The
 ranker takes the index's doc ids and ranks whole, with the ordinals of the
 documents a tok-mode query scored, and gathers only the ids it returns.
+Those ordinals, and every list's, are intp, so no query converts an index
+array before it gathers or scatters with it.
 
 Query positions with the unknown token id (0) are skipped by the lexical
 scorers: an out-of-vocabulary token matches nothing, not other unknowns.
@@ -331,6 +334,7 @@ def _rank_query(
     acc = np.zeros(num_docs, dtype=np.float64)
     touched = np.zeros(num_docs, dtype=bool)
     touched_tids: set[int] = set()
+    scanned = 0
 
     if mode in ("tok", "full"):
         for i, tid in enumerate(q.token_ids):
@@ -339,7 +343,9 @@ def _rank_query(
             lst = index.lists.get(tid)
             if lst is None:
                 continue
-            touched_tids.add(tid)
+            if tid not in touched_tids:
+                touched_tids.add(tid)
+                scanned += len(lst)
             products = _run_maxima(_dots(lst.vectors, q.token_vecs[i : i + 1])[0], lst)
             acc[lst.ordinals] += products
             touched[lst.ordinals] = True
@@ -347,17 +353,17 @@ def _rank_query(
     if mode == "tok":
         keep = np.flatnonzero(touched)
         scores = acc[keep]
-        cls_scored = 0
+        candidates, cls_scored = len(keep), 0
     else:
         keep = _cls_candidates(index, q, k, acc, approx)  # None: every document
         cls = _cls_dots(index, q, keep)
         scores = cls if mode == "cls_only" else (acc if keep is None else acc[keep]) + cls
-        cls_scored = len(cls)
+        candidates, cls_scored = int(np.count_nonzero(touched)), len(cls)
 
     instr = SearchInstrumentation(
         lists_touched=len(touched_tids),
-        postings_scanned=sum(len(index.lists[t]) for t in touched_tids),
-        candidates=int(np.count_nonzero(touched)),
+        postings_scanned=scanned,
+        candidates=candidates,
         cls_scored=cls_scored,
     )
     ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, scores, k, index.doc_rank, keep)

@@ -8,8 +8,9 @@ Drives ``coil.cli.main`` in-process over a corpus made by ``synth`` (plus a
 one-token document, a repeated-token document, one with punctuation and
 non-ASCII text, and ids holding ``%``) and writes under OUT_DIR: the
 coil-enc file, the index and ``stats`` of five shapes; ``search`` in every
-mode each index serves, at 1 and 2 threads; ``eval`` of every run; ``bm25``
-at three settings; and ``sample-negs`` at two.  It then prints one
+mode each index serves, at 1 and 2 threads, with the per-query counters its
+``--instrument`` prints to stderr; ``eval`` of every run; ``bm25`` at three
+settings; and ``sample-negs`` at two.  It then prints one
 ``sha256  relative/path`` line per file, sorted by path.  Output of two
 source trees compares with ``diff``.
 """
@@ -53,9 +54,10 @@ SPECIAL_DOCS = {
 }
 
 
-def _cli(argv: list[str], stdout: Path | None = None) -> None:
-    """Run one command; its stdout goes to ``stdout`` when given.  A command
-    that does not exit 0 stops the script with its error message."""
+def _cli(argv: list[str], stdout: Path | None = None) -> str:
+    """Run one command and return its stderr; its stdout goes to ``stdout``
+    when given.  A command that does not exit 0 stops the script with its
+    error message."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -63,6 +65,7 @@ def _cli(argv: list[str], stdout: Path | None = None) -> None:
         raise SystemExit(f"coil {' '.join(argv)}: exit {code}: {err.getvalue()}")
     if stdout is not None:
         stdout.write_text(out.getvalue(), encoding="utf-8")
+    return err.getvalue()
 
 
 def _write_inputs(out: Path, num_docs: int) -> tuple[Path, Path, Path]:
@@ -109,7 +112,10 @@ def write_outputs(out: Path, num_docs: int) -> None:
             for threads in ("1", "2"):
                 run = shape / f"run-{mode}-t{threads}.txt"
                 argv = ["search", str(idx), queries, str(run), "--mode", mode]
-                _cli([*argv, "--threads", threads, "--tag", "x%s%%"])
+                err = _cli([*argv, "--threads", threads, "--tag", "x%s%%", "--instrument"])
+                # the counter lines; the status line names the run's path
+                counters = [line + "\n" for line in err.splitlines() if line.startswith("{")]
+                run.with_name(f"counters-{run.stem}.jsonl").write_text("".join(counters))
                 runs.append(run)
     (out / "bm25").mkdir(exist_ok=True)
     for name, flags in BM25_SETTINGS.items():

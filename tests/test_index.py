@@ -115,6 +115,25 @@ class TestBuild:
         with pytest.raises(ValidationError, match="duplicate doc id 'd1'"):
             CoilIndex(cfg, *_no_rows(cfg), None, ["d1", "d0", "d1"], {}, corpus_checksum=0)
 
+    @pytest.mark.parametrize(
+        "tids, refs, message",
+        [
+            ([1, 2, 1], [0, 0, 1], "token ids decrease"),
+            ([1, 1, 2], [1, 0, 0], "doc ordinals decrease in list 1"),
+            ([1, 1, 2], [0, 1, 2], "doc ordinal out of range in list 2"),
+            ([1, 1, 2], [-1, 0, 0], "doc ordinal out of range in list 1"),
+        ],
+        ids=["tids-decrease", "refs-decrease", "ref-is-num-docs", "negative-ref"],
+    )
+    def test_direct_construction_rejects_rows_out_of_order(self, tids, refs, message):
+        # lists built from such rows would drop or misplace a row, and
+        # save_index would write a postings.bin that load_index refuses
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
+        tids, refs = np.array(tids, np.int32), np.array(refs, np.int32)
+        vecs = np.zeros((3, 2), np.float32)
+        with pytest.raises(ValidationError, match=message):
+            CoilIndex(cfg, tids, refs, vecs, None, ["a", "b"], {}, corpus_checksum=0)
+
     def test_doc_rank_orders_the_ids_by_code_point(self):
         cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
         table = ["b", "\U00010000", "a", "\uffff", "ab"]
@@ -523,8 +542,9 @@ class TestStats:
 
 def _segments(lst: InvertedList) -> tuple[np.ndarray, np.ndarray]:
     """A list's run starts and ordinals, with every row a run when ``starts`` is None."""
+    assert lst.ordinals.dtype == np.intp
     if lst.starts is None:
-        assert lst.ordinals is lst.doc_refs
+        np.testing.assert_array_equal(lst.ordinals, lst.doc_refs)
         return np.arange(len(lst)), lst.ordinals
     assert len(lst.starts) < len(lst)  # some document holds the token twice
     return lst.starts, lst.ordinals

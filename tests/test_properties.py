@@ -418,8 +418,8 @@ def test_array_ranker_with_the_index_tie_key_equals_from_scores(case):
 
 
 def _two_argsort_entries(doc_ids, scores, k, ordinals):
-    """The ranker's order as it was built before ``np.lexsort``, over every
-    score: an argsort by doc-id rank, then a stable argsort by score."""
+    """The ranker's order built from two sorts over every score, with no
+    packed key: an argsort by doc-id rank, then a stable argsort by score."""
     reported = scores.astype(np.float32)
     at = np.arange(len(reported)) if ordinals is None else ordinals
     by_rank = np.argsort(rank_doc_ids(doc_ids)[at])
@@ -433,7 +433,7 @@ FLOAT32_TIES = [-0.0, 0.0, 1e-46, -1e-46, 0.5, 1.0, 1.0 + 2**-40, 1.0 - 2**-40, 
 
 @PROPERTY
 @given(tied_candidates(), st.data())
-def test_lexsort_order_equals_the_two_argsort_order(case, data):
+def test_packed_key_order_equals_the_two_argsort_order(case, data):
     ids, keep, _, k = case
     n = len(keep)
     scores = np.asarray(
@@ -447,6 +447,62 @@ def test_lexsort_order_equals_the_two_argsort_order(case, data):
         ranked_list_from_arrays("q", doc_ids[keep], scores, k),
     ):
         assert [(d, s.hex()) for d, s in got.entries] == want
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
+float32_values = st.one_of(
+    st.integers(0, 2**32 - 1).filter(lambda bits: (bits >> 23) & 0xFF != 0xFF),  # finite
+    st.tuples(st.integers(1, 2**23 - 1), st.sampled_from([0, 2**31])).map(sum),  # subnormal
+).map(lambda bits: float(np.uint32(bits).view(np.float32)))
+
+
+@st.composite
+def float32_bit_scores(draw):
+    """One score as float64: a random finite float32 bit pattern, a signed
+    zero, subnormal or float32 maximum, or one of those moved by a few float64
+    ulps, which rounds back onto the same float32 (a zero onto a zero of the
+    step's sign)."""
+    specials = [0.0, -0.0, F32_SUBNORMAL, -F32_SUBNORMAL, F32_MAX, -F32_MAX]
+    value = draw(st.one_of(float32_values, st.sampled_from(specials)))
+    for _ in range(draw(st.integers(0, 3))):
+        value = float(np.nextafter(value, draw(st.sampled_from([-np.inf, np.inf]))))
+    return value
+
+
+@st.composite
+def key_cases(draw):
+    """Unique doc ids, the ordinals of the ranked ones (or None for every one),
+    their scores with heavy ties, and k below, at or above n, or None."""
+    ids = draw(st.lists(st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=3), unique=True))
+    ordinals = None
+    if draw(st.booleans()):
+        ordinals = np.flatnonzero(draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))))
+    n = len(ids) if ordinals is None else len(ordinals)
+    pool = draw(st.lists(float32_bit_scores(), min_size=1, max_size=4))
+    scores = draw(st.lists(st.one_of(st.sampled_from(pool), float32_bit_scores()), min_size=n, max_size=n))
+    where = draw(st.sampled_from(["below", "at", "above", "none"]))
+    if where == "below" and n > 1:
+        k = draw(st.integers(1, n - 1))
+    elif where == "above":
+        k = n + draw(st.integers(1, 3))
+    else:
+        k = None if where == "none" else max(n, 1)
+    return ids, ordinals, np.asarray(scores, dtype=np.float64), k
+
+
+@settings(PROPERTY, max_examples=300)
+@given(key_cases(), st.booleans())
+def test_packed_key_ranker_equals_from_scores_bit_for_bit(case, with_tie_rank):
+    ids, ordinals, scores, k = case
+    doc_ids = np.array(ids, dtype=str)
+    at = range(len(ids)) if ordinals is None else ordinals.tolist()
+    pairs = [(ids[o], as_score(s)) for o, s in zip(at, scores)]
+    want = RankedList.from_scores("q", pairs, k).entries
+    tie_rank = rank_doc_ids(doc_ids) if with_tie_rank else None
+    got = ranked_list_from_arrays("q", doc_ids, scores, k, tie_rank, ordinals).entries
+    assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
+    assert [np.signbit(s) for _, s in got] == [np.signbit(s) for _, s in want]
 
 
 def _first_fault(entries) -> str | None:
@@ -527,7 +583,7 @@ def test_bm25_postings_equal_naive_counts(case):
     assert sorted(index.postings) == sorted(rows)
     for tid, pairs in rows.items():
         ordinals, tfs = index.postings[tid]
-        assert ordinals.dtype == np.int32 and tfs.dtype == np.int64
+        assert ordinals.dtype == np.intp and tfs.dtype == np.int32
         assert ordinals.tolist() == [o for o, _ in pairs]
         assert tfs.tolist() == [tf for _, tf in pairs]
     assert index.doc_len.dtype == np.int64 and index.doc_len.tolist() == lengths
@@ -683,7 +739,7 @@ def test_build_bm25_index_equals_the_per_document_reference(case):
     assert list(index.postings) == list(postings)
     for tid, (ordinals, tfs) in postings.items():
         got_ordinals, got_tfs = index.postings[tid]
-        assert got_ordinals.dtype == ordinals.dtype and got_tfs.dtype == tfs.dtype
+        assert got_ordinals.dtype == np.intp and got_tfs.dtype == np.int32
         assert np.array_equal(got_ordinals, ordinals) and np.array_equal(got_tfs, tfs)
     assert index.doc_len.dtype == doc_len.dtype and np.array_equal(index.doc_len, doc_len)
     assert index.avgdl == avgdl

@@ -10,7 +10,10 @@ from coil import (
     EncodedQuery,
     ValidationError,
     brute_force_search,
+    build_bm25_index,
     build_index,
+    load_index,
+    save_index,
     score_all_to_all_pair,
     score_full_pair,
     score_tok_pair,
@@ -322,6 +325,25 @@ class TestInstrumentation:
         _, instr = search(inst.index, inst.enc_queries[0], k=5, mode="cls_only")
         assert (instr.lists_touched, instr.postings_scanned, instr.candidates) == (0, 0, 0)
         assert 5 <= instr.cls_scored <= 10
+
+
+def test_the_scorers_index_columns_are_intp(tmp_path):
+    # numpy converts an index array of any other dtype on every gather and
+    # scatter, so an int32 column here costs every query a conversion
+    inst = make_instance(seed=30, num_docs=60, vocab_size=20, max_doc_len=10)
+    save_index(inst.index, tmp_path / "idx")
+    for index in (inst.index, load_index(tmp_path / "idx")):
+        repeated = [lst for lst in index.lists.values() if lst.starts is not None]
+        assert 0 < len(repeated) < len(index.lists)  # both kinds of list occur
+        for lst in index.lists.values():
+            assert lst.ordinals.dtype == np.intp
+        for lst in repeated:
+            for column in (lst.starts, lst.later_rows, lst.later_runs):
+                assert column.dtype == np.intp
+    bm25 = build_bm25_index(inst.docs, inst.tokenizer)
+    assert bm25.postings
+    for ordinals, _ in bm25.postings.values():
+        assert ordinals.dtype == np.intp
 
 
 class TestSearchValidation:
