@@ -71,7 +71,9 @@ class Bm25Index:
     recompute: ``weights``, per ``(k1, b)``, each used term's float64
     document weights ``tf (1 + k1) / (tf + k1 norm)``, parallel to its
     postings, where ``norm = 1 - b + b * dl / avgdl``.  Threads that race to
-    fill it store equal arrays.
+    fill it store equal arrays.  Nothing is evicted: each ``(k1, b)`` a
+    caller searches with keeps its table, up to one postings-sized float64
+    array per term.
     """
 
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (intp ordinals, int32 tfs)

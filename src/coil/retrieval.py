@@ -5,7 +5,10 @@ so both funnel every dot product through `_dots` (one float64 `einsum`)
 and accumulate per-document sums in ascending query-position order.  A
 cell of `_dots` does not depend on how many matrix rows or query rows are
 scored with it, so the arithmetic is bitwise identical between the two
-routes; the reported float32 cast then cannot disagree either.
+routes; the reported float32 cast then cannot disagree either.  The one
+exception is the CLS dot of a document the indexed path keeps: a float64
+BLAS product stands in for it where that product proves the float32 score
+`_dots` would give, as set out below.
 
 Both hot steps are exact.  `einsum` casts each float32 entry to float64
 as it multiplies, so no float64 copy of a matrix is built.  `search_many`
@@ -15,7 +18,7 @@ inverted lists and ranks each query on its own; `search` is a block of one.
 partition and sorts only the scores at or above it, every tie at the cut
 included, so its entries equal those of sorting every score.
 
-The CLS scan is bounded, then rescored.  One float32 BLAS product scores a
+The CLS scan is bounded, then certified.  One float32 BLAS product scores a
 block's queries against every CLS row.  For a CLS row d and a query's cls
 vector q, both n = n_c float32 entries, that product differs from `_dots`
 by at most
@@ -35,12 +38,38 @@ widened by a few float64 ulps for the arithmetic that builds it.  Rounding
 to float32 keeps order, so a document whose upper end, as float32, lies
 below the k-th largest lower end, as float32, scores below the k-th best
 and cannot reach the top k.  Every other document, every tie at the cut
-included, gets its `_dots` value, and the ranker ranks those rows as it
-ranks a tok query's.  Only `_dots` values are ranked, so the entries equal
-those of an exact scan of every row.  A query scans every row exactly when
-k >= num_docs, when its cls vector is not float32, and when an interval end
-is non-finite or at least the float32 maximum in magnitude; the ranker then
-still rejects a non-finite score for any document.
+included, is kept.  A query keeps every row, and each gets its `_dots`
+value, when k >= num_docs, when its cls vector is not float32, and when an
+interval end is non-finite or at least the float32 maximum in magnitude;
+the ranker then still rejects a non-finite score for any document.
+
+A kept row needs `_dots` only for the float32 score it leads to, and a
+float64 BLAS product proves that score for almost every row.  One product
+per block scores every query against the union of the rows the block's
+queries keep, `_GATHER_ROWS` rows cast to float64 at a time, so no float64
+copy of the matrix is kept.  Each product of two float32 numbers is exact
+in float64, and neither it nor any sum underflows or overflows: a product
+is a multiple of 2**-298 below 2**256, and a float64 sum of multiples of
+2**-350 is again one (a rounding to 53 bits keeps it), so every partial
+sum is 0 or at least 2**-350 in magnitude.  Only the n - 1 sums round,
+each with relative error at most 2**-53, so the BLAS value v and the
+`_dots` value w each lie within g(2**-53) |d| |q| of the exact dot, and
+
+    |v - w|  <=  2 g(2**-53) |d| |q|
+
+in any summation order, with or without FMA.  A factor 2 again covers the
+rounding of the norms, and the interval [lo, hi] around v is widened by a
+few float64 ulps, so that w lies in it.  The ranked score is the float32
+cast of ``acc + w``, with ``acc`` the token sum (cls_only mode ranks w
+itself, and 0 + w is w for any w but -0.0).  A rounded addition of ``acc``
+is monotone and so is the cast, so ``float32(acc + w)`` lies between
+``float32(acc + lo)`` and ``float32(acc + hi)``.  Where those two are equal
+and not zero, that value is the score, and the ranker is given ``acc + v``,
+which casts to it.  A zero is rescored with `_dots`: -0.0 and +0.0 compare
+equal, so the interval cannot tell which of them w gives, and a run file
+prints the sign.  Every other row is rescored with `_dots` too, so the
+entries equal those of an exact scan of every row.  On the benchmark's
+full-mode corpus about 1 row in 100,000 is rescored.
 
 Where the ranked-list invariants are checked: the ranker rejects a
 non-finite score and its sort gives the order, one uint64 key per score
@@ -85,10 +114,12 @@ class SearchInstrumentation:
     lists_touched   distinct query token ids that have an inverted list
     postings_scanned  total occurrences stored in those lists
     candidates      distinct documents receiving a token score
-    cls_scored      documents whose CLS dot went through `_dots`; 0 in tok mode
+    cls_scored      documents whose exact float32 CLS score was found; 0 in tok mode
 
     ``cls_scored`` counts the documents the float32 CLS product could not
-    rule out.  That product may round differently for another block size,
+    rule out, every document when the scan falls back; each gets its exact
+    float32 score, from a certified float64 product or from `_dots`.  The
+    float32 product may round differently for another block size,
     so a document whose bound lies within a rounding of the cut may be
     counted in one block and not in another; the ranked lists are the same.
     """
@@ -100,7 +131,11 @@ class SearchInstrumentation:
 
 
 _QUERY_BLOCK = 32  # queries per float32 CLS product: bounds it at 32 x num_docs float32
-_GATHER_ROWS = 64  # CLS rows copied per `_dots` call: as fast as 256, a quarter of the copy
+# CLS rows gathered and cast per float64 product or `_dots` call.  On a 5000 x 768
+# matrix, one query's 1008 kept rows took 0.65 ms in chunks of 64, 0.82 ms in
+# chunks of 256 and 0.98 ms in one piece; a block of 32 queries took 0.22-0.25 ms
+# per query in chunks of 32 to 128 rows, and 0.32 ms in one piece.
+_GATHER_ROWS = 64
 
 
 def _dots(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -135,6 +170,11 @@ def _gamma(n: int, unit: float) -> float:
     return n * unit / (1 - n * unit) if n * unit < 1 else math.inf
 
 
+def _norm(vec: np.ndarray) -> float:
+    """The float64 norm of one vector, from its `_dots` with itself."""
+    return math.sqrt(_dots(vec[None, :], vec[None, :])[0, 0])
+
+
 def _cls_candidates(
     index: CoilIndex, q: EncodedQuery, k: int, acc: np.ndarray, approx: np.ndarray
 ) -> np.ndarray | None:
@@ -148,7 +188,7 @@ def _cls_candidates(
     n = index.config.n_c
     rel = 2 * (_gamma(n, 2.0**-24) + _gamma(n, 2.0**-53))
     tiny = 2 * n * 2.0**-126
-    q_norm = math.sqrt(_dots(q.cls_vec[None, :], q.cls_vec[None, :])[0, 0])
+    q_norm = _norm(q.cls_vec)
     big = float(np.finfo(np.float32).max)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = index.cls_norms * (rel * q_norm + tiny) + tiny * (q_norm + 1)
@@ -295,7 +335,8 @@ def _validate_query(index: CoilIndex, q: EncodedQuery, k: int, mode: str) -> Non
 def _search_block(
     index: CoilIndex, queries: Sequence[EncodedQuery], k: int, mode: str | None
 ) -> list[tuple[RankedList, SearchInstrumentation]]:
-    """Rank a block of queries in order, with one float32 CLS product for the whole block.
+    """Rank a block of queries in order, with one float32 CLS product and one
+    chunked float64 product of the kept CLS rows for the whole block.
 
     An invalid query ends the block: the queries before it are ranked, so
     their errors come first, and then its own error is raised, in the
@@ -309,33 +350,25 @@ def _search_block(
         except ValidationError as exc:
             queries, error = queries[:n], exc
             break
-    approx = None
-    if mode != "tok" and len(queries):
-        # an overflow here leaves its query to the exact scan (`_cls_candidates`);
-        # this orientation packs less and ran faster than block @ cls_matrix.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = np.stack([q.cls_vec for q in queries]).astype(np.float32)
-            approx = (index.cls_matrix @ block.T).T
-    results = [
-        _rank_query(index, q, k, mode, None if approx is None else approx[n])
-        for n, q in enumerate(queries)
-    ]
+    if mode == "tok":
+        results = [_rank_tok(index, q, k) for q in queries]
+    else:
+        results = _rank_cls_block(index, queries, k, mode) if len(queries) else []
     if error is not None:
         raise error
     return results
 
 
-def _rank_query(
-    index: CoilIndex, q: EncodedQuery, k: int, mode: str, approx: np.ndarray | None
-) -> tuple[RankedList, SearchInstrumentation]:
-    """Score one query's inverted lists, add the exact CLS dots of the
-    documents its float32 CLS products ``approx`` cannot rule out, and rank."""
+def _scan_lists(
+    index: CoilIndex, q: EncodedQuery, mode: str
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``q``'s float64 token-score accumulators, the documents they touch,
+    and the lists_touched and postings_scanned counters; all zero in cls_only mode."""
     num_docs = index.num_docs
     acc = np.zeros(num_docs, dtype=np.float64)
     touched = np.zeros(num_docs, dtype=bool)
     touched_tids: set[int] = set()
     scanned = 0
-
     if mode in ("tok", "full"):
         for i, tid in enumerate(q.token_ids):
             if tid == UNKNOWN_TOKEN_ID:
@@ -349,25 +382,107 @@ def _rank_query(
             products = _run_maxima(_dots(lst.vectors, q.token_vecs[i : i + 1])[0], lst)
             acc[lst.ordinals] += products
             touched[lst.ordinals] = True
+    return acc, touched, len(touched_tids), scanned
 
-    if mode == "tok":
-        keep = np.flatnonzero(touched)
-        scores = acc[keep]
-        candidates, cls_scored = len(keep), 0
-    else:
-        keep = _cls_candidates(index, q, k, acc, approx)  # None: every document
-        cls = _cls_dots(index, q, keep)
-        scores = cls if mode == "cls_only" else (acc if keep is None else acc[keep]) + cls
-        candidates, cls_scored = int(np.count_nonzero(touched)), len(cls)
 
-    instr = SearchInstrumentation(
-        lists_touched=len(touched_tids),
-        postings_scanned=scanned,
-        candidates=candidates,
-        cls_scored=cls_scored,
-    )
-    ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, scores, k, index.doc_rank, keep)
+def _rank_tok(
+    index: CoilIndex, q: EncodedQuery, k: int
+) -> tuple[RankedList, SearchInstrumentation]:
+    """Rank the documents that share a token with ``q`` by their token scores."""
+    acc, touched, lists_touched, scanned = _scan_lists(index, q, "tok")
+    keep = np.flatnonzero(touched)
+    instr = SearchInstrumentation(lists_touched, scanned, len(keep), 0)
+    ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, acc[keep], k, index.doc_rank, keep)
     return ranked, instr
+
+
+def _rank_cls_block(
+    index: CoilIndex, queries: Sequence[EncodedQuery], k: int, mode: str
+) -> list[tuple[RankedList, SearchInstrumentation]]:
+    """Rank a block of valid full or cls_only queries: prune the CLS rows
+    with one float32 product, score the rows each query keeps with one
+    float64 product over their union, and certify or rescore each score."""
+    # an overflow here leaves its query to the exact scan (`_cls_candidates`);
+    # this orientation packs less and ran faster than block @ cls_matrix.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = np.stack([q.cls_vec for q in queries]).astype(np.float32)
+        approx = (index.cls_matrix @ block.T).T
+    pruned = []
+    for q, q_approx in zip(queries, approx):
+        acc, touched, lists_touched, scanned = _scan_lists(index, q, mode)
+        keep = _cls_candidates(index, q, k, acc, q_approx)  # None: every document
+        cls_scored = index.num_docs if keep is None else len(keep)
+        instr = SearchInstrumentation(
+            lists_touched, scanned, int(np.count_nonzero(touched)), cls_scored
+        )
+        pruned.append((keep, acc if keep is None else acc[keep], instr))
+    position, products = _kept_products(index, block, [keep for keep, _, _ in pruned])
+    results = []
+    for n, (q, (keep, base, instr)) in enumerate(zip(queries, pruned)):
+        if keep is None:
+            cls = _cls_dots(index, q, None)
+        else:
+            cls = _certified_cls(index, q, base, keep, products[position[keep], n])
+        scores = cls if mode == "cls_only" else base + cls
+        ranked = ranked_list_from_arrays(
+            q.query_id, index.doc_ids, scores, k, index.doc_rank, keep
+        )
+        results.append((ranked, instr))
+    return results
+
+
+def _products64(rows: np.ndarray, block64: np.ndarray) -> np.ndarray:
+    """One float64 BLAS product of float32 CLS ``rows`` with a block's query
+    cls vectors, shape (rows, queries); each cell lies within the module
+    docstring's bound of its `_dots` value."""
+    return rows.astype(np.float64) @ block64.T
+
+
+def _kept_products(
+    index: CoilIndex, block: np.ndarray, keeps: list[np.ndarray | None]
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """`_products64` of the float32 query ``block`` with the union of the CLS
+    rows in ``keeps``, cast `_GATHER_ROWS` rows at a time: each document's
+    position in that union, and the products, shape (union, queries).  None
+    and None when every query falls back to its exact scan."""
+    kept = [keep for keep in keeps if keep is not None]
+    if not kept:
+        return None, None
+    marked = np.zeros(index.num_docs, dtype=bool)
+    for keep in kept:
+        marked[keep] = True
+    union = np.flatnonzero(marked)
+    block64 = block.astype(np.float64)
+    products = np.empty((len(union), len(block64)), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # a falling-back query's column, unread
+        for start in range(0, len(union), _GATHER_ROWS):
+            rows = union[start : start + _GATHER_ROWS]
+            products[start : start + len(rows)] = _products64(index.cls_matrix[rows], block64)
+    return np.cumsum(marked) - 1, products
+
+
+def _certified_cls(
+    index: CoilIndex,
+    q: EncodedQuery,
+    base: np.ndarray,
+    keep: np.ndarray,
+    products: np.ndarray,
+) -> np.ndarray:
+    """CLS values for the kept rows ``keep`` whose sum with their token
+    scores ``base`` casts to the float32 score the `_dots` value gives: the
+    float64 ``products`` where they certify that score, `_dots` elsewhere.
+
+    See the module docstring for the bound and why a certified 0 is rescored.
+    """
+    rel = 2 * 2 * _gamma(index.config.n_c, 2.0**-53)
+    bound = index.cls_norms[keep] * (rel * _norm(q.cls_vec))
+    width = bound + 2.0**-50 * (np.abs(products) + bound)
+    with np.errstate(over="ignore"):  # an end past the float32 range casts to inf, in order
+        lo = (base + (products - width)).astype(np.float32)
+        hi = (base + (products + width)).astype(np.float32)
+    refused = np.flatnonzero((lo != hi) | (lo == 0))
+    products[refused] = _cls_dots(index, q, keep[refused])
+    return products
 
 
 def search(

@@ -207,6 +207,23 @@ class TestSearch:
         keys = [(0.5, 0.2), (0.5, 0.75), (1.2, 0.2), (1.2, 0.75), (2.0, 0.2)]
         assert sorted(index.weights) == keys
 
+    def test_the_weight_cache_keeps_one_table_per_setting_and_evicts_none(self):
+        index, tok = _index(["f x x x", "f y", "x y z"])
+        query = tokenize("f x", tok)
+        used = sorted([tok.vocab["f"], tok.vocab["x"]])
+        bm25_search(index, query, k=3, params=Bm25Params())
+        first = index.weights[(1.2, 0.75)]
+        arrays = dict(first)
+        bm25_search(index, query, k=3, params=Bm25Params(k1=0.5, b=0.2))
+        bm25_search(index, query, k=3, params=Bm25Params())
+        assert sorted(index.weights) == [(0.5, 0.2), (1.2, 0.75)]
+        assert index.weights[(1.2, 0.75)] is first
+        assert all(first[tid] is array for tid, array in arrays.items())
+        for table in index.weights.values():  # postings-sized float64 arrays, one per used term
+            assert sorted(table) == used
+            for tid, array in table.items():
+                assert array.dtype == np.float64 and len(array) == len(index.postings[tid][0])
+
     def test_threads_that_fill_the_weight_cache_rank_as_one_thread(self):
         rng = np.random.default_rng(46)
         texts = random_texts(rng, 60, 12, 20)

@@ -264,12 +264,27 @@ def test_search_equals_brute_force_in_every_served_mode(case):
             assert ranked.entries == brute_force_search(docs, q, k, mode).entries
 
 
+# (CLS row, query cls vector) in their first two entries, both float32
+CERTIFICATE_EDGES = {
+    # 1 + 2**-23 + 2**-24: halfway between two float32 values
+    "midpoint": (np.array([1 + 2.0**-23, 2.0**-24], np.float32), np.array([1, 1], np.float32)),
+    # 2**-150 - 2**-150 (1 + 2**-23) = -2**-173: -0.0 as float32
+    "negative_zero": (
+        np.array([2.0**-75, -(2.0**-75) * (1 + 2.0**-23)], np.float32),
+        np.array([2.0**-75, 2.0**-75], np.float32),
+    ),
+}
+
+
 @st.composite
 def pruned_scan_cases(draw):
     """Indexes that stress the CLS scan's bound: documents that copy a few
     CLS rows and token vectors (float32 ties across the k-th score), vector
     scales from subnormal products to about 1e18, and k from 1 past the
-    number of documents."""
+    number of documents.  Some cases give CLS rows and query cls vectors
+    whose exact dots are float32 rounding midpoints, or tiny negatives that
+    are -0.0 as float32: scores whose float64 products the certificate must
+    refuse."""
     n_t, n_c = draw(st.sampled_from([(3, 1), (3, 4), (0, 3), (2, 33)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ties = draw(st.booleans())
@@ -286,6 +301,13 @@ def pruned_scan_cases(draw):
         )
 
     cls_rows = copies(num_docs, n_c, doc_scale)
+    special = draw(st.sampled_from([None, "midpoint", "negative_zero"])) if n_c >= 2 else None
+    if special is not None:
+        d_cls, q_cls = CERTIFICATE_EDGES[special]
+        two = 2.0 ** draw(st.sampled_from([-20, 0, 20] if special == "midpoint" else [0]))
+        picked = rng.random(num_docs) < 0.5
+        cls_rows[picked] = 0
+        cls_rows[picked, :2] = np.float32(two) * d_cls
     docs = []
     for i, tokens in enumerate(rng.integers(0, 3, (num_docs, draw(st.integers(0, 3))))):
         docs.append(
@@ -295,6 +317,9 @@ def pruned_scan_cases(draw):
     for i in range(draw(st.integers(1, 4))):
         tokens = rng.integers(0, 4, draw(st.integers(0, 3)))
         cls = copies(1, n_c, query_scale)[0]
+        if special is not None and rng.random() < 0.75:
+            cls[:] = 0
+            cls[:2] = q_cls
         queries.append(EncodedQuery(f"q{i}", tokens, copies(len(tokens), n_t, query_scale), cls))
     config = CoilConfig(n_lm=max(n_t, n_c), n_t=n_t, n_c=n_c)
     return config, docs, queries, draw(st.integers(1, num_docs + 2))

@@ -21,7 +21,8 @@ from coil import (
     search_many,
     write_run,
 )
-from coil.retrieval import _dots
+from coil import retrieval
+from coil.retrieval import _dots, _gamma
 from synth import make_instance
 
 
@@ -506,8 +507,9 @@ class TestSearchManyBlocks:
                     search_many(index, [q, q, q], k=k, mode=mode, threads=threads)
 
     @pytest.mark.parametrize("mode", ["full", "cls_only"])
-    def test_the_scan_rescores_few_documents(self, mode):
-        # guards against a silent fall-back to scoring every CLS row exactly
+    def test_the_scan_rescores_few_documents(self, mode, monkeypatch):
+        # guards against a silent fall-back to scoring every CLS row exactly,
+        # in the float32 prune and in the float64 certification after it
         rng = np.random.default_rng(44)
         n_t, n_c = 4, 16
 
@@ -523,7 +525,18 @@ class TestSearchManyBlocks:
             _query(ids, vecs((len(ids), n_t)), vecs(n_c), n_t, f"q{j}")
             for j, ids in enumerate(rng.integers(1, 200, (8, 3)))
         ]
-        for q, (ranked, instr) in zip(queries, search_many(index, queries, k=50, mode=mode)):
+        dotted = []  # CLS rows through `_dots`: each query's norm, twice, and the refused rows
+
+        def counting_dots(matrix, vecs):
+            if matrix.shape[1] == n_c:
+                dotted.append(len(matrix))
+            return _dots(matrix, vecs)
+
+        monkeypatch.setattr(retrieval, "_dots", counting_dots)
+        results = search_many(index, queries, k=50, mode=mode)
+        monkeypatch.undo()
+        assert sum(dotted) < sum(instr.cls_scored for _, instr in results) / 20
+        for q, (ranked, instr) in zip(queries, results):
             assert 50 <= instr.cls_scored < 200
             assert ranked.entries == brute_force_search(docs, q, k=50, mode=mode).entries
 
@@ -538,3 +551,58 @@ class TestSearchManyBlocks:
         with pytest.raises(ValidationError, match="k must be >= 1"):
             search_many(inst.index, inst.enc_queries, k=0, threads=2)
         assert search_many(inst.index, [], k=0, threads=2) == []
+
+
+def _perturbed_products(rows, block64):
+    """`_products64` with every cell moved by the whole proven bound
+    2 g(2**-53) |d| |q| from its `_dots` value: across 0 where 0 is within
+    reach, else toward the float32 rounding midpoint on its side, and past it
+    where it is within reach."""
+    exact = _dots(rows, block64.astype(np.float32)).T
+    row_norms = np.sqrt(_dots(rows, rows).diagonal())
+    query_norms = np.sqrt((block64 * block64).sum(axis=1))
+    reach = 2 * _gamma(rows.shape[1], 2.0**-53) * np.outer(row_norms, query_norms)
+    reach *= 1 - 2.0**-20  # inside the bound, whatever the rounding of these norms
+    reported = exact.astype(np.float32)
+    side = np.where(exact >= reported, np.float32(np.inf), -np.float32(np.inf))
+    midpoint = (reported.astype(np.float64) + np.nextafter(reported, side)) / 2
+    step = np.sign(midpoint - reported)
+    zero_side = np.where(np.arange(exact.size).reshape(exact.shape) % 2, 1.0, -1.0)
+    step = np.where(np.abs(exact) < reach, -np.sign(exact), step)
+    step = np.where(exact == 0, zero_side, step)
+    return exact + step * reach
+
+
+def test_certification_holds_for_products_anywhere_in_the_bound(monkeypatch):
+    """CLS rows at float32 rounding midpoints, and rows whose scores are tiny
+    either side of 0, where a float64 product moved within the bound changes
+    the float32 score: only a certificate that refuses them keeps the oracle's
+    bits, the sign of a zero score included."""
+    mid = [1 + 2.0**-23, 2.0**-24, 0]  # . [1, 1, *] is a float32 rounding midpoint
+    rows = {
+        "mid": mid,
+        "mid-neg": [-x for x in mid],
+        "tiny-pos": [0, 0, 2.0**-149],  # . [1, 1, 2**-60] is 2**-209: +0.0 as float32
+        "tiny-neg": [0, 0, -(2.0**-149)],  # -0.0 as float32
+        "zero": [2.0**-140, -(2.0**-140), 0],
+        "near": [1.0, 2.0**-24, 0],
+    }
+    n_t, n_c = 2, 3
+    docs = [_doc([2], [[1, 1]], cls, n_t, name) for name, cls in rows.items()]
+    filler = np.random.default_rng(47).standard_normal((8, n_c)).astype(np.float32)
+    docs += [_doc([1], [[-1, 1]], cls - 4, n_t, f"low{i}") for i, cls in enumerate(filler)]
+    index = build_index(docs, CoilConfig(n_lm=4, n_t=n_t, n_c=n_c))
+    query_cls = [[1, 1, 2.0**-60], [-1, -1, -(2.0**-60)], [2, 2, 2.0**-59], [0.5, 0.5, 2.0**-61]]
+    queries = [_query([1], [[1, 0]], cls, n_t, f"q{j}") for j, cls in enumerate(query_cls)]
+    monkeypatch.setattr(retrieval, "_products64", _perturbed_products)
+
+    def signed(ranked):
+        return [(doc_id, score.hex()) for doc_id, score in ranked.entries]
+
+    for mode in ("full", "cls_only"):
+        for k in (len(rows), len(docs) - 1):
+            want = [signed(brute_force_search(docs, q, k, mode)) for q in queries]
+            assert [signed(search(index, q, k, mode)[0]) for q in queries] == want
+            for threads in (1, 2, 3):
+                got = search_many(index, queries, k, mode, threads)
+                assert [signed(ranked) for ranked, _ in got] == want
