@@ -38,10 +38,15 @@ widened by a few float64 ulps for the arithmetic that builds it.  Rounding
 to float32 keeps order, so a document whose upper end, as float32, lies
 below the k-th largest lower end, as float32, scores below the k-th best
 and cannot reach the top k.  Every other document, every tie at the cut
-included, is kept.  A query keeps every row, and each gets its `_dots`
-value, when k >= num_docs, when its cls vector is not float32, and when an
-interval end is non-finite or at least the float32 maximum in magnitude;
-the ranker then still rejects a non-finite score for any document.
+included, is kept.  A query keeps every row when k >= num_docs, and when
+an interval end is non-finite or at least the float32 maximum in
+magnitude.  The certificate below then serves those rows too: its float64
+products stay finite, so a score past the float32 range casts to the same
+infinity at both ends of its interval or is refused and rescored, and the
+ranker still rejects a non-finite score for any document.  A query whose
+cls vector is not float32 keeps every row and is never certified: the
+bounds hold for float32 vectors only, so each of its rows gets its `_dots`
+value.
 
 A kept row needs `_dots` only for the float32 score it leads to, and a
 float64 BLAS product proves that score for almost every row.  One product
@@ -117,11 +122,12 @@ class SearchInstrumentation:
     cls_scored      documents whose exact float32 CLS score was found; 0 in tok mode
 
     ``cls_scored`` counts the documents the float32 CLS product could not
-    rule out, every document when the scan falls back; each gets its exact
-    float32 score, from a certified float64 product or from `_dots`.  The
-    float32 product may round differently for another block size,
-    so a document whose bound lies within a rounding of the cut may be
-    counted in one block and not in another; the ranked lists are the same.
+    rule out, every document when the query keeps every row (see the module
+    docstring); each gets its exact float32 score, from a certified float64
+    product or from `_dots`.  The float32 product may round differently for
+    another block size, so a document whose bound lies within a rounding of
+    the cut may be counted in one block and not in another; the ranked
+    lists are the same.
     """
 
     lists_touched: int
@@ -131,7 +137,8 @@ class SearchInstrumentation:
 
 
 _QUERY_BLOCK = 32  # queries per float32 CLS product: bounds it at 32 x num_docs float32
-# CLS rows gathered and cast per float64 product or `_dots` call.  On a 5000 x 768
+# CLS rows gathered and cast per chunk of a block's union product, and gathered
+# per `_dots` call of the rows the certificate refuses.  On a 5000 x 768
 # matrix, one query's 1008 kept rows took 0.65 ms in chunks of 64, 0.82 ms in
 # chunks of 256 and 0.98 ms in one piece; a block of 32 queries took 0.22-0.25 ms
 # per query in chunks of 32 to 128 rows, and 0.32 ms in one piece.
@@ -176,19 +183,19 @@ def _norm(vec: np.ndarray) -> float:
 
 
 def _cls_candidates(
-    index: CoilIndex, q: EncodedQuery, k: int, acc: np.ndarray, approx: np.ndarray
-) -> np.ndarray | None:
+    index: CoilIndex, k: int, acc: np.ndarray | float, approx: np.ndarray, q_norm: float
+) -> np.ndarray:
     """Ordinals, ascending, of every document whose score can reach the k-th
-    best, from the float32 CLS products ``approx``; None for every document.
+    best, from the float32 CLS products ``approx`` of a float32 cls vector
+    of norm ``q_norm`` and the token sums ``acc``.
 
     See the module docstring for the bound and when every document is kept.
     """
-    if k >= index.num_docs or q.cls_vec.dtype != np.float32:
-        return None
+    if k >= index.num_docs:
+        return np.arange(index.num_docs)
     n = index.config.n_c
     rel = 2 * (_gamma(n, 2.0**-24) + _gamma(n, 2.0**-53))
     tiny = 2 * n * 2.0**-126
-    q_norm = _norm(q.cls_vec)
     big = float(np.finfo(np.float32).max)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = index.cls_norms * (rel * q_norm + tiny) + tiny * (q_norm + 1)
@@ -197,17 +204,15 @@ def _cls_candidates(
         lo = centre - width
         hi = centre + width
         if not ((np.abs(lo) < big).all() and (np.abs(hi) < big).all()):  # NaN too
-            return None
+            return np.arange(index.num_docs)
     cut = np.float32(np.partition(lo, len(lo) - k)[len(lo) - k])
     return np.flatnonzero(hi.astype(np.float32) >= cut)
 
 
-def _cls_dots(index: CoilIndex, q: EncodedQuery, rows: np.ndarray | None) -> np.ndarray:
-    """`_dots` of ``q``'s cls vector with the CLS rows ``rows`` (None: every row),
-    copying at most `_GATHER_ROWS` rows at a time."""
+def _cls_dots(index: CoilIndex, q: EncodedQuery, rows: np.ndarray) -> np.ndarray:
+    """`_dots` of ``q``'s cls vector with the CLS rows ``rows``, copying at
+    most `_GATHER_ROWS` rows at a time."""
     vec = q.cls_vec[None, :]
-    if rows is None:
-        return _dots(index.cls_matrix, vec)[0]
     out = np.empty(len(rows), dtype=np.float64)
     for start in range(0, len(rows), _GATHER_ROWS):
         part = rows[start : start + _GATHER_ROWS]
@@ -360,69 +365,77 @@ def _search_block(
 
 
 def _scan_lists(
-    index: CoilIndex, q: EncodedQuery, mode: str
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``q``'s float64 token-score accumulators, the documents they touch,
-    and the lists_touched and postings_scanned counters; all zero in cls_only mode."""
+    index: CoilIndex, q: EncodedQuery
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+    """``q``'s float64 token-score accumulators, the ordinals of the
+    documents they touch, and its lists_touched, postings_scanned and
+    candidates counters."""
     num_docs = index.num_docs
     acc = np.zeros(num_docs, dtype=np.float64)
     touched = np.zeros(num_docs, dtype=bool)
     touched_tids: set[int] = set()
     scanned = 0
-    if mode in ("tok", "full"):
-        for i, tid in enumerate(q.token_ids):
-            if tid == UNKNOWN_TOKEN_ID:
-                continue
-            lst = index.lists.get(tid)
-            if lst is None:
-                continue
-            if tid not in touched_tids:
-                touched_tids.add(tid)
-                scanned += len(lst)
-            products = _run_maxima(_dots(lst.vectors, q.token_vecs[i : i + 1])[0], lst)
-            acc[lst.ordinals] += products
-            touched[lst.ordinals] = True
-    return acc, touched, len(touched_tids), scanned
+    for i, tid in enumerate(q.token_ids):
+        if tid == UNKNOWN_TOKEN_ID:
+            continue
+        lst = index.lists.get(tid)
+        if lst is None:
+            continue
+        if tid not in touched_tids:
+            touched_tids.add(tid)
+            scanned += len(lst)
+        products = _run_maxima(_dots(lst.vectors, q.token_vecs[i : i + 1])[0], lst)
+        acc[lst.ordinals] += products
+        touched[lst.ordinals] = True
+    ordinals = np.flatnonzero(touched)
+    return acc, ordinals, (len(touched_tids), scanned, len(ordinals))
 
 
 def _rank_tok(
     index: CoilIndex, q: EncodedQuery, k: int
 ) -> tuple[RankedList, SearchInstrumentation]:
     """Rank the documents that share a token with ``q`` by their token scores."""
-    acc, touched, lists_touched, scanned = _scan_lists(index, q, "tok")
-    keep = np.flatnonzero(touched)
-    instr = SearchInstrumentation(lists_touched, scanned, len(keep), 0)
+    acc, keep, counters = _scan_lists(index, q)
     ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, acc[keep], k, index.doc_rank, keep)
-    return ranked, instr
+    return ranked, SearchInstrumentation(*counters, 0)
 
 
 def _rank_cls_block(
     index: CoilIndex, queries: Sequence[EncodedQuery], k: int, mode: str
 ) -> list[tuple[RankedList, SearchInstrumentation]]:
     """Rank a block of valid full or cls_only queries: prune the CLS rows
-    with one float32 product, score the rows each query keeps with one
-    float64 product over their union, and certify or rescore each score."""
-    # an overflow here leaves its query to the exact scan (`_cls_candidates`);
+    with one float32 product, score the rows each float32 query keeps with
+    one float64 product over their union, and certify or rescore each
+    score.  A query whose cls vector is not float32 keeps every row, each
+    scored with `_dots`."""
+    # an overflow here makes its query keep every row (`_cls_candidates`);
     # this orientation packs less and ran faster than block @ cls_matrix.T
     with np.errstate(over="ignore", invalid="ignore"):
         block = np.stack([q.cls_vec for q in queries]).astype(np.float32)
         approx = (index.cls_matrix @ block.T).T
+    certified = np.array([q.cls_vec.dtype == np.float32 for q in queries])
     pruned = []
-    for q, q_approx in zip(queries, approx):
-        acc, touched, lists_touched, scanned = _scan_lists(index, q, mode)
-        keep = _cls_candidates(index, q, k, acc, q_approx)  # None: every document
-        cls_scored = index.num_docs if keep is None else len(keep)
-        instr = SearchInstrumentation(
-            lists_touched, scanned, int(np.count_nonzero(touched)), cls_scored
-        )
-        pruned.append((keep, acc if keep is None else acc[keep], instr))
-    position, products = _kept_products(index, block, [keep for keep, _, _ in pruned])
+    for q, q_approx, certify in zip(queries, approx, certified):
+        if mode == "full":
+            acc, _, counters = _scan_lists(index, q)
+        else:  # no token sum: cls_only mode ranks the CLS dot itself
+            acc, counters = 0.0, (0, 0, 0)
+        if certify:
+            q_norm = _norm(q.cls_vec)
+            keep = _cls_candidates(index, k, acc, q_approx, q_norm)
+        else:  # never certified: each row's score comes from `_dots`
+            q_norm, keep = math.nan, np.arange(index.num_docs)
+        base = acc[keep] if mode == "full" else acc
+        pruned.append((keep, base, q_norm, SearchInstrumentation(*counters, len(keep))))
+    keeps = [keep for (keep, _, _, _), certify in zip(pruned, certified) if certify]
+    position, products = _kept_products(index, block[certified], keeps)
+    column = np.cumsum(certified) - 1  # each float32 query's column of ``products``
     results = []
-    for n, (q, (keep, base, instr)) in enumerate(zip(queries, pruned)):
-        if keep is None:
-            cls = _cls_dots(index, q, None)
+    for n, (q, (keep, base, q_norm, instr)) in enumerate(zip(queries, pruned)):
+        if not certified[n]:  # every row, in one `_dots` pass
+            cls = _dots(index.cls_matrix, q.cls_vec[None, :])[0]
         else:
-            cls = _certified_cls(index, q, base, keep, products[position[keep], n])
+            cls = _certified_cls(index, q, base, keep, products[position[keep], column[n]], q_norm)
         scores = cls if mode == "cls_only" else base + cls
         ranked = ranked_list_from_arrays(
             q.query_id, index.doc_ids, scores, k, index.doc_rank, keep
@@ -439,43 +452,40 @@ def _products64(rows: np.ndarray, block64: np.ndarray) -> np.ndarray:
 
 
 def _kept_products(
-    index: CoilIndex, block: np.ndarray, keeps: list[np.ndarray | None]
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+    index: CoilIndex, block: np.ndarray, keeps: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """`_products64` of the float32 query ``block`` with the union of the CLS
     rows in ``keeps``, cast `_GATHER_ROWS` rows at a time: each document's
-    position in that union, and the products, shape (union, queries).  None
-    and None when every query falls back to its exact scan."""
-    kept = [keep for keep in keeps if keep is not None]
-    if not kept:
-        return None, None
+    position in that union, and the products, shape (union, queries)."""
     marked = np.zeros(index.num_docs, dtype=bool)
-    for keep in kept:
+    for keep in keeps:
         marked[keep] = True
     union = np.flatnonzero(marked)
     block64 = block.astype(np.float64)
     products = np.empty((len(union), len(block64)), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # a falling-back query's column, unread
-        for start in range(0, len(union), _GATHER_ROWS):
-            rows = union[start : start + _GATHER_ROWS]
-            products[start : start + len(rows)] = _products64(index.cls_matrix[rows], block64)
+    for start in range(0, len(union), _GATHER_ROWS):
+        rows = union[start : start + _GATHER_ROWS]
+        products[start : start + len(rows)] = _products64(index.cls_matrix[rows], block64)
     return np.cumsum(marked) - 1, products
 
 
 def _certified_cls(
     index: CoilIndex,
     q: EncodedQuery,
-    base: np.ndarray,
+    base: np.ndarray | float,
     keep: np.ndarray,
     products: np.ndarray,
+    q_norm: float,
 ) -> np.ndarray:
     """CLS values for the kept rows ``keep`` whose sum with their token
     scores ``base`` casts to the float32 score the `_dots` value gives: the
     float64 ``products`` where they certify that score, `_dots` elsewhere.
+    ``q_norm`` is the norm of ``q``'s float32 cls vector.
 
     See the module docstring for the bound and why a certified 0 is rescored.
     """
     rel = 2 * 2 * _gamma(index.config.n_c, 2.0**-53)
-    bound = index.cls_norms[keep] * (rel * _norm(q.cls_vec))
+    bound = index.cls_norms[keep] * (rel * q_norm)
     width = bound + 2.0**-50 * (np.abs(products) + bound)
     with np.errstate(over="ignore"):  # an end past the float32 range casts to inf, in order
         lo = (base + (products - width)).astype(np.float32)

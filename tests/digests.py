@@ -8,7 +8,8 @@ Drives ``coil.cli.main`` in-process over a corpus made by ``synth`` (plus a
 one-token document, a repeated-token document, one with punctuation and
 non-ASCII text, and ids holding ``%``) and writes under OUT_DIR: the
 coil-enc file, the index and ``stats`` of five shapes; ``search`` in every
-mode each index serves, at 1 and 2 threads, with the per-query counters its
+mode each index serves, at 1 and 2 threads and, in full and cls_only modes,
+at the default k and at ``--k 5``, with the per-query counters its
 ``--instrument`` prints to stderr; ``eval`` of every run; ``bm25`` at three
 settings; and ``sample-negs`` at two.  It then prints one
 ``sha256  relative/path`` line per file, sorted by path.  Output of two
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -109,10 +111,14 @@ def write_outputs(out: Path, num_docs: int) -> None:
         _cli(["stats", str(idx)], shape / "stats.json")
         modes = ["tok", "full", "cls_only"] if n_t and n_c else ["tok" if n_t else "cls_only"]
         for mode in modes:
-            for threads in ("1", "2"):
-                run = shape / f"run-{mode}-t{threads}.txt"
+            # the default k keeps every CLS row of a corpus of up to 1000
+            # documents; k = 5 prunes them
+            ks = [""] if mode == "tok" else ["", "5"]
+            for threads, k in itertools.product(("1", "2"), ks):
+                run = shape / f"run-{mode}-t{threads}{k and '-k' + k}.txt"
                 argv = ["search", str(idx), queries, str(run), "--mode", mode]
-                err = _cli([*argv, "--threads", threads, "--tag", "x%s%%", "--instrument"])
+                argv += ["--threads", threads, *(["--k", k] if k else [])]
+                err = _cli([*argv, "--tag", "x%s%%", "--instrument"])
                 # the counter lines; the status line names the run's path
                 counters = [line + "\n" for line in err.splitlines() if line.startswith("{")]
                 run.with_name(f"counters-{run.stem}.jsonl").write_text("".join(counters))

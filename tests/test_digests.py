@@ -27,6 +27,7 @@ def test_two_runs_print_equal_digests(tmp_path):
     for path in (
         "full/enc.coil", "full/idx/postings.bin", "full/stats.json",
         "full/run-cls_only-t2.txt", "full/eval-run-tok-t1.txt", "cls-only/idx/cls.bin",
+        "layer-norm/counters-run-full-t1-k5.jsonl",
         "tok/counters-run-tok-t2.jsonl",
         "bm25/eval-run-k7-b0.3-k2-1.txt", "negs-depth50-count3-seed9.jsonl",
     ):

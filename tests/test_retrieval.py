@@ -440,18 +440,22 @@ class TestSearchManyBlocks:
     @pytest.mark.parametrize("batch", [1, 31, 32, 33, 67])
     def test_blocks_equal_single_searches_and_the_oracle(self, inst, tmp_path, mode, batch):
         queries = inst.enc_queries[:batch]
-        singles = [search(inst.index, q, k=self.K, mode=mode) for q in queries]
-        for q, (ranked, _) in zip(queries, singles):
-            want = brute_force_search(inst.enc_docs, q, k=self.K, mode=mode)
-            assert ranked.entries == want.entries, f"{mode} mismatch for {q.query_id}"
-        runs = set()
-        for threads in (1, 2, 3):
-            results = search_many(inst.index, queries, k=self.K, mode=mode, threads=threads)
-            assert results == singles
-            path = tmp_path / f"run{threads}.txt"
-            write_run({ranked.query_id: ranked for ranked, _ in results}, path, tag=mode)
-            runs.add(path.read_bytes())
-        assert len(runs) == 1
+        empty = build_index([], inst.config)
+        for index, docs in ((inst.index, inst.enc_docs), (empty, [])):
+            singles = [search(index, q, k=self.K, mode=mode) for q in queries]
+            for q, (ranked, _) in zip(queries, singles):
+                want = brute_force_search(docs, q, k=self.K, mode=mode)
+                assert ranked.entries == want.entries, f"{mode} mismatch for {q.query_id}"
+            runs = set()
+            for threads in (1, 2, 3):
+                results = search_many(index, queries, k=self.K, mode=mode, threads=threads)
+                assert results == singles
+                path = tmp_path / f"run{threads}.txt"
+                write_run({ranked.query_id: ranked for ranked, _ in results}, path, tag=mode)
+                runs.add(path.read_bytes())
+            assert len(runs) == 1
+        # the empty index ranks nothing and scores no CLS row
+        assert [(r.entries, instr.cls_scored) for r, instr in singles] == [([], 0)] * batch
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bad_at", [0, 30, 31, 32, 33, 66])
@@ -485,7 +489,7 @@ class TestSearchManyBlocks:
     @pytest.mark.parametrize("mode", ["full", "cls_only"])
     def test_an_overflowing_score_raises_even_where_the_bound_would_prune_it(self, mode):
         # one document's score overflows float32 downwards: far below the k-th
-        # best, so only the fallback to the exact scan lets the ranker see it
+        # best, so only keeping every row for its query lets the ranker see it
         rng = np.random.default_rng(43)
         n_t, n_c = 2, 3
         q_cls = np.full(n_c, 1e19, dtype=np.float32)
@@ -509,7 +513,9 @@ class TestSearchManyBlocks:
     @pytest.mark.parametrize("mode", ["full", "cls_only"])
     def test_the_scan_rescores_few_documents(self, mode, monkeypatch):
         # guards against a silent fall-back to scoring every CLS row exactly,
-        # in the float32 prune and in the float64 certification after it
+        # in the float32 prune and in the float64 certification after it; at
+        # k above the corpus size every query keeps every row, and the
+        # certificate still spares them `_dots`
         rng = np.random.default_rng(44)
         n_t, n_c = 4, 16
 
@@ -525,20 +531,22 @@ class TestSearchManyBlocks:
             _query(ids, vecs((len(ids), n_t)), vecs(n_c), n_t, f"q{j}")
             for j, ids in enumerate(rng.integers(1, 200, (8, 3)))
         ]
-        dotted = []  # CLS rows through `_dots`: each query's norm, twice, and the refused rows
+        dotted = []  # CLS rows through `_dots`: each query's norm, once, and the refused rows
 
         def counting_dots(matrix, vecs):
             if matrix.shape[1] == n_c:
                 dotted.append(len(matrix))
             return _dots(matrix, vecs)
 
-        monkeypatch.setattr(retrieval, "_dots", counting_dots)
-        results = search_many(index, queries, k=50, mode=mode)
-        monkeypatch.undo()
-        assert sum(dotted) < sum(instr.cls_scored for _, instr in results) / 20
-        for q, (ranked, instr) in zip(queries, results):
-            assert 50 <= instr.cls_scored < 200
-            assert ranked.entries == brute_force_search(docs, q, k=50, mode=mode).entries
+        for k, scored in ((50, range(50, 200)), (2500, [2000])):
+            dotted.clear()
+            monkeypatch.setattr(retrieval, "_dots", counting_dots)
+            results = search_many(index, queries, k=k, mode=mode)
+            monkeypatch.undo()
+            assert sum(dotted) < sum(instr.cls_scored for _, instr in results) / 20
+            for q, (ranked, instr) in zip(queries, results):
+                assert instr.cls_scored in scored
+                assert ranked.entries == brute_force_search(docs, q, k=k, mode=mode).entries
 
     def test_a_float64_query_scores_every_row(self, inst):
         q = inst.enc_queries[0]
@@ -600,7 +608,7 @@ def test_certification_holds_for_products_anywhere_in_the_bound(monkeypatch):
         return [(doc_id, score.hex()) for doc_id, score in ranked.entries]
 
     for mode in ("full", "cls_only"):
-        for k in (len(rows), len(docs) - 1):
+        for k in (len(rows), len(docs) - 1, len(docs)):  # the last keeps every row
             want = [signed(brute_force_search(docs, q, k, mode)) for q in queries]
             assert [signed(search(index, q, k, mode)[0]) for q in queries] == want
             for threads in (1, 2, 3):
