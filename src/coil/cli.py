@@ -29,7 +29,6 @@ from .core import (
     ValidationError,
     load_documents,
     load_queries,
-    validate_config,
 )
 from .encoding import (
     EncoderSpec,
@@ -51,14 +50,12 @@ from .retrieval import search_many
 
 def cmd_encode(args: argparse.Namespace) -> int:
     docs = load_documents(args.corpus)
-    config = validate_config(
-        CoilConfig(
-            n_lm=args.n_lm,
-            n_t=args.n_t,
-            n_c=args.n_c,
-            max_doc_tokens=args.max_doc_tokens,
-            cls_layer_norm=args.layer_norm,
-        )
+    config = CoilConfig(
+        n_lm=args.n_lm,
+        n_t=args.n_t,
+        n_c=args.n_c,
+        max_doc_tokens=args.max_doc_tokens,
+        cls_layer_norm=args.layer_norm,
     )
     spec = EncoderSpec(
         tokenizer=build_vocab(d.text for d in docs),

@@ -5,6 +5,13 @@ floats at rest, summations accumulate in 64-bit, and the final reported
 score is rounded back to 32-bit.  Ranked results are always ordered by
 score descending with ties broken by doc id ascending.
 
+Records and settings are valid once they are built.  An
+:class:`EncodedDocument` or :class:`EncodedQuery` stores its token ids as
+int32 and its vectors as float32 when it is constructed, rejecting a value
+either type cannot hold, so the index, the coil-enc writer and search take
+its arrays as they are.  A :class:`CoilConfig` checks every rule of
+:func:`validate_config` when it is constructed.
+
 A ranked list's invariants are each checked in one place.  Every score is
 finite, doc ids are unique, and scores never rise down the list:
 :class:`RankedList` checks all three, in one loop over the entries, for a
@@ -102,7 +109,8 @@ class CoilConfig:
     disables the CLS vector (token-only variant); n_t = 1 gives the
     term-importance degenerate variant.  ``mode`` is the richest scoring
     mode the dims support (see :func:`derive_mode`); it is derived when
-    omitted, and an explicit value must equal it.
+    omitted, and an explicit value must equal it.  Construction checks every
+    rule of :func:`validate_config`, so a config that exists is valid.
     """
 
     n_lm: int
@@ -115,6 +123,7 @@ class CoilConfig:
     def __post_init__(self) -> None:
         if self.mode is None:
             object.__setattr__(self, "mode", derive_mode(self.n_t, self.n_c))
+        validate_config(self)
 
 
 def derive_mode(n_t: int, n_c: int) -> str:
@@ -129,7 +138,8 @@ def derive_mode(n_t: int, n_c: int) -> str:
 
 
 def validate_config(config: CoilConfig) -> CoilConfig:
-    """Return ``config`` unchanged, or raise naming the first violated invariant."""
+    """Return ``config`` unchanged, or raise naming the first violated
+    invariant; :class:`CoilConfig` calls it when it is constructed."""
     if config.n_lm < 1:
         raise ValidationError("n_lm must be >= 1")
     if config.n_t < 0:
@@ -183,14 +193,14 @@ _CONFIG_TYPES = {
 
 
 def config_from_meta(obj: object, source: str) -> CoilConfig:
-    """Parse and validate the JSON form of a CoilConfig (``dataclasses.asdict``).
+    """Parse the JSON form of a CoilConfig (``dataclasses.asdict``).
 
     Stored settings that break a config rule are a malformed file, so the
     ValidationError comes back as a FormatError naming ``source``.
     """
     fields = check_fields(obj, _CONFIG_TYPES, source)
     try:
-        return validate_config(CoilConfig(**fields))
+        return CoilConfig(**fields)
     except ValidationError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
@@ -235,36 +245,55 @@ class ProjectionParams:
         return self
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    return values.dtype.kind in "fiu" and bool(np.isfinite(values).all())
+def _float32(name: str, kind: str, vec: np.ndarray) -> np.ndarray:
+    """``vec`` itself when it is float32, else its float32 cast; raises
+    unless every entry is finite, and finite as float32."""
+    if vec.dtype.kind not in "fiu" or not np.isfinite(vec).all():
+        raise ValidationError(f"{name}: non-finite {kind} entry")
+    if vec.dtype != np.float32:
+        with np.errstate(over="ignore"):
+            vec = vec.astype(np.float32)
+        if not np.isfinite(vec).all():
+            raise ValidationError(f"{name}: {kind} entry beyond the float32 range")
+    return vec
 
 
 def _check_encoded(rec: EncodedDocument | EncodedQuery, kind: str, rec_id: str) -> None:
-    """The rule every encoded document and query obeys; stores its fields as arrays."""
+    """The rule every encoded document and query obeys; stores its token ids
+    as int32 and its vectors as float32, converting only arrays of other types."""
     check_id(kind, rec_id)
     name = f"{kind} {rec_id!r}"
-    rec.token_ids = token_ids = np.asarray(rec.token_ids)
-    rec.token_vecs = token_vecs = np.asarray(rec.token_vecs)
+    token_ids = np.asarray(rec.token_ids)
+    token_vecs = np.asarray(rec.token_vecs)
     if token_ids.ndim != 1 or token_ids.dtype.kind not in "iu" or (token_ids < 0).any():
         raise ValidationError(f"{name}: token_ids must be a 1-D array of non-negative integers")
+    if token_ids.dtype != np.int32:
+        if token_ids.size and token_ids.max() >= 2**31:
+            raise ValidationError(f"{name}: token id {token_ids.max()} does not fit in int32")
+        token_ids = token_ids.astype(np.int32)
     if token_vecs.ndim != 2 or len(token_vecs) != len(token_ids):
         raise ValidationError(
             f"{name}: token_vecs shape {token_vecs.shape} does not fit "
             f"token_ids shape {token_ids.shape}"
         )
-    if not _all_finite(token_vecs):
-        raise ValidationError(f"{name}: non-finite token vector entry")
+    rec.token_ids, rec.token_vecs = token_ids, _float32(name, "token vector", token_vecs)
     if rec.cls_vec is not None:
-        rec.cls_vec = cls_vec = np.asarray(rec.cls_vec)
+        cls_vec = np.asarray(rec.cls_vec)
         if cls_vec.ndim != 1:
             raise ValidationError(f"{name}: cls_vec shape {cls_vec.shape} is not 1-D")
-        if not _all_finite(cls_vec):
-            raise ValidationError(f"{name}: non-finite cls_vec entry")
+        rec.cls_vec = _float32(name, "cls_vec", cls_vec)
 
 
 @dataclass
 class EncodedDocument:
-    """A document as per-token vectors plus an optional whole-document vector."""
+    """A document as per-token vectors plus an optional whole-document vector.
+
+    Construction checks the record and stores ``token_ids`` as int32 and the
+    vectors as float32, the types an index holds: an array of another type
+    is converted once, so a float64 vector is rounded to float32 here, and
+    an id past the int32 range or a vector entry past the float32 range
+    raises ValidationError.  int32 and float32 arrays are kept as given.
+    """
 
     doc_id: str
     token_ids: np.ndarray  # (m,) int32
@@ -277,10 +306,12 @@ class EncodedDocument:
 
 @dataclass
 class EncodedQuery:
+    """A query as :class:`EncodedDocument` holds a document, by the same rule."""
+
     query_id: str
-    token_ids: np.ndarray
-    token_vecs: np.ndarray
-    cls_vec: np.ndarray | None
+    token_ids: np.ndarray  # (m,) int32
+    token_vecs: np.ndarray  # (m, n_t) float32
+    cls_vec: np.ndarray | None  # (n_c,) float32, None when n_c = 0
 
     def __post_init__(self) -> None:
         _check_encoded(self, "query", self.query_id)
@@ -290,8 +321,7 @@ def check_encoded_dims(
     name: str, rec: EncodedDocument | EncodedQuery, n_t: int, n_c: int
 ) -> None:
     """Raise unless ``rec`` has n_t-wide token vectors and a cls_vec of shape
-    (n_c,), or no cls_vec when n_c = 0, and fits the stored types: token ids
-    below 2**31 and vector entries that stay finite when cast to float32."""
+    (n_c,), or no cls_vec when n_c = 0; its types were checked when it was built."""
     if rec.token_vecs.shape[1] != n_t:
         raise ValidationError(
             f"{name}: token vectors have dimension {rec.token_vecs.shape[1]}, expected n_t={n_t}"
@@ -300,14 +330,6 @@ def check_encoded_dims(
     if cls_shape != ((n_c,) if n_c else None):
         expected = f"shape ({n_c},)" if n_c else "no cls_vec"
         raise ValidationError(f"{name}: cls_vec shape {cls_shape}, n_c={n_c} requires {expected}")
-    ids = rec.token_ids
-    if ids.dtype != np.int32 and ids.size and ids.max() >= 2**31:
-        raise ValidationError(f"{name}: token id {ids.max()} does not fit in int32")
-    for kind, vec in (("token vector", rec.token_vecs), ("cls_vec", rec.cls_vec)):
-        if vec is not None and vec.dtype != np.float32:
-            with np.errstate(over="ignore"):
-                if not np.isfinite(vec.astype(np.float32)).all():
-                    raise ValidationError(f"{name}: {kind} entry beyond the float32 range")
 
 
 class RankedList:

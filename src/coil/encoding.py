@@ -52,7 +52,6 @@ from .core import (
     check_fields,
     config_from_meta,
     utf8_error,
-    validate_config,
 )
 
 UNKNOWN_TOKEN_ID = 0
@@ -272,7 +271,6 @@ def _param_stream(seed: int, tag: bytes, count: int, scale: float) -> np.ndarray
 
 def seeded_projection(config: CoilConfig, seed: int) -> ProjectionParams:
     """Reproducible projection parameters, entries in [-1,1]/sqrt(n_lm)."""
-    validate_config(config)
     scale = 1.0 / np.sqrt(config.n_lm)
     n_lm, n_t, n_c = config.n_lm, config.n_t, config.n_c
     return ProjectionParams(
@@ -466,8 +464,8 @@ def write_encoded(
     The header holds ``encoder.to_meta()`` under ``encoder`` when one is given.
     A record is the id's UTF-8 byte length and the token count m as ``<u4``,
     then the id, m ``<i4`` token ids, m * n_t ``<f4`` token vector entries
-    and, when n_c >= 1, n_c ``<f4`` cls_vec entries.  Vectors are cast to
-    float32 as :func:`~coil.index.build_index` casts them.  The file is
+    and, when n_c >= 1, n_c ``<f4`` cls_vec entries: each record's own int32
+    ids and float32 vectors, which it holds from construction.  The file is
     replaced only once every record is written.
     """
     header = {"format": ENCODED_FORMAT, "version": ENCODED_VERSION, "n_t": n_t, "n_c": n_c}

@@ -43,7 +43,6 @@ from .core import (
     config_from_meta,
     rank_doc_ids,
     read_json,
-    validate_config,
 )
 from .encoding import vocab_from_meta
 from .encoding import fnv1a64  # noqa: F401  (unused here; coilbench/tracing.py wraps this name)
@@ -105,8 +104,10 @@ class CoilIndex:
     ``lists`` maps each token id to its :class:`InvertedList`, whose
     ``vectors`` and ``doc_refs`` are slices of the rows; it is built from
     them on construction, and :func:`save_index` writes the rows as they are.
-    Construction first checks the order the lists rely on, raising
-    ValidationError: token ids never decrease, ordinals never decrease
+    Construction first checks the column shapes and the order the lists rely
+    on, raising ValidationError: ``doc_refs`` is as long as ``token_ids``,
+    ``vectors`` is (N, n_t), ``cls_matrix`` is (num_docs, n_c) and None
+    exactly when n_c = 0, token ids never decrease, ordinals never decrease
     within a token id, and every ordinal names a document.
     """
 
@@ -127,6 +128,15 @@ class CoilIndex:
     cls_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n_c = self.config.n_c
+        cls_shape = None if self.cls_matrix is None else self.cls_matrix.shape
+        for name, actual, expected in (
+            ("doc_refs", self.doc_refs.shape, self.token_ids.shape),
+            ("vectors", self.vectors.shape, (len(self.token_ids), self.config.n_t)),
+            ("cls_matrix", cls_shape, (self.num_docs, n_c) if n_c else None),
+        ):
+            if actual != expected:
+                raise ValidationError(f"{name} shape {actual}, expected {expected}")
         _check_rows(self.token_ids, self.doc_refs, self.num_docs)
         self.lists = _lists_from_rows(self.token_ids, self.doc_refs, self.vectors)
         self.doc_ids = np.array(self.doc_table, dtype=object)
@@ -246,7 +256,6 @@ def build_index(
     tokens still occupies an ordinal (and a CLS row when n_c >= 1).  A
     duplicate doc id raises when the index is constructed.
     """
-    validate_config(config)
     n_t, n_c = config.n_t, config.n_c
     doc_table: list[str] = []
     lengths: list[int] = []
@@ -258,10 +267,10 @@ def build_index(
         check_encoded_dims(f"document {doc.doc_id!r}", doc, n_t, n_c)
         doc_table.append(doc.doc_id)
         lengths.append(len(doc.token_ids))
-        tid_parts.append(np.asarray(doc.token_ids, dtype=np.int32))
-        vec_parts.append(np.asarray(doc.token_vecs, dtype=np.float32))
+        tid_parts.append(doc.token_ids)
+        vec_parts.append(doc.token_vecs)
         if n_c >= 1:
-            cls_rows.append(np.asarray(doc.cls_vec, dtype=np.float32).reshape(1, n_c))
+            cls_rows.append(doc.cls_vec[None, :])
 
     tids = np.concatenate(tid_parts)
     counts = np.asarray(lengths, dtype=np.int32)

@@ -43,10 +43,10 @@ an interval end is non-finite or at least the float32 maximum in
 magnitude.  The certificate below then serves those rows too: its float64
 products stay finite, so a score past the float32 range casts to the same
 infinity at both ends of its interval or is refused and rescored, and the
-ranker still rejects a non-finite score for any document.  A query whose
-cls vector is not float32 keeps every row and is never certified: the
-bounds hold for float32 vectors only, so each of its rows gets its `_dots`
-value.
+ranker still rejects a non-finite score for any document.  The bounds need
+float32 vectors on both sides, and they hold for every query: an index
+stores float32 CLS rows, and `EncodedQuery` stores its cls vector as
+float32 when it is built.
 
 A kept row needs `_dots` only for the float32 score it leads to, and a
 float64 BLAS product proves that score for almost every row.  One product
@@ -230,13 +230,12 @@ def _check_token_dims(q: EncodedQuery, d: EncodedDocument) -> None:
 
 def _tok_score_f64(q: EncodedQuery, d: EncodedDocument) -> tuple[float, bool]:
     """Raw float64 exact-match score and whether any query token matched."""
-    doc_ids = np.asarray(d.token_ids)
     total = 0.0
     matched = False
     for i, tid in enumerate(q.token_ids):
         if tid == UNKNOWN_TOKEN_ID:
             continue
-        rows = np.flatnonzero(doc_ids == tid)
+        rows = np.flatnonzero(d.token_ids == tid)
         if len(rows) == 0:
             continue
         matched = True
@@ -404,38 +403,27 @@ def _rank_cls_block(
     index: CoilIndex, queries: Sequence[EncodedQuery], k: int, mode: str
 ) -> list[tuple[RankedList, SearchInstrumentation]]:
     """Rank a block of valid full or cls_only queries: prune the CLS rows
-    with one float32 product, score the rows each float32 query keeps with
-    one float64 product over their union, and certify or rescore each
-    score.  A query whose cls vector is not float32 keeps every row, each
-    scored with `_dots`."""
+    with one float32 product, score the rows each query keeps with one
+    float64 product over their union, and certify or rescore each score."""
     # an overflow here makes its query keep every row (`_cls_candidates`);
     # this orientation packs less and ran faster than block @ cls_matrix.T
+    block = np.stack([q.cls_vec for q in queries])
     with np.errstate(over="ignore", invalid="ignore"):
-        block = np.stack([q.cls_vec for q in queries]).astype(np.float32)
         approx = (index.cls_matrix @ block.T).T
-    certified = np.array([q.cls_vec.dtype == np.float32 for q in queries])
     pruned = []
-    for q, q_approx, certify in zip(queries, approx, certified):
+    for q, q_approx in zip(queries, approx):
         if mode == "full":
             acc, _, counters = _scan_lists(index, q)
         else:  # no token sum: cls_only mode ranks the CLS dot itself
             acc, counters = 0.0, (0, 0, 0)
-        if certify:
-            q_norm = _norm(q.cls_vec)
-            keep = _cls_candidates(index, k, acc, q_approx, q_norm)
-        else:  # never certified: each row's score comes from `_dots`
-            q_norm, keep = math.nan, np.arange(index.num_docs)
+        q_norm = _norm(q.cls_vec)
+        keep = _cls_candidates(index, k, acc, q_approx, q_norm)
         base = acc[keep] if mode == "full" else acc
         pruned.append((keep, base, q_norm, SearchInstrumentation(*counters, len(keep))))
-    keeps = [keep for (keep, _, _, _), certify in zip(pruned, certified) if certify]
-    position, products = _kept_products(index, block[certified], keeps)
-    column = np.cumsum(certified) - 1  # each float32 query's column of ``products``
+    position, products = _kept_products(index, block, [keep for keep, _, _, _ in pruned])
     results = []
     for n, (q, (keep, base, q_norm, instr)) in enumerate(zip(queries, pruned)):
-        if not certified[n]:  # every row, in one `_dots` pass
-            cls = _dots(index.cls_matrix, q.cls_vec[None, :])[0]
-        else:
-            cls = _certified_cls(index, q, base, keep, products[position[keep], column[n]], q_norm)
+        cls = _certified_cls(index, q, base, keep, products[position[keep], n], q_norm)
         scores = cls if mode == "cls_only" else base + cls
         ranked = ranked_list_from_arrays(
             q.query_id, index.doc_ids, scores, k, index.doc_rank, keep

@@ -11,6 +11,7 @@ from coil import (
     CoilConfig,
     Document,
     EncodedDocument,
+    EncodedQuery,
     EncoderSpec,
     FormatError,
     ProjectionParams,
@@ -686,24 +687,41 @@ class TestEncodedRecordIo:
         ],
         ids=["float64-token-vector", "float64-cls-entry", "token-id-2**31"],
     )
+    @pytest.mark.parametrize(
+        "kind, record", [("document", EncodedDocument), ("query", EncodedQuery)]
+    )
     def test_values_past_the_stored_types_rejected(
-        self, tmp_path, token_ids, token_vecs, cls_vec, message
+        self, kind, record, token_ids, token_vecs, cls_vec, message
     ):
-        """Values that the float32 / int32 cast of every writer would turn
-        into inf or wrap raise ValidationError, and no numpy warning."""
-        doc = EncodedDocument(
-            "d0",
-            np.asarray(token_ids, np.int64),
-            np.asarray(token_vecs, np.float64),
-            None if cls_vec is None else np.asarray(cls_vec, np.float64),
-        )
-        n_c = 0 if cls_vec is None else 2
-        match = f"^document 'd0': {message}$"
-        with pytest.raises(ValidationError, match=match):
-            write_encoded([doc], tmp_path / "out.jsonl", 2, n_c)
-        assert not (tmp_path / "out.jsonl").exists()
-        with pytest.raises(ValidationError, match=match):
-            build_index([doc], CoilConfig(n_lm=4, n_t=2, n_c=n_c))
+        """Values that the float32 / int32 cast of a record would turn into
+        inf or wrap raise ValidationError when the record is built, and no
+        numpy warning; so no writer or index ever sees them."""
+        with pytest.raises(ValidationError, match=f"^{kind} 'd0': {message}$"):
+            record(
+                "d0",
+                np.asarray(token_ids, np.int64),
+                np.asarray(token_vecs, np.float64),
+                None if cls_vec is None else np.asarray(cls_vec, np.float64),
+            )
+
+    def test_records_hold_the_stored_types(self, tmp_path):
+        """A record stores float64 vectors as their float32 cast and int64 ids
+        as int32, and keeps float32 and int32 arrays as given, uncopied."""
+        vecs = np.asarray([[0.1, 1 / 3]])
+        wide = EncodedDocument("d0", np.asarray([7], np.int64), vecs, vecs[0])
+        assert wide.token_ids.dtype == np.int32 and wide.token_ids.tolist() == [7]
+        for stored in (wide.token_vecs, wide.cls_vec):
+            assert stored.dtype == np.float32
+            assert stored.tobytes() == vecs.astype(np.float32).tobytes()
+        ids, narrow = np.asarray([7], np.int32), vecs.astype(np.float32)
+        query = EncodedQuery("q0", ids, narrow, narrow[0])
+        assert query.token_ids is ids and query.token_vecs is narrow
+        assert query.cls_vec is not None and np.shares_memory(query.cls_vec, narrow)
+        # the coil-enc file holds the float32 values the record holds
+        write_encoded([wide], tmp_path / "out.enc", 2, 2)
+        (read,) = ingest_encoded(tmp_path / "out.enc")
+        assert read.token_vecs.tobytes() == wide.token_vecs.tobytes()
+        assert read.cls_vec.tobytes() == wide.cls_vec.tobytes()
 
 
 class TestEncoderSpec:

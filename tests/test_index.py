@@ -134,6 +134,29 @@ class TestBuild:
         with pytest.raises(ValidationError, match=message):
             CoilIndex(cfg, tids, refs, vecs, None, ["a", "b"], {}, corpus_checksum=0)
 
+    @pytest.mark.parametrize(
+        "n_c, refs, vec_rows, cls_rows, message",
+        [
+            (0, 2, 3, None, r"^vectors shape \(3, 2\), expected \(2, 2\)$"),
+            (0, 3, 2, None, r"^doc_refs shape \(3,\), expected \(2,\)$"),
+            (2, 2, 2, 3, r"^cls_matrix shape \(3, 2\), expected \(2, 2\)$"),
+            (2, 2, 2, None, r"^cls_matrix shape None, expected \(2, 2\)$"),
+            (0, 2, 2, 2, r"^cls_matrix shape \(2, 2\), expected None$"),
+        ],
+        ids=["vector-rows", "ref-rows", "cls-rows", "cls-missing", "cls-without-n_c"],
+    )
+    def test_direct_construction_rejects_columns_of_the_wrong_shape(
+        self, n_c, refs, vec_rows, cls_rows, message
+    ):
+        # search and save_index would take such columns, and load_index would
+        # refuse the files they make
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=n_c)
+        tids, refs = np.array([1, 2], np.int32), np.zeros(refs, np.int32)
+        vecs = np.zeros((vec_rows, 2), np.float32)
+        cls = None if cls_rows is None else np.zeros((cls_rows, 2), np.float32)
+        with pytest.raises(ValidationError, match=message):
+            CoilIndex(cfg, tids, refs, vecs, cls, ["a", "b"], {}, corpus_checksum=0)
+
     def test_doc_rank_orders_the_ids_by_code_point(self):
         cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
         table = ["b", "\U00010000", "a", "\uffff", "ab"]
@@ -154,12 +177,11 @@ class TestBuild:
             build_index([doc("d0", [1], [[1, 0]], None)], cfg)
 
     def test_token_id_beyond_int32_rejected(self):
-        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0, mode="tok")
-        doc = EncodedDocument(
-            "d0", np.asarray([1, 2**31], dtype=np.int64), np.zeros((2, 2), np.float32), None
-        )
+        # the record refuses it when it is built, before any index sees it
         with pytest.raises(ValidationError, match="int32"):
-            build_index([doc], cfg)
+            EncodedDocument(
+                "d0", np.asarray([1, 2**31], dtype=np.int64), np.zeros((2, 2), np.float32), None
+            )
 
     def test_empty_corpus(self):
         cfg = CoilConfig(n_lm=4, n_t=2, n_c=2, mode="full")

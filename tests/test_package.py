@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import coil
+from codelines import code_lines
 
 SOURCE = Path(coil.__file__).parent
 
@@ -47,3 +48,27 @@ def test_every_private_module_name_is_used():
             if not any(name in _referenced_names(other) for other in readers):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_codelines_counts_code_outside_docstrings_and_comments():
+    """`tests/codelines.py` counts a line that holds code, however many lines
+    a statement or a string spans, and no blank, comment or docstring line."""
+    source = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function docstring."""
+        text = """not a docstring,
+        but a string over two lines"""
+        return (x,
+                text)
+'''
+    # import, class, def, the two string lines, the two return lines
+    assert code_lines(source) == 7
+    assert code_lines("") == 0

@@ -284,8 +284,8 @@ def pruned_scan_cases(draw):
     number of documents.  Some cases give CLS rows and query cls vectors
     whose exact dots are float32 rounding midpoints, or tiny negatives that
     are -0.0 as float32: scores whose float64 products the certificate must
-    refuse.  Some query cls vectors are float64, off the float32 grid, so a
-    block mixes certified queries with queries that are never certified."""
+    refuse.  Some query cls vectors are drawn as float64, off the float32
+    grid; the query stores their float32 cast, as every record does."""
     n_t, n_c = draw(st.sampled_from([(3, 1), (3, 4), (0, 3), (2, 33)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ties = draw(st.booleans())
@@ -321,7 +321,7 @@ def pruned_scan_cases(draw):
         if special is not None and rng.random() < 0.75:
             cls[:] = 0
             cls[:2] = q_cls
-        if rng.random() < 0.2:  # not float32: never certified, scored with `_dots`
+        if rng.random() < 0.2:  # float64: the query stores its float32 cast
             cls = cls.astype(np.float64) / 3
         queries.append(EncodedQuery(f"q{i}", tokens, copies(len(tokens), n_t, query_scale), cls))
     config = CoilConfig(n_lm=max(n_t, n_c), n_t=n_t, n_c=n_c)

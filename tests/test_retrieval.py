@@ -53,8 +53,8 @@ def _dots_case(draw):
 
     Row counts run past one iterator buffer of values at every width, and
     the matrix is a view read from bytes at a 4-byte offset, as
-    `load_index` reads ``cls.bin`` and ``postings.bin``.  Indexes hold
-    float32; a document built by hand may hold float64.
+    `load_index` reads ``cls.bin`` and ``postings.bin``.  Indexes and
+    records hold float32; `_dots` itself takes float64 matrices too.
     """
     width = draw(st.sampled_from([1, 3, 32, 768, 1000]))
     rows = draw(st.integers(0, 2 * _BUFFER_VALUES // width + 2))
@@ -230,6 +230,28 @@ class TestSearchAgainstOracle:
             got, _ = search(inst.index, q, k=50, mode=mode)
             want = brute_force_search(inst.enc_docs, q, k=50, mode=mode)
             assert _rankings_equal(got, want), f"{mode} mismatch for {q.query_id}"
+
+    def test_hand_built_float64_records_match_brute_force(self):
+        """Documents and queries built by hand from float64 vectors and int64
+        ids: the index and the oracle both score the float32 values the
+        records store, so every route equals the oracle bit for bit."""
+        rng = np.random.default_rng(28)
+        n_t, n_c = 3, 5
+
+        def record(kind, rec_id):
+            ids = rng.integers(1, 12, rng.integers(1, 6))
+            return kind(rec_id, ids, rng.standard_normal((len(ids), n_t)), rng.standard_normal(n_c))
+
+        docs = [record(EncodedDocument, f"d{i}") for i in range(50)]
+        queries = [record(EncodedQuery, f"q{j}") for j in range(8)]
+        index = build_index(docs, CoilConfig(n_lm=n_c, n_t=n_t, n_c=n_c))
+        for mode in ("tok", "full", "cls_only"):
+            for k in (5, 50):
+                want = [brute_force_search(docs, q, k=k, mode=mode).entries for q in queries]
+                assert [search(index, q, k=k, mode=mode)[0].entries for q in queries] == want
+                for threads in (1, 2, 3):
+                    got = search_many(index, queries, k=k, mode=mode, threads=threads)
+                    assert [ranked.entries for ranked, _ in got] == want
 
     def test_quantitative_agreement(self):
         inst = make_instance(seed=22, num_docs=120, vocab_size=30, num_queries=10)
@@ -548,12 +570,14 @@ class TestSearchManyBlocks:
                 assert instr.cls_scored in scored
                 assert ranked.entries == brute_force_search(docs, q, k=k, mode=mode).entries
 
-    def test_a_float64_query_scores_every_row(self, inst):
+    def test_a_float64_query_is_stored_as_its_float32_cast_and_pruned(self, inst):
         q = inst.enc_queries[0]
-        wide = EncodedQuery("wide", q.token_ids, q.token_vecs, q.cls_vec.astype(np.float64) / 3)
-        ranked, instr = search(inst.index, wide, k=self.K, mode="full")
-        assert instr.cls_scored == inst.index.num_docs
-        assert ranked.entries == brute_force_search(inst.enc_docs, wide, k=self.K).entries
+        wide = q.cls_vec.astype(np.float64) / 3
+        query = EncodedQuery("wide", q.token_ids, q.token_vecs, wide)
+        assert query.cls_vec.tobytes() == wide.astype(np.float32).tobytes()
+        ranked, instr = search(inst.index, query, k=self.K, mode="full")
+        assert instr.cls_scored < inst.index.num_docs
+        assert ranked.entries == brute_force_search(inst.enc_docs, query, k=self.K).entries
 
     def test_k_is_checked_at_the_first_query(self, inst):
         with pytest.raises(ValidationError, match="k must be >= 1"):
