@@ -12,12 +12,10 @@ token.  `bm25_index_from_rows` turns such columns into the index: one stable
 sort by token id, as for the contextualized index's lists, then one pass over
 the runs of equal (token id, ordinal) rows, whose lengths are the tfs.
 `bm25_search` accumulates per-ordinal float64 sums and ranks them with
-``ranked_list_from_arrays``, the path and tie rule (score descending, then
-doc id ascending) of tok-mode ``retrieval.search``.  As there, the ranker
-checks that scores are finite, its sort of one key packing the score and
-then the index's ``doc_rank`` gives the order, and ``Bm25Index`` rejects a
-duplicate doc id when it is constructed.  Postings hold intp ordinals, as
-the inverted lists do, so the scatter-add converts no index array.
+``ranked_list_from_arrays`` over the index's ``DocTable``, the path and tie
+rule (score descending, then doc id ascending) of tok-mode
+``retrieval.search``.  Postings hold intp ordinals, as the inverted lists
+do, so the scatter-add converts no index array.
 
 A term's document weights ``h_d`` depend only on the index, k1 and b, so
 the index keeps each used term's weights per (k1, b), computed on the
@@ -38,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Document, RankedList, TokenSeq, ValidationError, as_score, rank_doc_ids
+from .core import DocTable, Document, RankedList, TokenSeq, ValidationError, as_score
 from .core import ranked_list_from_arrays
 from .encoding import TokenizerConfig, UNKNOWN_TOKEN_ID, split_text
 from .index import run_bounds
@@ -78,20 +76,14 @@ class Bm25Index:
 
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # tid -> (intp ordinals, int32 tfs)
     doc_len: np.ndarray  # (N,) int64, post-truncation token counts
-    doc_table: list[str]
+    doc_table: DocTable
     avgdl: float = field(init=False)
-    # doc_table's own strings as an object array, so ranking gathers them, not copies
-    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
     weights: dict[tuple[float, float], dict[int, np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         self.avgdl = float(self.doc_len.mean()) if len(self.doc_len) else 0.0
-        self.doc_ids = np.array(self.doc_table, dtype=object)
-        # raises on a duplicate doc id
-        self.doc_rank = rank_doc_ids(np.asarray(self.doc_table, dtype=str))
         self.weights = {}
 
     @property
@@ -104,7 +96,7 @@ class Bm25Index:
 
     def ordinal_of(self, doc_id: str) -> int:
         try:
-            return self.doc_table.index(doc_id)
+            return self.doc_table.ids.index(doc_id)
         except ValueError:
             raise ValidationError(f"unknown doc id {doc_id!r}") from None
 
@@ -143,7 +135,7 @@ def bm25_index_from_rows(tids: np.ndarray, ords: np.ndarray, doc_table: list[str
     The rows of each token id must come in ascending ordinal order.
     Document length counts every row; postings skip the unknown token id,
     mirroring the lexical scorers' rule that out-of-vocabulary tokens match
-    nothing.  A duplicate doc id raises when the index is constructed.
+    nothing.  A duplicate doc id raises when the doc table is built.
     """
     doc_len = np.bincount(ords, minlength=len(doc_table))
     known = tids != UNKNOWN_TOKEN_ID
@@ -165,7 +157,7 @@ def bm25_index_from_rows(tids: np.ndarray, ords: np.ndarray, doc_table: list[str
         tid: (run_ords[start:end], tfs[start:end])
         for tid, start, end in zip(run_tids[starts].tolist(), starts.tolist(), ends.tolist())
     }
-    return Bm25Index(postings=postings, doc_len=doc_len, doc_table=doc_table)
+    return Bm25Index(postings=postings, doc_len=doc_len, doc_table=DocTable(doc_table))
 
 
 def _idf(index: Bm25Index, tid: int) -> float:
@@ -233,7 +225,7 @@ def bm25_search(
         acc[ordinals] += idf * h_q * h_d
         touched[ordinals] = True
     keep = np.flatnonzero(touched)
-    return ranked_list_from_arrays(query_id, index.doc_ids, acc[keep], k, index.doc_rank, keep)
+    return ranked_list_from_arrays(query_id, index.doc_table, acc[keep], k, keep)
 
 
 def sample_bm25_negatives(

@@ -16,14 +16,15 @@ A ranked list's invariants are each checked in one place.  Every score is
 finite, doc ids are unique, and scores never rise down the list:
 :class:`RankedList` checks all three, in one loop over the entries, for a
 list a caller builds from ``(doc_id, score)`` pairs (``from_scores``, and
-``read_run`` on its per-line path).  :func:`ranked_list_from_arrays` checks
-finiteness itself and gets its order from one ``np.argsort`` of a uint64
-key packing the float32 score and then :func:`rank_doc_ids`.  That rank
-rejects a duplicate doc id, so the keys are unique: an index
-computes it once, when it is constructed, and the ranker computes it for a
-caller that passes none.  So the ranker builds its list from its columns
-without a second check, as ``read_run``'s column path does after checking
-the columns itself.
+``read_run`` on its per-line path).  :func:`ranked_list_from_arrays` ranks
+the documents of a :class:`DocTable`, the one table of doc ids that an index
+and its BM25 baseline hold.  The table checks its ids once, when it is
+built: each passes the id rule and none repeats.  It also holds the tie key,
+the rank of each id in code-point order.  The ranker checks finiteness
+itself and gets its order from one ``np.argsort`` of a uint64 key packing
+the float32 score and then that rank, so the keys are unique and the list
+is built from its columns without a second check, as ``read_run``'s column
+path does after checking the columns itself.
 """
 from __future__ import annotations
 
@@ -32,10 +33,10 @@ import math
 import os
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +72,27 @@ def check_id(kind: str, value: str) -> None:
         raise ValidationError(
             f"{kind} id {value!r} must not contain control characters or surrogates"
         )
+
+
+def _joined_ids_pass(ids: Sequence) -> bool:
+    """Whether every id passes the id rule, judged on one joined string.
+
+    True is exact.  False only says to run :func:`check_id` on each id: an
+    id holding a format, private-use or unassigned character passes the
+    rule, but makes the joined string unprintable.
+    """
+    try:
+        joined = "".join(ids)
+    except TypeError:  # an id that is not a string
+        return False
+    return joined.isprintable() and " " not in joined and all(ids)
+
+
+def check_ids(kind: str, ids: Sequence) -> None:
+    """:func:`check_id` on every id, with its message for the first that fails."""
+    if not _joined_ids_pass(ids):
+        for value in ids:
+            check_id(kind, value)
 
 
 @dataclass(frozen=True)
@@ -404,17 +426,42 @@ class RankedList:
         return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
 
 
-def rank_doc_ids(doc_ids: np.ndarray) -> np.ndarray:
-    """The int32 position of each doc id in code-point order, the tie key of
-    :func:`ranked_list_from_arrays`; a duplicate doc id raises."""
-    order = np.argsort(doc_ids, kind="stable")
-    ordered = doc_ids[order]
-    same = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if len(same):
-        raise ValidationError(f"duplicate doc id {str(ordered[same[0]])!r}")
-    rank = np.empty(len(doc_ids), dtype=np.int32)
-    rank[order] = np.arange(len(doc_ids), dtype=np.int32)
-    return rank
+@dataclass(frozen=True)
+class DocTable:
+    """The doc id of each document ordinal of an index, and the tie key of
+    every ranking over them.
+
+    ``ids`` holds the ids; ``objects`` holds the same strings as an object
+    array, from which :func:`ranked_list_from_arrays` gathers the ids it
+    returns, so a ranked list holds the table's own strings, not copies;
+    ``rank`` is the int32 position of each id in code-point order, which
+    breaks ties between equal scores.  Construction checks that every id
+    passes the id rule (:func:`check_ids`, so with :func:`check_id`'s
+    message) and then that no id repeats, raising ValidationError.  Tables
+    compare by their ids.
+    """
+
+    ids: list[str]
+    objects: np.ndarray = field(init=False, repr=False, compare=False)
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_ids("document", self.ids)
+        # a 'U' array sorts by code point; the position of an id among the
+        # distinct ids is its rank
+        distinct, rank, counts = np.unique(
+            np.array(self.ids, dtype=str), return_inverse=True, return_counts=True
+        )
+        if len(distinct) < len(self.ids):
+            raise ValidationError(f"duplicate doc id {str(distinct[np.argmax(counts > 1)])!r}")
+        object.__setattr__(self, "objects", np.array(self.ids, dtype=object))
+        object.__setattr__(self, "rank", rank.astype(np.int32))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, ordinal: int) -> str:
+        return self.ids[ordinal]
 
 
 def _descending_key(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -434,30 +481,25 @@ def _descending_key(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def ranked_list_from_arrays(
     query_id: str,
-    doc_ids: np.ndarray,
+    table: DocTable,
     scores: np.ndarray,
     k: int | None = None,
-    tie_rank: np.ndarray | None = None,
     ordinals: np.ndarray | None = None,
 ) -> RankedList:
-    """Rank doc ids by 64-bit scores with the global tie rule.
+    """Rank documents of ``table`` by 64-bit scores with the global tie rule.
 
-    ``scores[i]`` belongs to ``doc_ids[ordinals[i]]``, or to ``doc_ids[i]``
-    when ``ordinals`` is None; so a caller that ranks some documents of an
-    index passes the index's arrays whole, and only the ranked ids are
-    gathered.  ``doc_ids`` holds strings, as a ``'U'`` or an object array;
-    the indexes pass object arrays, whose gathered ids are their own string
-    objects, not new ones.  Any non-finite score raises, whether or not it
+    ``scores[i]`` belongs to the document of ordinal ``ordinals[i]``, or of
+    ordinal ``i`` when ``ordinals`` is None; so a caller that ranks some
+    documents of an index passes the index's table whole, and only the
+    ranked ids are gathered.  Any non-finite score raises, whether or not it
     would reach the top k.  Only the scores at or above the k-th best (every
     tie at the cut included) are sorted, so the result equals a sort of all
-    of them.  Ties are broken on ``tie_rank``, parallel to ``doc_ids``,
-    which must order them as :func:`rank_doc_ids` does; without it, the
-    rank is computed here, and a duplicate doc id raises.  The list is built
-    from its columns, without :class:`RankedList`'s per-entry check: its
-    order comes from the sort, and its doc ids are unique.  The sort is of
-    one uint64 key per survivor (:func:`_descending_key`), unique because
-    the ranks are, so any sort algorithm gives this order; -0.0 ties with
-    +0.0 in the key, but its score keeps its sign.
+    of them.  Ties are broken on ``table.rank``.  The list is built from its
+    columns, without :class:`RankedList`'s per-entry check: its order comes
+    from the sort, and the table's doc ids are unique.  The sort is of one
+    uint64 key per survivor (:func:`_descending_key`), unique because the
+    ranks are, so any sort algorithm gives this order; -0.0 ties with +0.0
+    in the key, but its score keeps its sign.
     """
     with np.errstate(over="ignore"):  # a score past the float32 range raises below
         reported = scores.astype(np.float32)
@@ -465,18 +507,17 @@ def ranked_list_from_arrays(
     finite = np.isfinite(reported)
     if not finite.all():
         bad = at[np.argmin(finite)]
-        raise ValidationError(f"non-finite score for doc {str(doc_ids[bad])!r}")
-    ranks = rank_doc_ids(doc_ids) if tie_rank is None else tie_rank
+        raise ValidationError(f"non-finite score for doc {table[bad]!r}")
     n = len(reported)
     if k is not None and 0 < k < n:
         kth = np.partition(reported, n - k)[n - k]
         keep = np.flatnonzero(reported >= kth)
         reported, at = reported[keep], at[keep]
-    order = np.argsort(_descending_key(reported, ranks[at]))
+    order = np.argsort(_descending_key(reported, table.rank[at]))
     if k is not None:
         order = order[:k]
     return RankedList.from_columns(
-        query_id, doc_ids[at[order]].tolist(), reported[order].astype(np.float64)
+        query_id, table.objects[at[order]].tolist(), reported[order].astype(np.float64)
     )
 
 

@@ -28,6 +28,7 @@ from .core import (
     ValidationError,
     atomic_writer,
     check_id,
+    check_ids,
     decode_lines,
     read_lines,
 )
@@ -96,9 +97,7 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "coil"
     check_id("run tag", tag)
     for qid, ranked in run.items():
         check_id("query", qid)
-        if not _all_pass_id_rule(ranked.ids):
-            for doc_id in ranked.ids:
-                check_id("document", doc_id)
+        check_ids("document", ranked.ids)
     with atomic_writer(path) as fh:
         for qid, ranked in run.items():
             fh.write(_query_lines(qid, ranked, tag))
@@ -112,16 +111,6 @@ def _query_lines(qid: str, ranked: RankedList, tag: str) -> str:
     n = len(ranked.ids)
     rows = zip(ranked.ids, range(1, n + 1), ranked.scores.tolist())
     return (line * n) % tuple(chain.from_iterable(rows))
-
-
-def _all_pass_id_rule(ids: list) -> bool:
-    """Whether every id passes the id rule, judged on one joined string;
-    False only tells the caller to run ``check_id`` on each id."""
-    try:
-        joined = "".join(ids)
-    except TypeError:  # an id that is not a string
-        return False
-    return joined.isprintable() and " " not in joined and all(ids)
 
 
 _RUN_CHUNK = 1 << 16  # characters of run text that one split() takes, at least

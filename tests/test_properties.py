@@ -31,7 +31,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coil import (
-    Bm25Index,
     Bm25Params,
     ChecksumError,
     CoilConfig,
@@ -65,10 +64,12 @@ from coil import (
 from coil import evaluation
 from coil.bm25 import _h_d, _length_norm
 from coil.core import (
+    DocTable,
     TokenSeq,
+    _joined_ids_pass,
     as_score,
     check_id,
-    rank_doc_ids,
+    check_ids,
     ranked_list_from_arrays,
     read_lines,
 )
@@ -380,28 +381,26 @@ def score_arrays(draw):
         scores = rng.choice([-0.0, 0.0, 1.0], n)
     else:
         scores = rng.standard_normal(n)
-    doc_ids = np.array([f"d{i}" for i in rng.permutation(n)], dtype=str)
+    table = DocTable([f"d{i}" for i in rng.permutation(n)])
     k = draw(st.one_of(st.none(), st.integers(1, n + 3)))
     poison = draw(st.sampled_from([None, float("nan"), float("inf"), float("-inf")]))
     if poison is not None and n:
         scores[rng.integers(n)] = poison
-    return doc_ids, scores, k
+    return table, scores, k
 
 
 @PROPERTY
 @given(score_arrays())
 def test_array_ranker_equals_sorting_every_pair(case):
-    doc_ids, scores, k = case
+    table, scores, k = case
     if not np.isfinite(scores).all():
         with pytest.raises(ValidationError, match="non-finite score"):
-            ranked_list_from_arrays("q", doc_ids, scores, k)
+            ranked_list_from_arrays("q", table, scores, k)
         return
-    got = ranked_list_from_arrays("q", doc_ids, scores, k).entries
-    pairs = [(str(d), as_score(s)) for d, s in zip(doc_ids, scores)]
+    got = ranked_list_from_arrays("q", table, scores, k).entries
+    pairs = [(d, as_score(s)) for d, s in zip(table.ids, scores)]
     want = RankedList.from_scores("q", pairs, k).entries
     assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
-    by_rank = ranked_list_from_arrays("q", doc_ids, scores, k, rank_doc_ids(doc_ids)).entries
-    assert [(d, s.hex()) for d, s in by_rank] == [(d, s.hex()) for d, s in want]
 
 
 # ASCII, Latin-1, BMP and astral-plane characters.  By code point, the order
@@ -434,23 +433,23 @@ def tied_candidates(draw):
 @given(tied_candidates())
 def test_array_ranker_with_the_index_tie_key_equals_from_scores(case):
     ids, keep, scores, k = case
-    index = Bm25Index({}, doc_len=np.zeros(len(ids), np.int64), doc_table=ids)
-    assert [ids[o] for o in np.argsort(index.doc_rank)] == sorted(ids)
+    table = DocTable(ids)
+    assert [ids[o] for o in np.argsort(table.rank)] == sorted(ids)
     pairs = [(ids[o], as_score(s)) for o, s in zip(keep.tolist(), scores)]
     want = [(d, s.hex()) for d, s in RankedList.from_scores("q", pairs, k).entries]
-    # as the searches call it: the index's arrays whole, and the candidates' ordinals
-    got = ranked_list_from_arrays("q", index.doc_ids, scores, k, index.doc_rank, keep)
+    # as the searches call it: the index's table whole, and the candidates' ordinals
+    got = ranked_list_from_arrays("q", table, scores, k, keep)
     assert [(d, s.hex()) for d, s in got.entries] == want
-    gathered = ranked_list_from_arrays("q", index.doc_ids[keep], scores, k, index.doc_rank[keep])
+    gathered = ranked_list_from_arrays("q", DocTable([ids[o] for o in keep]), scores, k)
     assert [(d, s.hex()) for d, s in gathered.entries] == want
 
 
 def _two_argsort_entries(doc_ids, scores, k, ordinals):
     """The ranker's order built from two sorts over every score, with no
-    packed key: an argsort by doc-id rank, then a stable argsort by score."""
+    packed key: an argsort by doc id, then a stable argsort by score."""
     reported = scores.astype(np.float32)
     at = np.arange(len(reported)) if ordinals is None else ordinals
-    by_rank = np.argsort(rank_doc_ids(doc_ids)[at])
+    by_rank = np.argsort(doc_ids[at])  # a 'U' array sorts by code point
     order = by_rank[np.argsort(-reported[by_rank], kind="stable")][:k]
     return [(str(doc_ids[at[o]]), reported[o].item().hex()) for o in order]
 
@@ -471,8 +470,8 @@ def test_packed_key_order_equals_the_two_argsort_order(case, data):
     want = _two_argsort_entries(doc_ids, scores, k, keep)
     assert want == _two_argsort_entries(doc_ids[keep], scores, k, None)
     for got in (
-        ranked_list_from_arrays("q", doc_ids, scores, k, rank_doc_ids(doc_ids), keep),
-        ranked_list_from_arrays("q", doc_ids[keep], scores, k),
+        ranked_list_from_arrays("q", DocTable(ids), scores, k, keep),
+        ranked_list_from_arrays("q", DocTable([ids[o] for o in keep]), scores, k),
     ):
         assert [(d, s.hex()) for d, s in got.entries] == want
 
@@ -520,15 +519,13 @@ def key_cases(draw):
 
 
 @settings(PROPERTY, max_examples=300)
-@given(key_cases(), st.booleans())
-def test_packed_key_ranker_equals_from_scores_bit_for_bit(case, with_tie_rank):
+@given(key_cases())
+def test_packed_key_ranker_equals_from_scores_bit_for_bit(case):
     ids, ordinals, scores, k = case
-    doc_ids = np.array(ids, dtype=str)
     at = range(len(ids)) if ordinals is None else ordinals.tolist()
     pairs = [(ids[o], as_score(s)) for o, s in zip(at, scores)]
     want = RankedList.from_scores("q", pairs, k).entries
-    tie_rank = rank_doc_ids(doc_ids) if with_tie_rank else None
-    got = ranked_list_from_arrays("q", doc_ids, scores, k, tie_rank, ordinals).entries
+    got = ranked_list_from_arrays("q", DocTable(ids), scores, k, ordinals).entries
     assert [(d, s.hex()) for d, s in got] == [(d, s.hex()) for d, s in want]
     assert [np.signbit(s) for _, s in got] == [np.signbit(s) for _, s in want]
 
@@ -771,7 +768,7 @@ def test_build_bm25_index_equals_the_per_document_reference(case):
         assert np.array_equal(got_ordinals, ordinals) and np.array_equal(got_tfs, tfs)
     assert index.doc_len.dtype == doc_len.dtype and np.array_equal(index.doc_len, doc_len)
     assert index.avgdl == avgdl
-    assert index.doc_table == [d.id for d in docs]
+    assert index.doc_table.ids == [d.id for d in docs]
 
 
 bm25_settings = st.builds(
@@ -926,6 +923,39 @@ BAD_IDS = st.one_of(
 )
 
 
+PRINTABLE_IDS = st.text(st.sampled_from(["a", "é", "😀", "-"]), min_size=1, max_size=3)
+# ids that pass the id rule but are not printable: a format character, a
+# private-use one and a noncharacter
+PASSING_UNPRINTABLE = ["d\u200b", "d\ue000", "d\uffff"]
+ODD_IDS = ["", 3, None, *[f"d{ch}" for ch in ID_BREAKERS], *PASSING_UNPRINTABLE]
+
+
+@pytest.mark.parametrize("odd", [[], *([value] for value in ODD_IDS)])
+@settings(PROPERTY, max_examples=30)
+@given(
+    st.lists(PRINTABLE_IDS, max_size=5), st.lists(st.sampled_from(ODD_IDS), max_size=2), st.data()
+)
+def test_joined_id_check_is_true_exactly_when_every_id_passes(odd, ids, more, data):
+    """Printable ids with ``odd`` and up to two more odd ids inserted: the
+    joined-string test is True exactly when check_id passes every id, except
+    that an unprintable id the rule allows makes it False; check_ids then
+    checks each id, raising check_id's first error."""
+    for value in odd + more:
+        ids.insert(data.draw(st.integers(0, len(ids))), value)
+    passes = all(map(_passes_id_rule, ids))
+    unprintable = any(value in PASSING_UNPRINTABLE for value in ids)
+    assert _joined_ids_pass(ids) == (passes and not unprintable)
+    if passes:
+        check_ids("document", ids)
+        return
+    first = next(value for value in ids if not _passes_id_rule(value))
+    with pytest.raises(ValidationError) as want:
+        check_id("document", first)
+    with pytest.raises(ValidationError) as got:
+        check_ids("document", ids)
+    assert str(got.value) == str(want.value)
+
+
 @st.composite
 def runs_and_one_broken(draw):
     """A run whose ids pass the id rule and finite float32 scores, and the
@@ -961,7 +991,7 @@ def test_run_file_round_trip_and_broken_ids_raise_before_writing(run_path, case)
     back = read_run(run_path)
     assert list(back) == list(run)
     for qid, ranked in run.items():
-        assert back[qid].doc_ids() == ranked.doc_ids()
+        assert back[qid].ids == ranked.ids
         assert [s for _, s in back[qid].entries] == [float(f"{s:.6g}") for _, s in ranked.entries]
     written = run_path.read_bytes()
     with pytest.raises(ValidationError):

@@ -272,7 +272,7 @@ class TestSearchAgainstOracle:
                 for d in inst.enc_docs
                 if qids & {int(t) for t in d.token_ids}
             }
-            assert set(got.doc_ids()) <= overlap
+            assert set(got.ids) <= overlap
 
     def test_all_oov_query_returns_empty_tok_list(self):
         inst = make_instance(seed=24, num_docs=20, oov_rate=0.0)
@@ -303,7 +303,7 @@ class TestSearchAgainstOracle:
                 for d in inst.enc_docs
             }
             expected = sorted(dots.items(), key=lambda e: (-e[1], e[0]))
-            assert got.doc_ids() == [d for d, _ in expected]
+            assert got.ids == [d for d, _ in expected]
 
     def test_fewer_candidates_than_k(self):
         inst = make_instance(seed=26, num_docs=30, vocab_size=200, max_doc_len=3)
@@ -423,7 +423,7 @@ class TestSearchValidation:
         inst = make_instance(seed=37, num_docs=1, oov_rate=0.0)
         q = inst.enc_queries[0]
         ranked = brute_force_search(inst.enc_docs, q, k=5, mode="full")
-        assert ranked.doc_ids() == [inst.enc_docs[0].doc_id]
+        assert ranked.ids == [inst.enc_docs[0].doc_id]
         assert ranked.entries[0][1] == score_full_pair(q, inst.enc_docs[0])
 
 
