@@ -82,7 +82,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     index = build_index(
         ingest_encoded(args.encoded),
         config,
-        vocab=spec.tokenizer.vocab if spec else None,
         encoder_meta=spec.to_meta() if spec else None,
     )
     save_index(index, args.index_dir)
@@ -102,9 +101,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"{args.index_dir}: index stores no encoder settings; rebuild it from "
             "a `coil encode` output"
         )
-    spec = EncoderSpec.from_meta(
-        index.encoder_meta, f"{Path(args.index_dir) / META_FILE}: encoder_meta"
-    )
+    source = f"{Path(args.index_dir) / META_FILE}: encoder_meta"
+    spec = EncoderSpec.from_meta(index.encoder_meta, source)
+    if spec.config != index.config:
+        raise FormatError(f"{source}: config disagrees with the index's config")
     params = spec.projection()
     encoded = [
         encode_query(q, spec.tokenizer, spec.stub, params, spec.config) for q in queries
@@ -273,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -431,21 +431,23 @@ class DocTable:
     """The doc id of each document ordinal of an index, and the tie key of
     every ranking over them.
 
-    ``ids`` holds the ids; ``objects`` holds the same strings as an object
-    array, from which :func:`ranked_list_from_arrays` gathers the ids it
-    returns, so a ranked list holds the table's own strings, not copies;
-    ``rank`` is the int32 position of each id in code-point order, which
-    breaks ties between equal scores.  Construction checks that every id
-    passes the id rule (:func:`check_ids`, so with :func:`check_id`'s
-    message) and then that no id repeats, raising ValidationError.  Tables
-    compare by their ids.
+    ``ids`` holds the ids as a tuple; ``objects`` holds the same strings as
+    an object array, from which :func:`ranked_list_from_arrays` gathers the
+    ids it returns, so a ranked list holds the table's own strings, not
+    copies; ``rank`` is the int32 position of each id in code-point order,
+    which breaks ties between equal scores.  Construction checks that every
+    id passes the id rule (:func:`check_ids`, so with :func:`check_id`'s
+    message) and then that no id repeats, raising ValidationError.  Both
+    arrays are read-only, so the checks hold for the table's whole life.
+    Tables compare by their ids.
     """
 
-    ids: list[str]
+    ids: tuple[str, ...]
     objects: np.ndarray = field(init=False, repr=False, compare=False)
     rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))
         check_ids("document", self.ids)
         # a 'U' array sorts by code point; the position of an id among the
         # distinct ids is its rank
@@ -456,6 +458,7 @@ class DocTable:
             raise ValidationError(f"duplicate doc id {str(distinct[np.argmax(counts > 1)])!r}")
         object.__setattr__(self, "objects", np.array(self.ids, dtype=object))
         object.__setattr__(self, "rank", rank.astype(np.int32))
+        self.objects.flags.writeable = self.rank.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -407,12 +407,9 @@ def _encode(
     if max_tokens is not None and len(seq) > max_tokens:
         seq = TokenSeq(seq.token_ids[:max_tokens])
     lm_vecs, cls_slot = contextualize(seq, contextualizer, config.n_lm)
-    token_vecs = project_tokens(lm_vecs.reshape(len(seq), config.n_lm), params)
-    cls_vec = (
-        project_cls(cls_slot, params, config.cls_layer_norm) if config.n_c >= 1 else None
-    )
     token_ids = np.asarray(seq.token_ids, dtype=np.int32)
-    return token_ids, token_vecs.reshape(len(seq), config.n_t), cls_vec
+    cls_vec = project_cls(cls_slot, params, config.cls_layer_norm)
+    return token_ids, project_tokens(lm_vecs, params), cls_vec
 
 
 def encode_document(
@@ -506,6 +503,9 @@ def _parse_header(path: str | Path, fh: BinaryIO) -> dict:
         raise FormatError(f"{where}: not a {ENCODED_FORMAT} file")
     if header.get("version") != ENCODED_VERSION:
         raise FormatError(f"{where}: unsupported version {header.get('version')!r}")
+    unknown = sorted(header.keys() - {"format", "version", "n_t", "n_c", "encoder"})
+    if unknown:
+        raise FormatError(f"{where}: unknown key {unknown[0]!r}")
     n_t, n_c = header.get("n_t"), header.get("n_c")
     # the CoilConfig rule; bools are ints to Python
     if type(n_t) is not int or type(n_c) is not int or min(n_t, n_c) < 0 or n_t == n_c == 0:
@@ -519,7 +519,8 @@ def _parse_header(path: str | Path, fh: BinaryIO) -> dict:
 
 def read_encoded_header(path: str | Path) -> dict:
     """Parse and check line 1 of a coil-enc file; an ``encoder`` key comes
-    back as an :class:`EncoderSpec`."""
+    back as an :class:`EncoderSpec`, and any key besides it and ``format``,
+    ``version``, ``n_t`` and ``n_c`` raises FormatError."""
     with open(path, "rb") as fh:
         return _parse_header(path, fh)
 

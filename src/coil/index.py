@@ -8,12 +8,12 @@ with a single segmented max.  The index holds the rows as the three
 columns postings.bin stores, and builds its lists as slices of them.
 Document-level vectors are stacked into one matrix addressed by ordinal.
 
-On-disk layout, version 4 (all integers little-endian; see README for the
+On-disk layout, version 5 (all integers little-endian; see README for the
 byte-level description):
 
-* ``meta.json``   config, vocabulary, doc table, corpus checksum (CRC-32),
-                  per-file CRC-32 checksums stored as ``crc32:%08x``,
-                  encoder settings
+* ``meta.json``   config, doc table, corpus checksum (CRC-32), per-file
+                  CRC-32 checksums stored as ``crc32:%08x``, encoder
+                  settings (which hold the vocabulary)
 * ``postings.bin``  three columns over the N sorted rows: N int32 token ids,
                   N int32 doc ordinals, then N x n_t float32 vectors
                   (``8 + 4 * n_t`` bytes per row; N follows from the size)
@@ -43,11 +43,10 @@ from .core import (
     config_from_meta,
     read_json,
 )
-from .encoding import vocab_from_meta
 from .encoding import fnv1a64  # noqa: F401  (unused here; coilbench/tracing.py wraps this name)
 
 INDEX_FORMAT = "coil-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 META_FILE = "meta.json"
 POSTINGS_FILE = "postings.bin"
@@ -118,7 +117,6 @@ class CoilIndex:
     vectors: np.ndarray  # (N, n_t) float32
     cls_matrix: np.ndarray | None  # (num_docs, n_c) float32, row per ordinal
     doc_table: DocTable  # ordinal -> doc_id
-    vocab: dict[str, int]
     corpus_checksum: int
     encoder_meta: dict | None = None  # provenance needed to encode text queries
     lists: dict[int, InvertedList] = field(init=False, repr=False, compare=False)
@@ -254,7 +252,14 @@ def build_index(
     Documents keep their input order as ordinals; a document with no
     tokens still occupies an ordinal (and a CLS row when n_c >= 1).  A
     duplicate doc id raises when the doc table is built.
+
+    ``vocab`` is a compatibility keyword, never stored: the vocabulary is
+    ``encoder_meta["vocab"]``, and a ``vocab`` given beside an
+    ``encoder_meta`` whose vocabulary differs raises ValidationError.  It
+    goes once the benchmark harness stops passing it (ROADMAP item 1).
     """
+    if vocab is not None and encoder_meta is not None and vocab != encoder_meta.get("vocab"):
+        raise ValidationError("vocab differs from encoder_meta['vocab']")
     n_t, n_c = config.n_t, config.n_c
     doc_table: list[str] = []
     lengths: list[int] = []
@@ -291,7 +296,6 @@ def build_index(
         vectors=vecs[order],
         cls_matrix=cls_matrix,
         doc_table=DocTable(doc_table),
-        vocab=dict(vocab) if vocab else {},
         corpus_checksum=checksum,
         encoder_meta=encoder_meta,
     )
@@ -332,7 +336,6 @@ def save_index(index: CoilIndex, dir_path: str | Path) -> None:
         "version": INDEX_VERSION,
         "config": asdict(index.config),
         "doc_table": index.doc_table.ids,
-        "vocab": index.vocab,
         "corpus_checksum": f"{index.corpus_checksum:08x}",
         "checksums": {name: file_checksum(*columns) for name, columns in files.items()},
         "encoder_meta": index.encoder_meta,
@@ -373,7 +376,6 @@ _META_TYPES = {
     "version": int,
     "config": dict,
     "doc_table": list,
-    "vocab": dict,
     "corpus_checksum": str,
     "checksums": dict,
     "encoder_meta": (dict, type(None)),
@@ -397,7 +399,6 @@ def load_index(dir_path: str | Path) -> CoilIndex:
     except ValidationError as exc:
         raise FormatError(f"{meta_path}: doc_table entries: {exc}") from exc
     num_docs = len(doc_table)
-    vocab = vocab_from_meta(meta["vocab"], f"{meta_path}: vocab")
     try:
         corpus_checksum = int(meta["corpus_checksum"], 16)
     except ValueError as exc:
@@ -434,7 +435,6 @@ def load_index(dir_path: str | Path) -> CoilIndex:
             vectors=vecs,
             cls_matrix=cls_matrix,
             doc_table=doc_table,
-            vocab=vocab,
             corpus_checksum=corpus_checksum,
             encoder_meta=meta["encoder_meta"],
         )

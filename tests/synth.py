@@ -79,7 +79,7 @@ def make_instance(
     stub = StubContextualizerConfig(seed=seed)
     params = seeded_projection(config, seed)
     enc_docs = [encode_document(d, tokenizer, stub, params, config) for d in docs]
-    index = build_index(enc_docs, config, vocab=tokenizer.vocab)
+    index = build_index(enc_docs, config)
 
     query_texts = random_texts(rng, num_queries, vocab_size, max_query_len)
     if oov_rate > 0:

@@ -174,6 +174,12 @@ class TestPipeline:
         queries = str(workdir / "queries.jsonl")
         assert main(["search", str(idx), queries, str(workdir / "r.txt")]) == 0
 
+    def test_build_stores_the_vocabulary_only_in_the_encoder_settings(self, workdir):
+        enc, idx = _encode_and_build(workdir)
+        meta = json.loads((idx / "meta.json").read_text())
+        assert meta["version"] == 5 and "vocab" not in meta
+        assert meta["encoder_meta"] == read_encoded_header(enc)["encoder"].to_meta()
+
     def test_encode_deterministic_and_idempotent(self, workdir):
         enc_a = workdir / "a.jsonl"
         enc_b = workdir / "b.jsonl"
@@ -610,6 +616,7 @@ class TestExitCodes:
             ("search", "idx/meta.json", lambda m: m.update(version=1)),
             ("search", "idx/meta.json", lambda m: m.update(version=2)),
             ("search", "idx/meta.json", lambda m: m.update(version=3)),
+            ("search", "idx/meta.json", lambda m: m.update(version=4)),
             (
                 "search",
                 "idx/meta.json",
@@ -621,6 +628,7 @@ class TestExitCodes:
             ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["config"].update(n_t=4)),
             ("build", "enc.jsonl:line 1", _without_encoder(n_t=True, n_c=False)),
             ("build", "enc.jsonl:line 1", _without_encoder(n_t=0, n_c=0)),
+            ("build", "enc.jsonl:line 1", lambda h: h.update(encodr=h.pop("encoder"))),
             ("build", "enc.jsonl:record 1", lambda r: r.update(id="d 0")),
             ("build", "enc.jsonl:record 1", lambda r: r["token_vecs"][0].__setitem__(0, float("nan"))),
             ("build", "enc.jsonl:record 1", lambda r: r.update(id="d0\x00")),
@@ -634,7 +642,6 @@ class TestExitCodes:
             ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["vocab"].update(apple=-5)),
             ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["vocab"].update(apple=0)),
             ("build", "enc.jsonl:line 1", lambda h: h["encoder"]["vocab"].update(apple=2**31)),
-            ("search", "idx/meta.json", lambda m: m["vocab"].update(apple=-5)),
         ],
         ids=[
             "header-encoder-missing-stub",
@@ -643,11 +650,13 @@ class TestExitCodes:
             "meta-version-1",
             "meta-version-2",
             "meta-version-3",
+            "meta-version-4",
             "meta-checksum-without-crc32-prefix",
             "header-encoder-projection-seed",
             "header-encoder-disagrees-with-n_t",
             "header-bool-dims",
             "header-zero-dims",
+            "header-unknown-key",
             "whitespace-id",
             "nan-vector",
             "nul-id",
@@ -661,7 +670,6 @@ class TestExitCodes:
             "header-negative-token-id",
             "header-zero-token-id",
             "header-token-id-past-int32",
-            "meta-negative-token-id",
         ],
     )
     def test_malformed_input_exits_2(self, workdir, capsys, command, name, edit):
@@ -714,13 +722,23 @@ class TestExitCodes:
                 "encoder_meta: stub: window must be >= 0",
             ),
             (
+                "search",
+                lambda m: m["encoder_meta"]["vocab"].update(apple=-5),
+                "encoder_meta: vocab: token 'apple' has id -5, not in [1, 2**31)",
+            ),
+            (
+                "search",
+                lambda m: m["encoder_meta"]["config"].update(cls_layer_norm=True),
+                "encoder_meta: config disagrees with the index's config",
+            ),
+            (
                 "build",
                 lambda h: h["encoder"]["config"].update(n_lm=4),
                 "line 1: encoder: config: n_t must be <= n_lm",
             ),
         ],
         ids=["meta-n_t-above-n_lm", "stats-n_t-above-n_lm", "meta-negative-window",
-             "header-n_t-above-n_lm"],
+             "meta-negative-token-id", "meta-configs-disagree", "header-n_t-above-n_lm"],
     )
     def test_stored_settings_breaking_a_rule_exit_2_naming_the_file(
         self, workdir, capsys, command, edit, message

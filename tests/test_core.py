@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -367,6 +368,22 @@ class TestDocTable:
     def test_empty_table(self):
         table = DocTable([])
         assert len(table) == 0 and table.rank.dtype == np.int32 and len(table.objects) == 0
+
+    @pytest.mark.parametrize(
+        "assign, error",
+        [
+            (lambda t: setitem(t.ids, 0, "b"), TypeError),
+            (lambda t: setitem(t.objects, 0, "b"), ValueError),
+            (lambda t: setitem(t.rank, 0, 5), ValueError),
+        ],
+        ids=["ids", "objects", "rank"],
+    )
+    def test_cannot_be_changed_after_its_checks(self, assign, error):
+        # a repeated id or a stale rank would pass every check made at construction
+        table = DocTable(["a", "b"])
+        with pytest.raises(error):
+            assign(table)
+        assert table.ids == ("a", "b") and table.rank.tolist() == [0, 1]
 
 
 class TestRankedListFromArrays:

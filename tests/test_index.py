@@ -52,7 +52,7 @@ class TestBuild:
         assert sorted(index.lists) == [1, 2]
         assert all(len(lst) == 1 for lst in index.lists.values())
         assert index.cls_matrix.shape == (1, 2)
-        assert index.doc_table.ids == ["d0"]
+        assert index.doc_table.ids == ("d0",)
 
     def test_repeated_token_shares_one_list(self):
         doc = _docs_by_hand()
@@ -94,7 +94,7 @@ class TestBuild:
             ],
             cfg,
         )
-        assert index.doc_table.ids == ["empty", "d1"]
+        assert index.doc_table.ids == ("empty", "d1")
         np.testing.assert_array_equal(index.lists[1].doc_refs, [1])
         np.testing.assert_allclose(index.cls_matrix[0], [0.1, 0.2], rtol=1e-6)
 
@@ -127,7 +127,7 @@ class TestBuild:
         tids, refs = np.array(tids, np.int32), np.array(refs, np.int32)
         vecs = np.zeros((3, 2), np.float32)
         with pytest.raises(ValidationError, match=message):
-            CoilIndex(cfg, tids, refs, vecs, None, DocTable(["a", "b"]), {}, corpus_checksum=0)
+            CoilIndex(cfg, tids, refs, vecs, None, DocTable(["a", "b"]), corpus_checksum=0)
 
     @pytest.mark.parametrize(
         "n_c, refs, vec_rows, cls_rows, message",
@@ -150,7 +150,7 @@ class TestBuild:
         vecs = np.zeros((vec_rows, 2), np.float32)
         cls = None if cls_rows is None else np.zeros((cls_rows, 2), np.float32)
         with pytest.raises(ValidationError, match=message):
-            CoilIndex(cfg, tids, refs, vecs, cls, DocTable(["a", "b"]), {}, corpus_checksum=0)
+            CoilIndex(cfg, tids, refs, vecs, cls, DocTable(["a", "b"]), corpus_checksum=0)
 
     @pytest.mark.parametrize(
         "column, dtype",
@@ -176,7 +176,7 @@ class TestBuild:
         expected = "int32" if column in ("token_ids", "doc_refs") else "float32"
         message = f"^{column} dtype {np.dtype(dtype)}, expected {expected}$"
         with pytest.raises(ValidationError, match=message):
-            CoilIndex(cfg, **columns, doc_table=DocTable(["a", "b"]), vocab={}, corpus_checksum=0)
+            CoilIndex(cfg, **columns, doc_table=DocTable(["a", "b"]), corpus_checksum=0)
 
     @pytest.mark.parametrize(
         "field, dtype, message",
@@ -220,6 +220,18 @@ class TestBuild:
         assert index.num_docs == 0
         assert index.lists == {}
         assert index.cls_matrix.shape == (0, 2)
+
+    def test_vocab_keyword_must_equal_encoder_meta_vocab(self):
+        # a compatibility keyword that is never stored; the benchmark harness
+        # passes the vocabulary that its encoder_meta also holds
+        doc = _docs_by_hand()
+        cfg = CoilConfig(n_lm=4, n_t=2, n_c=2, mode="full")
+        docs = [doc("d0", [1], [[1, 0]], [0.5, 0.5])]
+        meta = {"vocab": {"a": 1}, "lowercase": True, "projection_seed": 0}
+        index = build_index(docs, cfg, vocab={"a": 1}, encoder_meta=meta)
+        assert index.encoder_meta is meta
+        with pytest.raises(ValidationError, match=r"^vocab differs from encoder_meta\['vocab'\]$"):
+            build_index(docs, cfg, vocab={"a": 2}, encoder_meta=meta)
 
 
 def _corpus():
@@ -296,7 +308,6 @@ class TestPersistence:
         loaded = load_index(tmp_path / "idx")
         assert loaded.config == inst.config
         assert loaded.doc_table == inst.index.doc_table
-        assert loaded.vocab == inst.index.vocab
         assert loaded.corpus_checksum == inst.index.corpus_checksum
         assert sorted(loaded.lists) == sorted(inst.index.lists)
         for tid, lst in inst.index.lists.items():
@@ -313,7 +324,7 @@ class TestPersistence:
 
     def test_encoder_meta_preserved(self, tmp_path):
         inst = make_instance(seed=9, num_docs=5)
-        inst.index.encoder_meta = {"lowercase": True, "vocab": inst.index.vocab}
+        inst.index.encoder_meta = {"lowercase": True, "vocab": inst.tokenizer.vocab}
         save_index(inst.index, tmp_path / "idx")
         assert load_index(tmp_path / "idx").encoder_meta == inst.index.encoder_meta
 
@@ -385,6 +396,17 @@ class TestPersistence:
         meta["version"] = 3
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="unsupported version 3"):
+            load_index(tmp_path / "idx")
+
+    def test_version_4_rejected(self, tmp_path):
+        # version 4 also stored the vocabulary as a top-level key
+        inst = make_instance(seed=15, num_docs=5)
+        save_index(inst.index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.update(version=4, vocab=inst.tokenizer.vocab)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="unsupported version 4"):
             load_index(tmp_path / "idx")
 
     def test_tok_index_saved_over_full_index_leaves_no_cls(self, tmp_path):
@@ -511,7 +533,7 @@ class TestPersistence:
             (lambda m: m.pop("checksums"), "missing key 'checksums'"),
             (lambda m: m.update(config=[]), "'config' has the wrong type"),
             (lambda m: m["config"].update(n_x=1), "config: unknown key 'n_x'"),
-            (lambda m: m.update(vocab={"a": "1"}), "token ids must be integers"),
+            (lambda m: m.update(vocab={"a": 1}), "unknown key 'vocab'"),
             (lambda m: m.update(corpus_checksum=7), "'corpus_checksum' has the wrong type"),
             (lambda m: m.update(corpus_checksum="xyz"), "not hexadecimal"),
             (lambda m: m.update(num_docs=5), "unknown key 'num_docs'"),

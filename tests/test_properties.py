@@ -768,7 +768,7 @@ def test_build_bm25_index_equals_the_per_document_reference(case):
         assert np.array_equal(got_ordinals, ordinals) and np.array_equal(got_tfs, tfs)
     assert index.doc_len.dtype == doc_len.dtype and np.array_equal(index.doc_len, doc_len)
     assert index.avgdl == avgdl
-    assert index.doc_table.ids == [d.id for d in docs]
+    assert index.doc_table.ids == tuple(d.id for d in docs)
 
 
 bm25_settings = st.builds(

@@ -315,9 +315,7 @@ class TestSearchAgainstOracle:
         inst = make_instance(seed=27, num_docs=50, num_queries=5)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(inst.enc_docs))
-        shuffled = build_index(
-            [inst.enc_docs[i] for i in perm], inst.config, vocab=inst.tokenizer.vocab
-        )
+        shuffled = build_index([inst.enc_docs[i] for i in perm], inst.config)
         for q in inst.enc_queries:
             a, _ = search(inst.index, q, k=50, mode="full")
             b, _ = search(shuffled, q, k=50, mode="full")
